@@ -29,7 +29,7 @@ from repro.experiments import format_table, get_scale
 from repro.metrics import IgnoredImportantAnalysis
 from repro.models import vgg19
 from repro.optim import SGD, CosineAnnealingLR
-from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel
+from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel, TrainingSchedule
 
 SCALE = get_scale()
 
@@ -54,8 +54,14 @@ def _run_analysis() -> tuple[str, dict]:
     # A strongly-exploring coefficient so exploration actually grows the
     # small-gradient weights whose later importance the figure demonstrates.
     engine = DynamicSparseEngine(
-        masked, DSTEEGrowth(c=5e-2), total_steps=total_steps,
-        delta_t=SCALE.delta_t, drop_fraction=0.3, optimizer=optimizer,
+        masked,
+        DSTEEGrowth(c=5e-2),
+        schedule=TrainingSchedule(
+            total_steps=total_steps,
+            delta_t=SCALE.delta_t,
+            drop_fraction=0.3,
+        ),
+        optimizer=optimizer,
         rng=np.random.default_rng(2),
     )
     analysis = IgnoredImportantAnalysis(masked, important_quantile=0.5)

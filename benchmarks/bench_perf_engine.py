@@ -142,9 +142,11 @@ def _build(config: dict, sparsity: float, seed: int = 0, block_size: int = 1):
     engine = DynamicSparseEngine(
         masked,
         DSTEEGrowth(c=1e-3),
-        total_steps=100_000,
-        delta_t=scale.delta_t,
-        drop_fraction=scale.drop_fraction,
+        schedule=TrainingSchedule(
+            total_steps=100_000,
+            delta_t=scale.delta_t,
+            drop_fraction=scale.drop_fraction,
+        ),
         optimizer=optimizer,
         rng=np.random.default_rng(seed + 2),
     )
@@ -216,9 +218,7 @@ def _build_conv(config: dict, sparsity: float, seed: int = 0, block_size: int = 
     engine = DynamicSparseEngine(
         masked,
         DSTEEGrowth(c=1e-3),
-        total_steps=100_000,
-        delta_t=10,
-        drop_fraction=0.3,
+        schedule=TrainingSchedule(total_steps=100_000, delta_t=10, drop_fraction=0.3),
         optimizer=optimizer,
         rng=np.random.default_rng(seed + 2),
     )

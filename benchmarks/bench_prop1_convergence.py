@@ -21,7 +21,7 @@ from repro.experiments import format_table, get_scale
 from repro.metrics import GradientNormTracker, fit_decay_rate
 from repro.models import vgg19
 from repro.optim import SGD, CosineAnnealingLR
-from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel
+from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel, TrainingSchedule
 
 SCALE = get_scale()
 
@@ -45,9 +45,15 @@ def _run_convergence_study() -> tuple[str, dict]:
     total_steps = epochs * len(loader)
     delta_t = max(SCALE.delta_t // 2, 2)
     engine = DynamicSparseEngine(
-        masked, DSTEEGrowth(c=1e-3), total_steps=total_steps,
-        delta_t=delta_t, optimizer=optimizer, rng=np.random.default_rng(2),
-        stop_fraction=1.0,  # keep observing across the whole run
+        masked,
+        DSTEEGrowth(c=1e-3),
+        schedule=TrainingSchedule(
+            total_steps=total_steps,
+            delta_t=delta_t,
+            stop_fraction=1.0,  # keep observing across the whole run
+        ),
+        optimizer=optimizer,
+        rng=np.random.default_rng(2),
     )
     tracker = GradientNormTracker(masked)
     scheduler = CosineAnnealingLR(optimizer, t_max=epochs)

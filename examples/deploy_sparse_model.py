@@ -22,6 +22,7 @@ from repro.sparse import (
     DSTEEGrowth,
     DynamicSparseEngine,
     MaskedModel,
+    TrainingSchedule,
     compile_sparse_model,
     load_sparse_checkpoint,
     save_sparse_checkpoint,
@@ -46,8 +47,11 @@ def main() -> None:
                               rng=np.random.default_rng(1))
     test_loader = DataLoader(data.test, batch_size=256)
     engine = DynamicSparseEngine(
-        masked, DSTEEGrowth(c=1e-3), total_steps=4 * len(train_loader),
-        delta_t=6, optimizer=optimizer, rng=np.random.default_rng(2),
+        masked,
+        DSTEEGrowth(c=1e-3),
+        schedule=TrainingSchedule(total_steps=4 * len(train_loader), delta_t=6),
+        optimizer=optimizer,
+        rng=np.random.default_rng(2),
     )
     trainer = Trainer(model, optimizer, nn.cross_entropy, train_loader,
                       test_loader, scheduler=CosineAnnealingLR(optimizer, 4),

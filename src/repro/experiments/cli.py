@@ -47,8 +47,115 @@ from repro.experiments.registry import (
     RL_METHODS,
     method_family,
 )
+from repro.sparse.kernels import MODES
 
 __all__ = ["build_parser", "main"]
+
+MODELS = ("vgg19", "vgg11", "resnet50", "resnet50_mini", "mlp")
+DISTRIBUTIONS = ("erk", "er", "uniform")
+
+# Defaults of the flag groups several training subcommands share.
+CHECKPOINT_DEFAULTS = dict(
+    checkpoint_dir=None,
+    checkpoint_every_steps=None,
+    keep_last=None,
+    resume=False,
+)
+IMAGE_DEFAULTS = dict(
+    batch_size=64,
+    lr=0.05,
+    delta_t=6,
+    block_size=None,
+    sparse_backend=None,
+    nproc=None,
+    checkpoint_every_epochs=1,
+    **CHECKPOINT_DEFAULTS,
+)
+DST_DEFAULTS = dict(
+    method="dst_ee",
+    sparsity=0.9,
+    lr=1e-3,
+    delta_t=100,
+    drop_fraction=0.3,
+    c=1e-3,
+    distribution="erk",
+    seed=0,
+    seeds=None,
+    nproc=None,
+)
+
+
+def _add_training_flags(
+    parser: argparse.ArgumentParser,
+    methods,
+    *,
+    epsilon_flag: str = "--epsilon",
+    cadence_flag: str = "--checkpoint-every-epochs",
+    **defaults,
+) -> None:
+    """Declare the training flags subcommands share, each in one place.
+
+    ``parser`` gets exactly the flags whose dest appears in ``defaults``,
+    with that default; ``--method`` offers ``methods``.  The RL and GAN
+    subcommands spell two knobs their own way: ``--ee-epsilon`` (their
+    ``--epsilon-*`` flags are the ε-greedy schedule) and
+    ``--checkpoint-every-episodes``.
+    """
+
+    def add(flag: str, dest: str | None = None, **spec) -> None:
+        dest = dest or flag[2:].replace("-", "_")
+        if dest in defaults:
+            parser.add_argument(flag, dest=dest, default=defaults[dest], **spec)
+
+    add("--method", choices=methods)
+    add("--sparsity", type=float)
+    add("--epochs", type=int)
+    add("--total-steps", type=int)
+    add("--batch-size", type=int)
+    add("--lr", type=float)
+    add("--delta-t", type=int, help="mask-update period in gradient steps")
+    add("--drop-fraction", type=float)
+    add("--c", type=float, help="exploration-exploitation coefficient (Eq. 1)")
+    add(epsilon_flag, "epsilon", type=float, help="DST-EE exploration weight epsilon")
+    add("--distribution", choices=DISTRIBUTIONS)
+    add(
+        "--block-size",
+        type=int,
+        help="block-structured mask tile size (1 = unstructured; "
+        "default: REPRO_SPARSE_BLOCK_SIZE or 1)",
+    )
+    add(
+        "--sparse-backend",
+        choices=MODES,
+        help="execution backend for masked layers during training "
+        "(see docs/performance.md; default: plain masked-dense)",
+    )
+    add("--seed", type=int)
+    add("--seeds", type=int, nargs="+", help="multi-seed protocol over these seeds")
+    add(
+        "--nproc",
+        type=int,
+        help="worker processes for seed/cell sharding (default: REPRO_NPROC, 1 = serial)",
+    )
+    add(
+        "--n-workers",
+        type=int,
+        help="data-parallel gradient workers per run (0 = in-process)",
+    )
+    add(
+        "--checkpoint-dir",
+        help="write resume-exact training checkpoints here (see docs/checkpointing.md)",
+    )
+    add(cadence_flag, "checkpoint_every_epochs", type=int, help="checkpoint cadence")
+    add("--checkpoint-every-steps", type=int, help="step-granularity checkpoint cadence")
+    add("--keep-last", type=int, help="retain only the newest K checkpoints per run")
+    add(
+        "--resume",
+        action="store_true",
+        help="resume from the latest checkpoint in --checkpoint-dir "
+        "(bitwise-identical to an uninterrupted run)",
+    )
+    add("--out", help="export the trained model as a serving artifact (.npz)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,133 +165,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Training/dataset knobs shared by `run` and `sweep` — declared once so
-    # the two entry points cannot drift apart.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dataset", default="cifar10", choices=["cifar10", "cifar100", "imagenet"])
-    common.add_argument("--batch-size", type=int, default=64)
-    common.add_argument("--lr", type=float, default=0.05)
-    common.add_argument("--delta-t", type=int, default=6)
-    common.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        help="block-structured mask tile size (1 = unstructured; "
-        "default: REPRO_SPARSE_BLOCK_SIZE or 1)",
-    )
-    common.add_argument(
-        "--sparse-backend",
-        default=None,
-        choices=["auto", "csr", "bsr", "dense"],
-        help="execution backend for masked layers during training "
-        "(see docs/performance.md; default: plain masked-dense)",
-    )
-    common.add_argument("--width-mult", type=float, default=0.2)
-    common.add_argument("--n-train", type=int, default=1024)
-    common.add_argument("--n-test", type=int, default=512)
-    common.add_argument("--image-size", type=int, default=12)
-    common.add_argument(
-        "--nproc",
-        type=int,
-        default=None,
-        help="worker processes for cell/seed sharding " "(default: REPRO_NPROC, 1 = serial)",
-    )
-    common.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="write resume-exact training checkpoints here " "(see docs/checkpointing.md)",
-    )
-    common.add_argument(
-        "--checkpoint-every-epochs",
-        type=int,
-        default=1,
-        help="epoch checkpoint cadence (with --checkpoint-dir)",
-    )
-    common.add_argument(
-        "--checkpoint-every-steps",
-        type=int,
-        default=None,
-        help="additional step-granularity checkpoint cadence",
-    )
-    common.add_argument(
-        "--keep-last",
-        type=int,
-        default=None,
-        help="retain only the newest K checkpoints per run",
-    )
-    common.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the latest checkpoint in "
-        "--checkpoint-dir (bitwise-identical to an "
-        "uninterrupted run)",
-    )
+    # Synthetic image-dataset knobs of `run`, `sweep` and `export`.
+    image = argparse.ArgumentParser(add_help=False)
+    image.add_argument("--dataset", default="cifar10", choices=["cifar10", "cifar100", "imagenet"])
+    image.add_argument("--width-mult", type=float, default=0.2)
+    image.add_argument("--n-train", type=int, default=1024)
+    image.add_argument("--n-test", type=int, default=512)
+    image.add_argument("--image-size", type=int, default=12)
 
-    run = sub.add_parser("run", parents=[common], help="one image-classification training run")
-    run.add_argument("--method", default="dst_ee", choices=ALL_METHODS)
-    run.add_argument(
-        "--model",
-        default="vgg19",
-        choices=["vgg19", "vgg11", "resnet50", "resnet50_mini", "mlp"],
+    run = sub.add_parser("run", parents=[image], help="one image-classification training run")
+    _add_training_flags(
+        run,
+        ALL_METHODS,
+        method="dst_ee",
+        sparsity=0.9,
+        epochs=4,
+        c=1e-3,
+        epsilon=1.0,
+        distribution="erk",
+        seed=0,
+        seeds=None,
+        n_workers=0,
+        **IMAGE_DEFAULTS,
     )
-    run.add_argument("--sparsity", type=float, default=0.9)
-    run.add_argument("--epochs", type=int, default=4)
-    run.add_argument(
-        "--c",
-        type=float,
-        default=1e-3,
-        help="exploration-exploitation coefficient (Eq. 1)",
-    )
-    run.add_argument("--epsilon", type=float, default=1.0)
-    run.add_argument("--distribution", default="erk", choices=["erk", "er", "uniform"])
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        default=None,
-        help="run the paper's multi-seed protocol over these seeds",
-    )
-    run.add_argument(
-        "--n-workers",
-        type=int,
-        default=0,
-        help="data-parallel gradient workers per run (0 = in-process)",
-    )
+    run.add_argument("--model", default="vgg19", choices=MODELS)
 
     sweep = sub.add_parser(
         "sweep",
-        parents=[common],
+        parents=[image],
         help="grid of (method x model x sparsity x seed) cells",
     )
+    _add_training_flags(sweep, ALL_METHODS, epochs=2, seed=0, seeds=[0], **IMAGE_DEFAULTS)
     sweep.add_argument(
         "--methods",
         nargs="+",
         default=["set", "rigl", "dst_ee"],
         choices=ALL_METHODS,
     )
-    sweep.add_argument(
-        "--models",
-        nargs="+",
-        default=["vgg11"],
-        choices=["vgg19", "vgg11", "resnet50", "resnet50_mini", "mlp"],
-    )
+    sweep.add_argument("--models", nargs="+", default=["vgg11"], choices=MODELS)
     sweep.add_argument("--sparsities", type=float, nargs="+", default=[0.9])
-    sweep.add_argument("--seeds", type=int, nargs="+", default=[0])
     sweep.add_argument(
         "--root-seed",
         type=int,
         default=None,
         help="derive per-cell seeds from this root via SeedSequence.spawn",
     )
-    sweep.add_argument("--epochs", type=int, default=2)
-    sweep.add_argument("--seed", type=int, default=0, help="dataset generation seed")
 
     run_rl = sub.add_parser("run-rl", help="one DQN training run on a classic-control environment")
     run_rl.add_argument("--env", default="cartpole", choices=["cartpole", "acrobot"])
-    run_rl.add_argument("--method", default="dst_ee", choices=RL_METHODS)
-    run_rl.add_argument("--sparsity", type=float, default=0.9)
-    run_rl.add_argument("--total-steps", type=int, default=5000)
+    _add_training_flags(
+        run_rl,
+        RL_METHODS,
+        epsilon_flag="--ee-epsilon",
+        cadence_flag="--checkpoint-every-episodes",
+        total_steps=5000,
+        batch_size=64,
+        epsilon=1.0,
+        sparse_backend=None,
+        checkpoint_every_epochs=1,
+        out=None,
+        **DST_DEFAULTS,
+        **CHECKPOINT_DEFAULTS,
+    )
     run_rl.add_argument(
         "--hidden",
         type=int,
@@ -192,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[256, 256],
         help="Q-network widths",
     )
-    run_rl.add_argument("--batch-size", type=int, default=64)
-    run_rl.add_argument("--lr", type=float, default=1e-3)
     run_rl.add_argument("--gamma", type=float, default=0.99)
     run_rl.add_argument("--buffer-capacity", type=int, default=10_000)
     run_rl.add_argument("--warmup-steps", type=int, default=500)
@@ -218,74 +258,22 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.4,
         help="fraction of total steps over which epsilon decays",
     )
-    run_rl.add_argument(
-        "--delta-t",
-        type=int,
-        default=100,
-        help="mask-update period in gradient steps",
-    )
-    run_rl.add_argument("--drop-fraction", type=float, default=0.3)
-    run_rl.add_argument(
-        "--c",
-        type=float,
-        default=1e-3,
-        help="exploration-exploitation coefficient (Eq. 1)",
-    )
-    run_rl.add_argument(
-        "--ee-epsilon",
-        type=float,
-        default=1.0,
-        help="DST-EE epsilon (distinct from epsilon-greedy)",
-    )
-    run_rl.add_argument("--distribution", default="erk", choices=["erk", "er", "uniform"])
-    run_rl.add_argument(
-        "--sparse-backend",
-        default=None,
-        choices=["auto", "csr", "bsr", "dense"],
-        help="execution backend for the masked Q-network layers "
-        "(see docs/performance.md; default: plain masked-dense)",
-    )
-    run_rl.add_argument("--seed", type=int, default=0)
-    run_rl.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        default=None,
-        help="multi-seed protocol over these seeds",
-    )
-    run_rl.add_argument(
-        "--nproc",
-        type=int,
-        default=None,
-        help="worker processes for seed sharding",
-    )
-    run_rl.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="write resume-exact RL training checkpoints here",
-    )
-    run_rl.add_argument("--checkpoint-every-episodes", type=int, default=1)
-    run_rl.add_argument("--checkpoint-every-steps", type=int, default=None)
-    run_rl.add_argument("--keep-last", type=int, default=None)
-    run_rl.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the latest checkpoint in --checkpoint-dir",
-    )
-    run_rl.add_argument(
-        "--out",
-        default=None,
-        help="export the trained policy net as a serving artifact",
-    )
 
     run_gan = sub.add_parser(
         "run-gan",
         help="one sparse-GAN run on a synthetic 2-D Gaussian mixture",
     )
     run_gan.add_argument("--mixture", default="ring8", choices=["ring4", "ring8", "grid9"])
-    run_gan.add_argument("--method", default="dst_ee", choices=GAN_METHODS)
-    run_gan.add_argument("--sparsity", type=float, default=0.9)
-    run_gan.add_argument("--total-steps", type=int, default=2000)
+    _add_training_flags(
+        run_gan,
+        GAN_METHODS,
+        epsilon_flag="--ee-epsilon",
+        total_steps=2000,
+        batch_size=64,
+        epsilon=1.0,
+        **DST_DEFAULTS,
+        **dict(CHECKPOINT_DEFAULTS, checkpoint_every_steps=200),
+    )
     run_gan.add_argument(
         "--hidden",
         type=int,
@@ -294,23 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="generator/discriminator MLP widths",
     )
     run_gan.add_argument("--latent-dim", type=int, default=8)
-    run_gan.add_argument("--batch-size", type=int, default=64)
-    run_gan.add_argument("--lr", type=float, default=1e-3)
-    run_gan.add_argument(
-        "--delta-t",
-        type=int,
-        default=100,
-        help="mask-update period in generator/discriminator steps",
-    )
-    run_gan.add_argument("--drop-fraction", type=float, default=0.3)
-    run_gan.add_argument(
-        "--c",
-        type=float,
-        default=1e-3,
-        help="exploration-exploitation coefficient (Eq. 1)",
-    )
-    run_gan.add_argument("--ee-epsilon", type=float, default=1.0)
-    run_gan.add_argument("--distribution", default="erk", choices=["erk", "er", "uniform"])
     run_gan.add_argument(
         "--balance-max-shift",
         type=float,
@@ -324,131 +295,50 @@ def build_parser() -> argparse.ArgumentParser:
         help="G<->D rebalance cadence (default: --delta-t)",
     )
     run_gan.add_argument("--n-eval-samples", type=int, default=2000)
-    run_gan.add_argument("--seed", type=int, default=0)
-    run_gan.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        default=None,
-        help="multi-seed protocol over these seeds",
-    )
-    run_gan.add_argument(
-        "--nproc",
-        type=int,
-        default=None,
-        help="worker processes for seed sharding",
-    )
-    run_gan.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="write resume-exact GAN training checkpoints here",
-    )
-    run_gan.add_argument("--checkpoint-every-steps", type=int, default=200)
-    run_gan.add_argument("--keep-last", type=int, default=None)
-    run_gan.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the latest checkpoint in --checkpoint-dir",
-    )
 
     run_lm = sub.add_parser(
         "run-lm",
         help="one sparse char-GPT language-model run on the synthetic prose corpus",
     )
     run_lm.add_argument("--corpus", default="markov-prose", choices=["markov-prose"])
-    run_lm.add_argument("--method", default="dst_ee", choices=LM_METHODS)
-    run_lm.add_argument("--sparsity", type=float, default=0.9)
-    run_lm.add_argument("--epochs", type=int, default=3)
+    _add_training_flags(
+        run_lm,
+        LM_METHODS,
+        epochs=3,
+        batch_size=32,
+        epsilon=1.0,
+        block_size=None,
+        sparse_backend=None,
+        n_workers=0,
+        checkpoint_every_epochs=1,
+        out=None,
+        **DST_DEFAULTS,
+        **CHECKPOINT_DEFAULTS,
+    )
     run_lm.add_argument("--n-chars", type=int, default=65536, help="corpus size in characters")
     run_lm.add_argument("--block-len", type=int, default=32, help="context window length")
     run_lm.add_argument("--n-layer", type=int, default=2)
     run_lm.add_argument("--n-head", type=int, default=2)
     run_lm.add_argument("--n-embd", type=int, default=64)
-    run_lm.add_argument("--batch-size", type=int, default=32)
-    run_lm.add_argument("--lr", type=float, default=1e-3)
-    run_lm.add_argument(
-        "--delta-t",
-        type=int,
-        default=100,
-        help="mask-update period in gradient steps",
-    )
-    run_lm.add_argument("--drop-fraction", type=float, default=0.3)
-    run_lm.add_argument(
-        "--c",
-        type=float,
-        default=1e-3,
-        help="exploration-exploitation coefficient (Eq. 1)",
-    )
-    run_lm.add_argument("--epsilon", type=float, default=1.0)
-    run_lm.add_argument("--distribution", default="erk", choices=["erk", "er", "uniform"])
-    run_lm.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        help="block-structured masks with this tile edge (dynamic methods)",
-    )
-    run_lm.add_argument(
-        "--sparse-backend",
-        default=None,
-        choices=["auto", "csr", "blocked", "dense"],
-        help="training-time sparse compute backend",
-    )
-    run_lm.add_argument("--seed", type=int, default=0)
-    run_lm.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        default=None,
-        help="multi-seed protocol over these seeds",
-    )
-    run_lm.add_argument(
-        "--nproc",
-        type=int,
-        default=None,
-        help="worker processes for seed sharding",
-    )
-    run_lm.add_argument(
-        "--n-workers",
-        type=int,
-        default=0,
-        help="data-parallel gradient workers inside the run",
-    )
-    run_lm.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="write resume-exact LM training checkpoints here",
-    )
-    run_lm.add_argument("--checkpoint-every-epochs", type=int, default=1)
-    run_lm.add_argument("--checkpoint-every-steps", type=int, default=None)
-    run_lm.add_argument("--keep-last", type=int, default=None)
-    run_lm.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the latest checkpoint in --checkpoint-dir",
-    )
-    run_lm.add_argument(
-        "--out",
-        default=None,
-        help="export the trained model as a serving artifact (.npz)",
-    )
 
     export = sub.add_parser(
         "export",
-        parents=[common],
+        parents=[image],
         help="train one configuration and write a serving artifact",
     )
-    export.add_argument("--method", default="dst_ee", choices=ALL_METHODS)
-    export.add_argument(
-        "--model",
-        default="mlp",
-        choices=["vgg19", "vgg11", "resnet50", "resnet50_mini", "mlp"],
+    _add_training_flags(
+        export,
+        ALL_METHODS,
+        method="dst_ee",
+        sparsity=0.95,
+        epochs=4,
+        c=1e-3,
+        epsilon=1.0,
+        distribution="erk",
+        seed=0,
+        **IMAGE_DEFAULTS,
     )
-    export.add_argument("--sparsity", type=float, default=0.95)
-    export.add_argument("--epochs", type=int, default=4)
-    export.add_argument("--c", type=float, default=1e-3)
-    export.add_argument("--epsilon", type=float, default=1.0)
-    export.add_argument("--distribution", default="erk", choices=["erk", "er", "uniform"])
-    export.add_argument("--seed", type=int, default=0)
+    export.add_argument("--model", default="mlp", choices=MODELS)
     export.add_argument("--out", required=True, help="artifact path to write (.npz)")
 
     serve = sub.add_parser("serve", help="serve a model artifact over HTTP")
@@ -505,11 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gnn = sub.add_parser("gnn", help="GNN link-prediction experiment")
     gnn.add_argument("--dataset", default="wiki_talk", choices=["wiki_talk", "ia_email"])
-    gnn.add_argument("--method", default="dst_ee", choices=["dense", "dst_ee", "admm"])
-    gnn.add_argument("--sparsity", type=float, default=0.9)
-    gnn.add_argument("--epochs", type=int, default=12)
+    _add_training_flags(
+        gnn, ["dense", "dst_ee", "admm"], method="dst_ee", sparsity=0.9, epochs=12, seed=0
+    )
     gnn.add_argument("--nodes", type=int, default=400)
-    gnn.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("methods", help="list available methods by family")
     return parser
@@ -583,50 +472,64 @@ def _model_factory(args, num_classes: int):
     return _model_builders(args, num_classes)[args.model]
 
 
-def _checkpoint_kwargs(args) -> dict:
-    """Shared checkpoint/resume plumbing for single runs."""
+# Parsed flags that choose, fan out or export a run instead of configuring it.
+_NOT_RUN_KWARGS = {
+    "command",
+    "method",
+    "seed",
+    "seeds",
+    "nproc",
+    "resume",
+    "out",
+    "env",
+    "corpus",
+    "mixture",
+    "dataset",
+    "model",
+    "width_mult",
+    "n_train",
+    "n_test",
+    "image_size",
+}
+
+
+def _run_kwargs(args) -> dict:
+    """The entrypoint keywords a training subcommand's flags set.
+
+    Serves ``run``, ``export``, ``run-rl``, ``run-gan`` and ``run-lm``:
+    every other flag is passed under its dest, except that ``--keep-last``
+    sets ``checkpoint_keep_last`` and ``--resume`` sets ``resume_from``.
+    """
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
-    if not args.checkpoint_dir:
-        return {}
-    return {
-        "checkpoint_dir": args.checkpoint_dir,
-        "checkpoint_every_epochs": args.checkpoint_every_epochs,
-        "checkpoint_every_steps": args.checkpoint_every_steps,
-        "checkpoint_keep_last": args.keep_last,
-        "resume_from": args.checkpoint_dir if args.resume else None,
-    }
+    if getattr(args, "seeds", None) is not None:
+        if args.checkpoint_dir:
+            raise SystemExit(
+                f"--checkpoint-dir with --seeds is not supported by `{args.command}` "
+                "(every seed would share one directory); use a sweep for "
+                "resumable multi-seed grids"
+            )
+        if getattr(args, "out", None):
+            raise SystemExit("--out exports a single run; drop --seeds")
+    kwargs = {dest: value for dest, value in vars(args).items() if dest not in _NOT_RUN_KWARGS}
+    kwargs["checkpoint_keep_last"] = kwargs.pop("keep_last")
+    kwargs["resume_from"] = args.checkpoint_dir if args.resume else None
+    return kwargs
 
 
 def _command_run(args) -> int:
     from repro.experiments.runner import run_image_classification, run_multi_seed
 
-    checkpoint_kwargs = _checkpoint_kwargs(args)
+    run_kwargs = _run_kwargs(args)
     data = _dataset(args)
     if args.seeds is not None:
-        if args.checkpoint_dir:
-            raise SystemExit(
-                "--checkpoint-dir with --seeds is not supported by `run` "
-                "(every seed would share one directory); use `sweep` for "
-                "resumable multi-seed grids"
-            )
         mean, std, results = run_multi_seed(
             args.method,
             _model_factory(args, data.num_classes),
             data,
             seeds=tuple(args.seeds),
             n_proc=args.nproc,
-            sparsity=args.sparsity,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            lr=args.lr,
-            delta_t=args.delta_t,
-            c=args.c,
-            epsilon=args.epsilon,
-            distribution=args.distribution,
-            block_size=args.block_size,
-            sparse_backend=args.sparse_backend,
-            n_workers=args.n_workers,
+            **run_kwargs,
         )
         print(f"method:               {args.method}")
         print(f"dataset:              {data.name}")
@@ -642,19 +545,8 @@ def _command_run(args) -> int:
         args.method,
         _model_factory(args, data.num_classes),
         data,
-        sparsity=args.sparsity,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        delta_t=args.delta_t,
-        c=args.c,
-        epsilon=args.epsilon,
-        distribution=args.distribution,
-        block_size=args.block_size,
-        sparse_backend=args.sparse_backend,
         seed=args.seed,
-        n_workers=args.n_workers,
-        **checkpoint_kwargs,
+        **run_kwargs,
     )
     print(f"method:               {result.method}")
     print(f"dataset:              {result.dataset}")
@@ -744,39 +636,8 @@ def _command_run_rl(args) -> int:
     from repro.experiments.rl import run_rl, run_rl_multi_seed
     from repro.rl.envs import ENV_REGISTRY
 
-    rl_kwargs = dict(
-        sparsity=args.sparsity,
-        total_steps=args.total_steps,
-        hidden=tuple(args.hidden),
-        batch_size=args.batch_size,
-        lr=args.lr,
-        gamma=args.gamma,
-        buffer_capacity=args.buffer_capacity,
-        warmup_steps=args.warmup_steps,
-        train_every=args.train_every,
-        target_sync_every=args.target_sync_every,
-        epsilon_start=args.epsilon_start,
-        epsilon_end=args.epsilon_end,
-        epsilon_decay_fraction=args.epsilon_decay_fraction,
-        huber_delta=args.huber_delta,
-        delta_t=args.delta_t,
-        drop_fraction=args.drop_fraction,
-        c=args.c,
-        epsilon=args.ee_epsilon,
-        distribution=args.distribution,
-        sparse_backend=args.sparse_backend,
-    )
-    if args.resume and not args.checkpoint_dir:
-        raise SystemExit("--resume requires --checkpoint-dir")
+    rl_kwargs = _run_kwargs(args)
     if args.seeds is not None:
-        if args.checkpoint_dir:
-            raise SystemExit(
-                "--checkpoint-dir with --seeds is not supported by `run-rl` "
-                "(every seed would share one directory); use run_rl_sweep for "
-                "resumable multi-seed grids"
-            )
-        if args.out:
-            raise SystemExit("--out exports a single run; drop --seeds")
         mean, std, results = run_rl_multi_seed(
             args.method,
             args.env,
@@ -799,22 +660,12 @@ def _command_run_rl(args) -> int:
         print(f"solved seeds:         {sum(1 for r in results if r.solved)}" f"/{len(results)}")
         return 0
 
-    checkpoint_kwargs = {}
-    if args.checkpoint_dir:
-        checkpoint_kwargs = {
-            "checkpoint_dir": args.checkpoint_dir,
-            "checkpoint_every_epochs": args.checkpoint_every_episodes,
-            "checkpoint_every_steps": args.checkpoint_every_steps,
-            "checkpoint_keep_last": args.keep_last,
-            "resume_from": args.checkpoint_dir if args.resume else None,
-        }
     result = run_rl(
         args.method,
         args.env,
         seed=args.seed,
         keep_model=bool(args.out),
         **rl_kwargs,
-        **checkpoint_kwargs,
     )
     print(f"method:               {result.method}")
     print(f"environment:          {result.env}")
@@ -875,36 +726,8 @@ def _command_run_rl(args) -> int:
 def _command_run_lm(args) -> int:
     from repro.experiments.lm import run_lm, run_lm_multi_seed
 
-    lm_kwargs = dict(
-        sparsity=args.sparsity,
-        epochs=args.epochs,
-        n_chars=args.n_chars,
-        block_len=args.block_len,
-        n_layer=args.n_layer,
-        n_head=args.n_head,
-        n_embd=args.n_embd,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        delta_t=args.delta_t,
-        drop_fraction=args.drop_fraction,
-        c=args.c,
-        epsilon=args.epsilon,
-        distribution=args.distribution,
-        block_size=args.block_size,
-        sparse_backend=args.sparse_backend,
-        n_workers=args.n_workers,
-    )
-    if args.resume and not args.checkpoint_dir:
-        raise SystemExit("--resume requires --checkpoint-dir")
+    lm_kwargs = _run_kwargs(args)
     if args.seeds is not None:
-        if args.checkpoint_dir:
-            raise SystemExit(
-                "--checkpoint-dir with --seeds is not supported by `run-lm` "
-                "(every seed would share one directory); use run_lm_sweep for "
-                "resumable multi-seed grids"
-            )
-        if args.out:
-            raise SystemExit("--out exports a single run; drop --seeds")
         mean, std, results = run_lm_multi_seed(
             args.method,
             args.corpus,
@@ -923,22 +746,12 @@ def _command_run_lm(args) -> int:
         print(f"val perplexity:       {mean:.3f} ± {std:.3f}")
         return 0
 
-    checkpoint_kwargs = {}
-    if args.checkpoint_dir:
-        checkpoint_kwargs = {
-            "checkpoint_dir": args.checkpoint_dir,
-            "checkpoint_every_epochs": args.checkpoint_every_epochs,
-            "checkpoint_every_steps": args.checkpoint_every_steps,
-            "checkpoint_keep_last": args.keep_last,
-            "resume_from": args.checkpoint_dir if args.resume else None,
-        }
     result = run_lm(
         args.method,
         args.corpus,
         seed=args.seed,
         keep_model=bool(args.out),
         **lm_kwargs,
-        **checkpoint_kwargs,
     )
     print(f"method:               {result.method}")
     print(f"corpus:               {result.corpus}")
@@ -1020,25 +833,15 @@ def _command_export(args) -> int:
     from repro.experiments.runner import run_image_classification
     from repro.serve import export_model
 
-    checkpoint_kwargs = _checkpoint_kwargs(args)
+    run_kwargs = _run_kwargs(args)
     data = _dataset(args)
     result = run_image_classification(
         args.method,
         _model_factory(args, data.num_classes),
         data,
-        sparsity=args.sparsity,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        delta_t=args.delta_t,
-        c=args.c,
-        epsilon=args.epsilon,
-        distribution=args.distribution,
-        block_size=args.block_size,
-        sparse_backend=args.sparse_backend,
         seed=args.seed,
         keep_model=True,
-        **checkpoint_kwargs,
+        **run_kwargs,
     )
     if result.masked is None:
         raise SystemExit(f"method {args.method!r} trains a dense model; nothing sparse to export")
@@ -1150,31 +953,8 @@ def _command_gnn(args) -> int:
 def _command_run_gan(args) -> int:
     from repro.experiments.gan import run_gan, run_gan_multi_seed
 
-    gan_kwargs = dict(
-        sparsity=args.sparsity,
-        total_steps=args.total_steps,
-        hidden=tuple(args.hidden),
-        latent_dim=args.latent_dim,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        delta_t=args.delta_t,
-        drop_fraction=args.drop_fraction,
-        c=args.c,
-        epsilon=args.ee_epsilon,
-        distribution=args.distribution,
-        balance_delta_t=args.balance_delta_t,
-        balance_max_shift=args.balance_max_shift,
-        n_eval_samples=args.n_eval_samples,
-    )
-    if args.resume and not args.checkpoint_dir:
-        raise SystemExit("--resume requires --checkpoint-dir")
+    gan_kwargs = _run_kwargs(args)
     if args.seeds is not None:
-        if args.checkpoint_dir:
-            raise SystemExit(
-                "--checkpoint-dir with --seeds is not supported by `run-gan` "
-                "(every seed would share one directory); use run_gan_sweep "
-                "for resumable multi-seed grids"
-            )
         mean, std, results = run_gan_multi_seed(
             args.method,
             args.mixture,
@@ -1193,21 +973,7 @@ def _command_run_gan(args) -> int:
         print(f"mode coverage:        {mean:.3f} ± {std:.3f}")
         return 0
 
-    checkpoint_kwargs = {}
-    if args.checkpoint_dir:
-        checkpoint_kwargs = {
-            "checkpoint_dir": args.checkpoint_dir,
-            "checkpoint_every_steps": args.checkpoint_every_steps,
-            "checkpoint_keep_last": args.keep_last,
-            "resume_from": args.checkpoint_dir if args.resume else None,
-        }
-    result = run_gan(
-        args.method,
-        args.mixture,
-        seed=args.seed,
-        **gan_kwargs,
-        **checkpoint_kwargs,
-    )
+    result = run_gan(args.method, args.mixture, seed=args.seed, **gan_kwargs)
     print(f"method:               {result.method}")
     print(f"mixture:              {result.mixture}")
     print(f"steps:                {result.total_steps}")

@@ -43,14 +43,8 @@ from repro.models.mlp import MLP
 from repro.optim import Adam
 from repro.parallel import run_sharded
 from repro.sparse.budget import DensityBudget
-from repro.train.callbacks import Callback
+from repro.train.callbacks import Callback, callback_states, restore_callback_states
 from repro.train.checkpoint import CheckpointCallback, load_training_checkpoint
-from repro.experiments.workload import (
-    UNSET,
-    WorkloadConfig,
-    resolve_knob,
-    warn_deprecated_alias,
-)
 
 __all__ = [
     "MIXTURES",
@@ -409,10 +403,7 @@ class GANTrainer:
                 }
                 for record in self.history
             ],
-            "callbacks": [
-                {"type": type(cb).__name__, "state": cb.state_dict()}
-                for cb in self.callbacks
-            ],
+            "callbacks": callback_states(self.callbacks),
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -458,13 +449,7 @@ class GANTrainer:
             )
             for record in state["history"]
         ]
-        for index, saved in enumerate(state.get("callbacks", [])):
-            if saved["state"] is None:
-                continue
-            if index < len(self.callbacks) and (
-                type(self.callbacks[index]).__name__ == saved["type"]
-            ):
-                self.callbacks[index].load_state_dict(saved["state"])
+        restore_callback_states(self.callbacks, state.get("callbacks", []))
 
 
 # ----------------------------------------------------------------------
@@ -502,32 +487,30 @@ class GANRunResult:
 
 
 def run_gan(
-    method: str = UNSET,
+    method: str,
     mixture: str = "ring8",
     *,
-    config: WorkloadConfig | None = None,
-    sparsity: float = UNSET,
-    total_steps: int = UNSET,
-    seed: int = UNSET,
+    sparsity: float = 0.9,
+    total_steps: int = 2000,
+    seed: int = 0,
     hidden: Sequence[int] = (64, 64),
     latent_dim: int = 8,
-    batch_size: int = UNSET,
-    lr: float = UNSET,
-    delta_t: int = UNSET,
-    drop_fraction: float = UNSET,
-    c: float = UNSET,
-    epsilon: float = UNSET,
-    ee_epsilon: float = UNSET,
-    distribution: str = UNSET,
+    batch_size: int = 64,
+    lr: float = 1e-3,
+    delta_t: int = 100,
+    drop_fraction: float = 0.3,
+    c: float = 1e-3,
+    epsilon: float = 1.0,
+    distribution: str = "erk",
     balance_delta_t: int | None = None,
     balance_max_shift: float = 0.05,
     n_eval_samples: int = 2000,
     log_every: int = 50,
     callbacks: Sequence[Callback] = (),
-    checkpoint_dir=UNSET,
-    checkpoint_every_steps: int | None = UNSET,
-    checkpoint_keep_last: int | None = UNSET,
-    resume_from=UNSET,
+    checkpoint_dir=None,
+    checkpoint_every_steps: int | None = 200,
+    checkpoint_keep_last: int | None = None,
+    resume_from=None,
     keep_model: bool = False,
 ) -> GANRunResult:
     """Train one sparse-GAN configuration and return its summary row.
@@ -540,34 +523,7 @@ def run_gan(
     :class:`GanDensityBalancer` additionally moves density between the two
     budgets.  Checkpoint/resume semantics match the supervised and RL
     runners — a resumed run is bitwise identical to an uninterrupted one.
-
-    The uniform workload knobs may also arrive through ``config=`` (see
-    :class:`~repro.experiments.workload.WorkloadConfig`); explicit
-    keywords win over config fields.  ``ee_epsilon`` is a one-release
-    deprecated alias of ``epsilon``, the name the other entrypoints use.
     """
-    epsilon = warn_deprecated_alias("ee_epsilon", "epsilon", ee_epsilon, epsilon)
-    method = resolve_knob("method", method, config, None)
-    if method is None:
-        raise TypeError("run_gan: 'method' is required")
-    sparsity = resolve_knob("sparsity", sparsity, config, 0.9)
-    total_steps = resolve_knob("total_steps", total_steps, config, 2000)
-    seed = resolve_knob("seed", seed, config, 0)
-    batch_size = resolve_knob("batch_size", batch_size, config, 64)
-    lr = resolve_knob("lr", lr, config, 1e-3)
-    delta_t = resolve_knob("delta_t", delta_t, config, 100)
-    drop_fraction = resolve_knob("drop_fraction", drop_fraction, config, 0.3)
-    c = resolve_knob("c", c, config, 1e-3)
-    ee_epsilon = resolve_knob("epsilon", epsilon, config, 1.0)
-    distribution = resolve_knob("distribution", distribution, config, "erk")
-    checkpoint_dir = resolve_knob("checkpoint_dir", checkpoint_dir, config, None)
-    checkpoint_every_steps = resolve_knob(
-        "checkpoint_every_steps", checkpoint_every_steps, config, 200
-    )
-    checkpoint_keep_last = resolve_knob(
-        "checkpoint_keep_last", checkpoint_keep_last, config, None
-    )
-    resume_from = resolve_knob("resume_from", resume_from, config, None)
     if method not in GAN_METHODS:
         raise ValueError(f"method {method!r} is not GAN-capable; known: {GAN_METHODS}")
     if mixture not in MIXTURES:
@@ -590,7 +546,7 @@ def run_gan(
         delta_t=delta_t,
         drop_fraction=drop_fraction,
         c=c,
-        epsilon=ee_epsilon,
+        epsilon=epsilon,
         rng=np.random.default_rng(seed + 2),
     )
     d_setup = build_method(
@@ -603,7 +559,7 @@ def run_gan(
         delta_t=delta_t,
         drop_fraction=drop_fraction,
         c=c,
-        epsilon=ee_epsilon,
+        epsilon=epsilon,
         rng=np.random.default_rng(seed + 3),
     )
 

@@ -29,6 +29,7 @@ from repro.sparse import (
     DynamicSparseEngine,
     FixedMaskController,
     MaskedModel,
+    TrainingSchedule,
 )
 
 __all__ = [
@@ -174,9 +175,11 @@ def run_gnn_dst_ee(
     engine = DynamicSparseEngine(
         masked,
         DSTEEGrowth(c=c, epsilon=epsilon),
-        total_steps=total_steps,
-        delta_t=delta_t,
-        drop_fraction=drop_fraction,
+        schedule=TrainingSchedule(
+            total_steps=total_steps,
+            delta_t=delta_t,
+            drop_fraction=drop_fraction,
+        ),
         optimizer=optimizer,
         rng=rng,
     )

@@ -8,9 +8,8 @@ Linears and both embedding tables — is sparsified by
 resume-exact :class:`~repro.train.Trainer`, and reports validation
 perplexity (``exp`` of the mean per-token cross-entropy).
 
-This entrypoint is *born* on the unified :class:`WorkloadConfig`
-vocabulary: every method/budget/schedule/checkpoint/backend knob is named
-identically to the image/RL/GAN runners and resolvable from ``config=``.
+Every method/budget/schedule/checkpoint/backend keyword is named
+identically to the image/RL/GAN runners.
 
 Fault tolerance mirrors the other workloads: ``checkpoint_dir`` writes
 resume-exact training checkpoints during the run, ``resume_from``
@@ -36,7 +35,6 @@ from repro.experiments.runner import (
     _resolve_resume_path,
     run_cell_grid,
 )
-from repro.experiments.workload import UNSET, WorkloadConfig, resolve_knob
 from repro.models.char_gpt import CharGPT
 from repro.nn.losses import lm_cross_entropy
 from repro.nn.module import Module
@@ -123,10 +121,9 @@ def evaluate_lm(model: Module, loader: DataLoader) -> tuple[float, float]:
 
 
 def run_lm(
-    method=UNSET,
+    method: str,
     corpus: str = "markov-prose",
     *,
-    config: WorkloadConfig | None = None,
     data: LMData | None = None,
     n_chars: int = 65536,
     val_fraction: float = 0.1,
@@ -134,25 +131,25 @@ def run_lm(
     n_layer: int = 2,
     n_head: int = 2,
     n_embd: int = 64,
-    sparsity=UNSET,
-    epochs=UNSET,
-    batch_size=UNSET,
-    lr=UNSET,
-    delta_t=UNSET,
-    drop_fraction=UNSET,
-    c=UNSET,
-    epsilon=UNSET,
-    distribution=UNSET,
-    block_size=UNSET,
-    sparse_backend=UNSET,
-    seed=UNSET,
-    n_workers=UNSET,
+    sparsity: float = 0.9,
+    epochs: int = 3,
+    batch_size: int = 32,
+    lr: float = 1e-3,
+    delta_t: int = 100,
+    drop_fraction: float = 0.3,
+    c: float = 1e-3,
+    epsilon: float = 1.0,
+    distribution: str = "erk",
+    block_size: int | None = None,
+    sparse_backend: str | None = None,
+    seed: int = 0,
+    n_workers: int = 0,
     callbacks: Sequence[Callback] = (),
-    checkpoint_dir=UNSET,
-    checkpoint_every_epochs=UNSET,
-    checkpoint_every_steps=UNSET,
-    checkpoint_keep_last=UNSET,
-    resume_from=UNSET,
+    checkpoint_dir=None,
+    checkpoint_every_epochs: int | None = 1,
+    checkpoint_every_steps: int | None = None,
+    checkpoint_keep_last: int | None = None,
+    resume_from=None,
     keep_model: bool = False,
 ) -> LMRunResult:
     """Train one sparse char-GPT configuration and return its summary row.
@@ -160,43 +157,16 @@ def run_lm(
     ``seed`` drives every stream of randomness (model init, corpus
     generation, data order, initial masks, engine tie-breaking), so runs
     are exactly reproducible.  ``method`` is one of
-    :data:`~repro.experiments.registry.LM_METHODS`.  Knobs resolve with
-    precedence *explicit kwarg > ``config`` field > default* (see
-    :mod:`repro.experiments.workload`).  Checkpoint/resume semantics
-    match the supervised runner — a resumed run's trajectory, final
-    masks, and validation numbers are bitwise identical to an
+    :data:`~repro.experiments.registry.LM_METHODS`.  Checkpoint/resume
+    semantics match the supervised runner — a resumed run's trajectory,
+    final masks, and validation numbers are bitwise identical to an
     uninterrupted run, including kills inside an epoch and at ΔT
     mask-update boundaries (serial and ``n_workers>=2``).
     """
-    method = resolve_knob("method", method, config, None)
     if method not in LM_METHODS:
         raise ValueError(f"method {method!r} is not LM-capable; known: {LM_METHODS}")
     if corpus not in CORPORA:
         raise ValueError(f"unknown corpus {corpus!r}; registered: {CORPORA}")
-    sparsity = resolve_knob("sparsity", sparsity, config, 0.9)
-    epochs = resolve_knob("epochs", epochs, config, 3)
-    batch_size = resolve_knob("batch_size", batch_size, config, 32)
-    lr = resolve_knob("lr", lr, config, 1e-3)
-    delta_t = resolve_knob("delta_t", delta_t, config, 100)
-    drop_fraction = resolve_knob("drop_fraction", drop_fraction, config, 0.3)
-    c = resolve_knob("c", c, config, 1e-3)
-    epsilon = resolve_knob("epsilon", epsilon, config, 1.0)
-    distribution = resolve_knob("distribution", distribution, config, "erk")
-    block_size = resolve_knob("block_size", block_size, config, None)
-    sparse_backend = resolve_knob("sparse_backend", sparse_backend, config, None)
-    seed = resolve_knob("seed", seed, config, 0)
-    n_workers = resolve_knob("n_workers", n_workers, config, 0)
-    checkpoint_dir = resolve_knob("checkpoint_dir", checkpoint_dir, config, None)
-    checkpoint_every_epochs = resolve_knob(
-        "checkpoint_every_epochs", checkpoint_every_epochs, config, 1
-    )
-    checkpoint_every_steps = resolve_knob(
-        "checkpoint_every_steps", checkpoint_every_steps, config, None
-    )
-    checkpoint_keep_last = resolve_knob(
-        "checkpoint_keep_last", checkpoint_keep_last, config, None
-    )
-    resume_from = resolve_knob("resume_from", resume_from, config, None)
 
     start = time.time()
     if data is None:

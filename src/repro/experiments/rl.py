@@ -37,12 +37,6 @@ from repro.rl.replay import ReplayBuffer
 from repro.rl.trainer import RLTrainer, rolling_returns
 from repro.train.callbacks import Callback
 from repro.train.checkpoint import CheckpointCallback, load_training_checkpoint
-from repro.experiments.workload import (
-    UNSET,
-    WorkloadConfig,
-    resolve_knob,
-    warn_deprecated_alias,
-)
 
 __all__ = ["RLRunResult", "run_rl", "run_rl_multi_seed", "run_rl_sweep"]
 
@@ -87,16 +81,15 @@ class RLRunResult:
 
 
 def run_rl(
-    method: str = UNSET,
+    method: str,
     env_name: str = "cartpole",
     *,
-    config: WorkloadConfig | None = None,
-    sparsity: float = UNSET,
-    total_steps: int = UNSET,
-    seed: int = UNSET,
+    sparsity: float = 0.9,
+    total_steps: int = 5000,
+    seed: int = 0,
     hidden: Sequence[int] = (256, 256),
-    batch_size: int = UNSET,
-    lr: float = UNSET,
+    batch_size: int = 64,
+    lr: float = 1e-3,
     gamma: float = 0.99,
     buffer_capacity: int = 10_000,
     warmup_steps: int = 500,
@@ -106,21 +99,19 @@ def run_rl(
     epsilon_end: float = 0.05,
     epsilon_decay_fraction: float = 0.4,
     huber_delta: float = 1.0,
-    delta_t: int = UNSET,
-    drop_fraction: float = UNSET,
-    c: float = UNSET,
-    epsilon: float = UNSET,
-    ee_epsilon: float = UNSET,
-    distribution: str = UNSET,
-    sparse_backend: str | None = UNSET,
+    delta_t: int = 100,
+    drop_fraction: float = 0.3,
+    c: float = 1e-3,
+    epsilon: float = 1.0,
+    distribution: str = "erk",
+    sparse_backend: str | None = None,
     solve_window: int = SOLVE_WINDOW,
     callbacks: Sequence[Callback] = (),
-    checkpoint_dir=UNSET,
-    checkpoint_every_epochs: int | None = UNSET,
-    checkpoint_every_episodes: int | None = UNSET,
-    checkpoint_every_steps: int | None = UNSET,
-    checkpoint_keep_last: int | None = UNSET,
-    resume_from=UNSET,
+    checkpoint_dir=None,
+    checkpoint_every_epochs: int | None = 1,
+    checkpoint_every_steps: int | None = None,
+    checkpoint_keep_last: int | None = None,
+    resume_from=None,
     keep_model: bool = False,
 ) -> RLRunResult:
     """Train one DQN configuration and return its summary row.
@@ -130,50 +121,14 @@ def run_rl(
     environment resets), so runs are exactly reproducible.  ``method`` is
     one of :data:`~repro.experiments.registry.RL_METHODS`; for dynamic
     methods the drop-and-grow schedule runs over the expected number of
-    *gradient* steps.  Checkpoint/resume semantics match
+    *gradient* steps.  ``epsilon`` is DST-EE's exploration weight (the
+    ε-greedy action schedule is ``epsilon_start``/``epsilon_end``), and an
+    RL "epoch" for ``checkpoint_every_epochs`` is one episode.
+    Checkpoint/resume semantics match
     :func:`repro.experiments.runner.run_image_classification` — a resumed
     run's trajectory, final masks, and episode history are bitwise
     identical to an uninterrupted run of the same configuration.
-
-    The uniform workload knobs may also arrive through ``config=`` (see
-    :class:`~repro.experiments.workload.WorkloadConfig`); explicit
-    keywords win over config fields.  ``ee_epsilon`` and
-    ``checkpoint_every_episodes`` are one-release deprecated aliases of
-    ``epsilon`` and ``checkpoint_every_epochs`` — the names every other
-    workload entrypoint uses (an RL "epoch" is one episode).
     """
-    epsilon = warn_deprecated_alias("ee_epsilon", "epsilon", ee_epsilon, epsilon)
-    checkpoint_every_epochs = warn_deprecated_alias(
-        "checkpoint_every_episodes",
-        "checkpoint_every_epochs",
-        checkpoint_every_episodes,
-        checkpoint_every_epochs,
-    )
-    method = resolve_knob("method", method, config, None)
-    if method is None:
-        raise TypeError("run_rl: 'method' is required")
-    sparsity = resolve_knob("sparsity", sparsity, config, 0.9)
-    total_steps = resolve_knob("total_steps", total_steps, config, 5000)
-    seed = resolve_knob("seed", seed, config, 0)
-    batch_size = resolve_knob("batch_size", batch_size, config, 64)
-    lr = resolve_knob("lr", lr, config, 1e-3)
-    delta_t = resolve_knob("delta_t", delta_t, config, 100)
-    drop_fraction = resolve_knob("drop_fraction", drop_fraction, config, 0.3)
-    c = resolve_knob("c", c, config, 1e-3)
-    ee_epsilon = resolve_knob("epsilon", epsilon, config, 1.0)
-    distribution = resolve_knob("distribution", distribution, config, "erk")
-    sparse_backend = resolve_knob("sparse_backend", sparse_backend, config, None)
-    checkpoint_dir = resolve_knob("checkpoint_dir", checkpoint_dir, config, None)
-    checkpoint_every_episodes = resolve_knob(
-        "checkpoint_every_epochs", checkpoint_every_epochs, config, 1
-    )
-    checkpoint_every_steps = resolve_knob(
-        "checkpoint_every_steps", checkpoint_every_steps, config, None
-    )
-    checkpoint_keep_last = resolve_knob(
-        "checkpoint_keep_last", checkpoint_keep_last, config, None
-    )
-    resume_from = resolve_knob("resume_from", resume_from, config, None)
     if method not in RL_METHODS:
         raise ValueError(f"method {method!r} is not RL-capable; known: {RL_METHODS}")
     start = time.time()
@@ -195,7 +150,7 @@ def run_rl(
         delta_t=delta_t,
         drop_fraction=drop_fraction,
         c=c,
-        epsilon=ee_epsilon,
+        epsilon=epsilon,
         rng=np.random.default_rng(seed),
     )
 
@@ -223,7 +178,7 @@ def run_rl(
         all_callbacks.append(
             CheckpointCallback(
                 checkpoint_dir,
-                every_n_epochs=checkpoint_every_episodes,
+                every_n_epochs=checkpoint_every_epochs,
                 every_n_steps=checkpoint_every_steps,
                 keep_last=checkpoint_keep_last,
             )

@@ -43,7 +43,6 @@ from repro.train.checkpoint import (
     load_training_checkpoint,
 )
 from repro.experiments.registry import SweepCell, build_method
-from repro.experiments.workload import UNSET, WorkloadConfig, resolve_knob
 
 __all__ = [
     "RunResult",
@@ -131,47 +130,38 @@ def _resolve_resume_path(resume_from) -> pathlib.Path | None:
 
 
 def run_image_classification(
-    method: str = UNSET,
-    model_factory: Callable[[int], Module] = None,
-    data: ClassificationData = None,
+    method: str,
+    model_factory: Callable[[int], Module],
+    data: ClassificationData,
     *,
-    config: WorkloadConfig | None = None,
-    sparsity: float = UNSET,
-    epochs: int = UNSET,
-    batch_size: int = UNSET,
-    lr: float = UNSET,
+    sparsity: float = 0.9,
+    epochs: int = 5,
+    batch_size: int = 64,
+    lr: float = 0.1,
     momentum: float = 0.9,
     weight_decay: float = 5e-4,
-    delta_t: int = UNSET,
-    drop_fraction: float = UNSET,
-    c: float = UNSET,
-    epsilon: float = UNSET,
-    distribution: str = UNSET,
-    block_size: int | None = UNSET,
-    sparse_backend: str | None = UNSET,
-    seed: int = UNSET,
+    delta_t: int = 20,
+    drop_fraction: float = 0.3,
+    c: float = 1e-3,
+    epsilon: float = 1.0,
+    distribution: str = "erk",
+    block_size: int | None = None,
+    sparse_backend: str | None = None,
+    seed: int = 0,
     eval_every: int = 1,
-    n_workers: int = UNSET,
+    n_workers: int = 0,
     callbacks: Sequence[Callback] = (),
-    checkpoint_dir=UNSET,
-    checkpoint_every_epochs: int | None = UNSET,
-    checkpoint_every_steps: int | None = UNSET,
-    checkpoint_keep_last: int | None = UNSET,
-    resume_from=UNSET,
+    checkpoint_dir=None,
+    checkpoint_every_epochs: int | None = 1,
+    checkpoint_every_steps: int | None = None,
+    checkpoint_keep_last: int | None = None,
+    resume_from=None,
     keep_model: bool = False,
 ) -> RunResult:
     """Train one method on one dataset and return its table row.
 
     ``model_factory(seed)`` must build a freshly initialized model; the same
     seed also drives data order and mask randomness so runs are reproducible.
-
-    The uniform workload knobs (method / budget / schedule / checkpoint /
-    backend) may also arrive through ``config=``, a
-    :class:`~repro.experiments.workload.WorkloadConfig` shared verbatim with
-    ``run_rl`` / ``run_gan`` / ``run_lm``; an explicitly passed keyword
-    always wins over the config field, which wins over the defaults listed
-    here.  Workload-specific knobs (``momentum``, ``weight_decay``,
-    ``eval_every``) remain plain keyword arguments.
 
     ``checkpoint_dir`` enables resume-exact checkpointing during training
     (cadence via ``checkpoint_every_epochs``/``checkpoint_every_steps``,
@@ -181,35 +171,6 @@ def run_image_classification(
     masks and coverage counters are bitwise identical to an uninterrupted
     run of the same configuration.
     """
-    method = resolve_knob("method", method, config, None)
-    if method is None:
-        raise TypeError("run_image_classification: 'method' is required")
-    if model_factory is None or data is None:
-        raise TypeError("run_image_classification: model_factory and data are required")
-    sparsity = resolve_knob("sparsity", sparsity, config, 0.9)
-    epochs = resolve_knob("epochs", epochs, config, 5)
-    batch_size = resolve_knob("batch_size", batch_size, config, 64)
-    lr = resolve_knob("lr", lr, config, 0.1)
-    delta_t = resolve_knob("delta_t", delta_t, config, 20)
-    drop_fraction = resolve_knob("drop_fraction", drop_fraction, config, 0.3)
-    c = resolve_knob("c", c, config, 1e-3)
-    epsilon = resolve_knob("epsilon", epsilon, config, 1.0)
-    distribution = resolve_knob("distribution", distribution, config, "erk")
-    block_size = resolve_knob("block_size", block_size, config, None)
-    sparse_backend = resolve_knob("sparse_backend", sparse_backend, config, None)
-    seed = resolve_knob("seed", seed, config, 0)
-    n_workers = resolve_knob("n_workers", n_workers, config, 0)
-    checkpoint_dir = resolve_knob("checkpoint_dir", checkpoint_dir, config, None)
-    checkpoint_every_epochs = resolve_knob(
-        "checkpoint_every_epochs", checkpoint_every_epochs, config, 1
-    )
-    checkpoint_every_steps = resolve_knob(
-        "checkpoint_every_steps", checkpoint_every_steps, config, None
-    )
-    checkpoint_keep_last = resolve_knob(
-        "checkpoint_keep_last", checkpoint_keep_last, config, None
-    )
-    resume_from = resolve_knob("resume_from", resume_from, config, None)
     start = time.time()
     rng = np.random.default_rng(seed)
     model = model_factory(seed)

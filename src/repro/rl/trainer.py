@@ -34,7 +34,6 @@ network no longer has.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,7 +45,8 @@ from repro.rl.agent import DQNAgent, EpsilonSchedule
 from repro.rl.envs import SOLVE_WINDOW, Env
 from repro.rl.replay import ReplayBuffer
 from repro.sparse.engine import SparsityController
-from repro.train.callbacks import Callback
+from repro.sparse.kernels import install_sparse_backend
+from repro.train.callbacks import Callback, callback_states, restore_callback_states
 
 __all__ = ["EpisodeRecord", "RLTrainer", "rolling_returns"]
 
@@ -179,21 +179,6 @@ class RLTrainer:
         self._episode_losses: list[float] = []
 
     # ------------------------------------------------------------------
-    # setup shared with the supervised trainer
-    # ------------------------------------------------------------------
-    def _install_sparse_backend(self) -> None:
-        if self.sparse_backend is None or self.controller is None:
-            return
-        from repro.sparse.kernels import install_training_backends, resolve_mode
-
-        mode = resolve_mode(self.sparse_backend)
-        install_training_backends(self.controller.masked, mode=mode)
-        if mode != "dense":
-            if getattr(self.controller, "optimizer", False) is None:
-                self.controller.optimizer = self.optimizer
-            self.controller.masked.bind_optimizer(self.optimizer)
-
-    # ------------------------------------------------------------------
     # training loop
     # ------------------------------------------------------------------
     def fit(self, total_steps: int) -> list[EpisodeRecord]:
@@ -203,7 +188,7 @@ class RLTrainer:
         position (mid-episode included), so the same ``fit(total_steps)``
         call finishes the original budget.
         """
-        self._install_sparse_backend()
+        install_sparse_backend(self.controller, self.optimizer, self.sparse_backend)
         for callback in self.callbacks:
             callback.bind(self)
         start = time.perf_counter()
@@ -367,10 +352,7 @@ class RLTrainer:
                 }
                 for record in self.history
             ],
-            "callbacks": [
-                {"type": type(cb).__name__, "state": cb.state_dict()}
-                for cb in self.callbacks
-            ],
+            "callbacks": callback_states(self.callbacks),
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -423,21 +405,4 @@ class RLTrainer:
             )
             for record in state["history"]
         ]
-        # Callback state is matched positionally, as in the supervised
-        # trainer (see Trainer.load_state_dict for the rationale).
-        for index, saved in enumerate(state.get("callbacks", [])):
-            if saved["state"] is None:
-                continue
-            callback = self.callbacks[index] if index < len(self.callbacks) else None
-            if callback is None or type(callback).__name__ != saved["type"]:
-                found = (
-                    "no callback" if callback is None else repr(type(callback).__name__)
-                )
-                warnings.warn(
-                    f"checkpoint callback state of type {saved['type']!r} at "
-                    f"position {index} was not restored ({found} there in the "
-                    "resumed trainer)",
-                    stacklevel=2,
-                )
-                continue
-            callback.load_state_dict(saved["state"])
+        restore_callback_states(self.callbacks, state.get("callbacks", []))

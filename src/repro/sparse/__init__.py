@@ -3,13 +3,20 @@
 Quick start::
 
     from repro import nn, optim
-    from repro.sparse import MaskedModel, DynamicSparseEngine, DSTEEGrowth
+    from repro.sparse import (
+        DSTEEGrowth,
+        DynamicSparseEngine,
+        MaskedModel,
+        TrainingSchedule,
+    )
 
     masked = MaskedModel(model, sparsity=0.9, distribution="erk")
     opt = optim.SGD(model.parameters(), lr=0.1, momentum=0.9)
     engine = DynamicSparseEngine(
-        masked, DSTEEGrowth(c=1e-3), total_steps=total,
-        delta_t=100, optimizer=opt,
+        masked,
+        DSTEEGrowth(c=1e-3),
+        schedule=TrainingSchedule(total_steps=total, delta_t=100),
+        optimizer=opt,
     )
 
 and pass ``engine`` to :class:`repro.train.Trainer`.

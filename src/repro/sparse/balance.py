@@ -158,7 +158,7 @@ class DensityBalanceController(DynamicSparseEngine):
     def __init__(
         self,
         masked: MaskedModel,
-        schedule: TrainingSchedule | None = None,
+        schedule: TrainingSchedule,
         budget: DensityBudget | None = None,
         *,
         growth_rule: GrowthRule | None = None,
@@ -167,11 +167,6 @@ class DensityBalanceController(DynamicSparseEngine):
         rng: np.random.Generator | None = None,
         max_shift: float = 0.1,
         balance_ema_beta: float = 0.9,
-        total_steps: int | None = None,
-        delta_t: int | None = None,
-        drop_fraction: float | None = None,
-        drop_schedule: str | None = None,
-        stop_fraction: float | None = None,
     ):
         super().__init__(
             masked,
@@ -182,9 +177,4 @@ class DensityBalanceController(DynamicSparseEngine):
             schedule=schedule,
             budget=budget,
             rebalancer=GradientMassRebalancer(max_shift=max_shift, ema_beta=balance_ema_beta),
-            total_steps=total_steps,
-            delta_t=delta_t,
-            drop_fraction=drop_fraction,
-            drop_schedule=drop_schedule,
-            stop_fraction=stop_fraction,
         )

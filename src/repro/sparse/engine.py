@@ -191,16 +191,12 @@ class DynamicSparseEngine(SparsityController):
         The :class:`MaskedModel` whose masks evolve.
     growth_rule, drop_rule:
         Strategy objects from :mod:`repro.sparse.growers`.
-    total_steps:
-        Total training iterations (for schedules).
-    delta_t:
-        Mask-update period ``ΔT``.
-    drop_fraction:
-        Initial fraction of active weights moved per update.
-    drop_schedule:
-        ``"cosine"`` (RigL annealing, default), ``"constant"``, ``"linear"``.
-    stop_fraction:
-        Fraction of training after which the topology is frozen.
+    schedule:
+        A :class:`~repro.sparse.schedule.TrainingSchedule`: the horizon
+        ``total_steps``, the mask-update period ``delta_t``, the initial
+        ``drop_fraction`` of active weights moved per update and its
+        ``drop_schedule`` annealing, and the ``stop_fraction`` of training
+        after which the topology is frozen.
     optimizer:
         If given, its per-parameter state (momentum) is zeroed at newly
         grown coordinates.
@@ -219,11 +215,6 @@ class DynamicSparseEngine(SparsityController):
         growth rule requires it, e.g. SNFS).
     rng:
         Randomness for random growth and tie-breaking.
-    schedule:
-        A :class:`~repro.sparse.schedule.TrainingSchedule` — the unified
-        alternative to the ``total_steps``/``delta_t``/``drop_fraction``/
-        ``drop_schedule``/``stop_fraction`` kwargs (mutually exclusive with
-        them).
     budget:
         The :class:`~repro.sparse.budget.DensityBudget` the engine keeps
         the masks converged to (default: ``masked.budget``).  Mutating it —
@@ -248,48 +239,20 @@ class DynamicSparseEngine(SparsityController):
         self,
         masked: MaskedModel,
         growth_rule: GrowthRule,
-        total_steps: int | None = None,
+        *,
+        schedule: TrainingSchedule,
         drop_rule: DropRule | None = None,
-        delta_t: int | None = None,
-        drop_fraction: float | None = None,
-        drop_schedule: str | None = None,
-        stop_fraction: float | None = None,
         optimizer: Optimizer | None = None,
         allow_regrow: bool = False,
         global_drop: bool = False,
         grow_allocation: str = "per_layer",
         grad_ema_beta: float = 0.9,
         rng: np.random.Generator | None = None,
-        *,
-        schedule: TrainingSchedule | None = None,
         budget: DensityBudget | None = None,
         rebalancer=None,
     ):
         if grow_allocation not in ("per_layer", "proportional"):
             raise ValueError(f"unknown grow_allocation {grow_allocation!r}")
-        legacy_timing = {
-            "total_steps": total_steps,
-            "delta_t": delta_t,
-            "drop_fraction": drop_fraction,
-            "drop_schedule": drop_schedule,
-            "stop_fraction": stop_fraction,
-        }
-        if schedule is None:
-            if total_steps is None:
-                raise TypeError(
-                    "pass schedule=TrainingSchedule(...) or the legacy "
-                    "total_steps/delta_t/... kwargs"
-                )
-            schedule = TrainingSchedule(
-                total_steps=int(total_steps),
-                delta_t=100 if delta_t is None else int(delta_t),
-                drop_fraction=0.3 if drop_fraction is None else float(drop_fraction),
-                drop_schedule="cosine" if drop_schedule is None else drop_schedule,
-                stop_fraction=0.75 if stop_fraction is None else float(stop_fraction),
-            )
-        elif any(value is not None for value in legacy_timing.values()):
-            passed = sorted(k for k, v in legacy_timing.items() if v is not None)
-            raise TypeError(f"pass either schedule= or {passed}, not both")
         self.masked = masked
         self.growth_rule = growth_rule
         self.drop_rule = drop_rule if drop_rule is not None else MagnitudeDrop()

@@ -41,9 +41,8 @@ class GaPController(SparsityController):
 
     ``budget`` holds the *sparse-phase* per-layer allocations each partition
     is pruned back to after its dense excursion; it defaults to
-    ``masked.budget`` (the construction-time split).  The legacy form
-    ``GaPController(masked, total_steps, ...)`` — second positional argument
-    an ``int`` — still works and is mapped onto a default schedule.
+    ``masked.budget`` (the construction-time split).  The schedule's
+    ``total_steps`` and ``stop_fraction`` set the rotation window.
 
     Parameters
     ----------
@@ -64,25 +63,11 @@ class GaPController(SparsityController):
     def __init__(
         self,
         masked: MaskedModel,
-        schedule: TrainingSchedule | int | None = None,
+        schedule: TrainingSchedule,
         budget: DensityBudget | None = None,
         n_partitions: int = 4,
         period: int | None = None,
-        *,
-        total_steps: int | None = None,
     ):
-        if isinstance(schedule, int) or total_steps is not None:
-            # Legacy form: (masked, total_steps, ...).  No deprecation churn:
-            # the int maps 1:1 onto a schedule with GaP's stop fraction.
-            if total_steps is None:
-                total_steps = int(schedule)
-            schedule = TrainingSchedule(
-                total_steps=int(total_steps),
-                delta_t=max(1, period if period is not None else 1),
-                stop_fraction=0.75,
-            )
-        elif schedule is None:
-            raise TypeError("pass schedule=TrainingSchedule(...) or the legacy total_steps int")
         if n_partitions < 1:
             raise ValueError(f"need >= 1 partition, got {n_partitions}")
         self.masked = masked

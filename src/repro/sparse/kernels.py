@@ -77,12 +77,14 @@ __all__ = [
     "MIN_SIZE_ENV",
     "DEFAULT_DENSITY_THRESHOLD",
     "DEFAULT_MIN_SIZE",
+    "MODES",
     "CsrMatmul",
     "BsrMatmul",
     "LinearKernel",
     "Conv2dKernel",
     "resolve_mode",
     "select_backend",
+    "install_sparse_backend",
     "install_training_backends",
     "remove_training_backends",
 ]
@@ -98,15 +100,15 @@ DEFAULT_DENSITY_THRESHOLD = 0.12
 # Below this weight size the per-call overhead dominates; stay dense.
 DEFAULT_MIN_SIZE = 16384
 
-_MODES = ("auto", "dense", "csr", "bsr")
+MODES = ("auto", "dense", "csr", "bsr")
 
 
 def resolve_mode(mode: str | None = None) -> str:
     """Explicit argument > ``REPRO_SPARSE_BACKEND`` env var > ``auto``."""
     resolved = mode if mode is not None else os.environ.get(BACKEND_ENV, "auto")
     resolved = resolved.lower()
-    if resolved not in _MODES:
-        raise ValueError(f"unknown sparse backend {resolved!r}; choose from {_MODES}")
+    if resolved not in MODES:
+        raise ValueError(f"unknown sparse backend {resolved!r}; choose from {MODES}")
     return resolved
 
 
@@ -785,6 +787,25 @@ def install_training_backends(
         module.forward_backend = kernel_cls(module, target, resolved, density_threshold, min_size)
         report[target.name] = module.forward_backend.backend()
     return report
+
+
+def install_sparse_backend(controller, optimizer, sparse_backend: str | None) -> None:
+    """Install the training kernels for a trainer's sparsity controller.
+
+    A no-op without a backend or a controller.  Looks up
+    :func:`install_training_backends` at call time, so a caller may wrap it.
+    """
+    if sparse_backend is None or controller is None:
+        return
+    mode = resolve_mode(sparse_backend)
+    install_training_backends(controller.masked, mode=mode)
+    if mode != "dense":
+        # The engine must know the optimizer it is expected to reset for
+        # regrown weights: with sparse coordinate updates, stale momentum
+        # at dropped coordinates no longer decays on its own.
+        if getattr(controller, "optimizer", False) is None:
+            controller.optimizer = optimizer
+        controller.masked.bind_optimizer(optimizer)
 
 
 def remove_training_backends(model) -> None:

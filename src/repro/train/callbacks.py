@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Callable
+import warnings
+from typing import Callable, Sequence
 
 from repro.train.history import EpochRecord
 
-__all__ = ["Callback", "LambdaCallback", "EarlyStopping"]
+__all__ = [
+    "Callback",
+    "LambdaCallback",
+    "EarlyStopping",
+    "callback_states",
+    "restore_callback_states",
+]
 
 
 class Callback:
@@ -77,3 +84,32 @@ class EarlyStopping(Callback):
     def load_state_dict(self, state: dict) -> None:
         self.best = float(state["best"])
         self.stale = int(state["stale"])
+
+
+def callback_states(callbacks: Sequence[Callback]) -> list[dict]:
+    """Each callback's checkpoint entry: its type name and its state."""
+    return [{"type": type(cb).__name__, "state": cb.state_dict()} for cb in callbacks]
+
+
+def restore_callback_states(callbacks: Sequence[Callback], saved: Sequence[dict]) -> None:
+    """Restore :func:`callback_states` output onto ``callbacks`` by position.
+
+    A *stateful* entry that finds no callback of its type at its position is
+    configuration drift worth shouting about: it is skipped with a warning.
+    Stateless mismatches (e.g. a dropped ``CheckpointCallback``) are harmless.
+    """
+    for index, entry in enumerate(saved):
+        if entry["state"] is None:
+            continue
+        callback = callbacks[index] if index < len(callbacks) else None
+        if callback is None or type(callback).__name__ != entry["type"]:
+            found = "no callback" if callback is None else repr(type(callback).__name__)
+            warnings.warn(
+                f"checkpoint callback state of type {entry['type']!r} at "
+                f"position {index} was not restored ({found} there in the "
+                "resumed trainer); construct the resumed trainer with the "
+                "same callback list",
+                stacklevel=3,
+            )
+            continue
+        callback.load_state_dict(entry["state"])

@@ -37,7 +37,8 @@ from repro.nn.module import Module
 from repro.optim.lr_scheduler import LRScheduler
 from repro.optim.sgd import Optimizer
 from repro.sparse.engine import SparsityController
-from repro.train.callbacks import Callback
+from repro.sparse.kernels import install_sparse_backend
+from repro.train.callbacks import Callback, callback_states, restore_callback_states
 from repro.train.history import EpochRecord, History
 
 __all__ = ["Trainer", "evaluate_classifier"]
@@ -144,21 +145,6 @@ class Trainer:
         self._pending_resume: dict | None = None
         self._restored = False
 
-    def _install_sparse_backend(self) -> None:
-        if self.sparse_backend is None or self.controller is None:
-            return
-        from repro.sparse.kernels import install_training_backends, resolve_mode
-
-        mode = resolve_mode(self.sparse_backend)
-        install_training_backends(self.controller.masked, mode=mode)
-        if mode != "dense":
-            # The engine must know the optimizer it is expected to reset for
-            # regrown weights: with sparse coordinate updates, stale momentum
-            # at dropped coordinates no longer decays on its own.
-            if getattr(self.controller, "optimizer", False) is None:
-                self.controller.optimizer = self.optimizer
-            self.controller.masked.bind_optimizer(self.optimizer)
-
     def _open_worker_pool(self):
         if self.n_workers < 2:
             return None
@@ -186,7 +172,7 @@ class Trainer:
         epoch), so the same ``fit(epochs)`` call finishes the original
         budget.
         """
-        self._install_sparse_backend()
+        install_sparse_backend(self.controller, self.optimizer, self.sparse_backend)
         self._worker_pool = self._open_worker_pool()
         self._warn_if_worker_resume_inexact()
         for callback in self.callbacks:
@@ -396,10 +382,7 @@ class Trainer:
                     for key, rng in _named_module_rngs(self.model)
                 },
             },
-            "callbacks": [
-                {"type": type(cb).__name__, "state": cb.state_dict()}
-                for cb in self.callbacks
-            ],
+            "callbacks": callback_states(self.callbacks),
             "epoch_progress": None,
         }
         progress = self._epoch_progress
@@ -449,27 +432,7 @@ class Trainer:
             if key in module_states:
                 rng.bit_generator.state = copy.deepcopy(module_states[key])
 
-        # Callback state is matched positionally; a *stateful* entry that
-        # cannot be matched is a configuration drift worth shouting about
-        # (stateless mismatches — e.g. a dropped CheckpointCallback — are
-        # harmless).
-        for index, saved in enumerate(state.get("callbacks", [])):
-            if saved["state"] is None:
-                continue
-            callback = self.callbacks[index] if index < len(self.callbacks) else None
-            if callback is None or type(callback).__name__ != saved["type"]:
-                found = "no callback" if callback is None else repr(
-                    type(callback).__name__
-                )
-                warnings.warn(
-                    f"checkpoint callback state of type {saved['type']!r} at "
-                    f"position {index} was not restored ({found} there in the "
-                    "resumed trainer); construct the resumed trainer with the "
-                    "same callback list",
-                    stacklevel=2,
-                )
-                continue
-            callback.load_state_dict(saved["state"])
+        restore_callback_states(self.callbacks, state.get("callbacks", []))
 
         self._restored = True
         self._pending_resume = None

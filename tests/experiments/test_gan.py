@@ -207,6 +207,29 @@ class TestGanResumeBitwise:
         assert resumed_tail == full_tail
 
 
+    def test_mismatched_callback_list_warns(self):
+        from repro.train import EarlyStopping
+        from repro.train.callbacks import LambdaCallback
+
+        def trainer(callbacks):
+            generator = MLP(4, (12, 12), 2, seed=0)
+            discriminator = MLP(2, (12, 12), 1, seed=1)
+            return GANTrainer(
+                generator, discriminator, MIXTURES["ring4"],
+                Adam(generator.parameters(), lr=1e-3),
+                Adam(discriminator.parameters(), lr=1e-3),
+                callbacks=callbacks, batch_size=16, latent_dim=4,
+                data_rng=np.random.default_rng(4),
+                latent_rng=np.random.default_rng(5),
+            )
+
+        state = trainer([EarlyStopping(patience=2)]).state_dict()
+        with pytest.warns(UserWarning, match="not restored"):
+            trainer([]).load_state_dict(state)
+        with pytest.warns(UserWarning, match="not restored"):
+            trainer([LambdaCallback(lambda record: None)]).load_state_dict(state)
+
+
 class TestGanSweep:
     def test_enumerate_validates(self):
         with pytest.raises(ValueError):

@@ -1,27 +1,25 @@
-"""The unified WorkloadConfig API: precedence, sentinels, deprecation shims.
+"""One way to configure a workload: every removed form fails loudly.
 
-Precedence contract (docs/controllers.md): explicit kwarg > config field >
-per-workload default.  Deprecated aliases (``ee_epsilon``,
-``checkpoint_every_episodes``) keep working for one release, always warn,
-and lose to the new spelling when both are passed.
+Entrypoints take plain keywords, and sparsity controllers take their
+timing only from a :class:`~repro.sparse.TrainingSchedule`.  The config
+object, the renamed RL/GAN kwargs and the pre-budget controller forms are
+gone; passing any of them must raise ``TypeError`` rather than be
+silently ignored or reinterpreted.
 """
-
-import pickle
 
 import numpy as np
 import pytest
 
-from repro.experiments import UNSET, WorkloadConfig, resolve_knob, run_lm
-from repro.experiments.rl import run_rl
-from repro.experiments.workload import _Unset, warn_deprecated_alias
-
-TINY_RL = dict(
-    total_steps=260,
-    warmup_steps=64,
-    hidden=(16, 16),
-    batch_size=16,
-    delta_t=10,
-    target_sync_every=25,
+from repro.experiments import run_image_classification, run_lm, run_rl
+from repro.experiments.gan import run_gan
+from repro.models import MLP
+from repro.sparse import (
+    DynamicSparseEngine,
+    GaPController,
+    GMPController,
+    GradientGrowth,
+    MaskedModel,
+    STRController,
 )
 
 TINY_LM = dict(
@@ -35,103 +33,44 @@ TINY_LM = dict(
 )
 
 
-class TestSentinel:
-    def test_unset_is_a_singleton_even_across_pickle(self):
-        assert _Unset() is UNSET
-        assert pickle.loads(pickle.dumps(UNSET)) is UNSET
-
-    def test_repr(self):
-        assert repr(UNSET) == "<unset>"
+def masked(sparsity=0.5):
+    model = MLP(in_features=12, hidden=(16,), num_classes=4, seed=0)
+    return MaskedModel(model, sparsity, rng=np.random.default_rng(0))
 
 
-class TestResolveKnob:
-    CFG = WorkloadConfig(sparsity=0.5, seed=3)
-
-    def test_explicit_beats_config(self):
-        assert resolve_knob("sparsity", 0.9, self.CFG, 0.1) == 0.9
-
-    def test_explicit_none_beats_config(self):
-        # None is a meaningful value (e.g. checkpoint_every_epochs=None
-        # disables epoch checkpoints), so it must not fall through.
-        assert resolve_knob("sparsity", None, self.CFG, 0.1) is None
-
-    def test_config_beats_default(self):
-        assert resolve_knob("sparsity", UNSET, self.CFG, 0.1) == 0.5
-
-    def test_unset_config_field_falls_to_default(self):
-        assert resolve_knob("delta_t", UNSET, self.CFG, 100) == 100
-
-    def test_no_config_falls_to_default(self):
-        assert resolve_knob("sparsity", UNSET, None, 0.1) == 0.1
-
-
-class TestWorkloadConfig:
-    def test_kwargs_returns_only_set_fields(self):
-        cfg = WorkloadConfig(method="dst_ee", delta_t=50)
-        assert cfg.kwargs() == {"method": "dst_ee", "delta_t": 50}
-
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            WorkloadConfig().method = "dense"
+REMOVED_FORMS = {
+    "run_image_classification(config=)": lambda: run_image_classification(
+        "dense", None, None, config=object()
+    ),
+    "run_lm(config=)": lambda: run_lm("dense", config=object()),
+    "run_rl(config=)": lambda: run_rl("dense", config=object()),
+    "run_gan(config=)": lambda: run_gan("dense", config=object()),
+    "run_rl(ee_epsilon=)": lambda: run_rl("dst_ee", ee_epsilon=0.9),
+    "run_gan(ee_epsilon=)": lambda: run_gan("dst_ee", ee_epsilon=0.9),
+    "run_rl(checkpoint_every_episodes=)": lambda: run_rl(
+        "dense", checkpoint_every_episodes=1
+    ),
+    "GMPController(final_sparsity float)": lambda: GMPController(
+        masked(0.0), 0.9, total_steps=100
+    ),
+    "STRController(final_sparsity float)": lambda: STRController(
+        masked(0.0), 0.9, total_steps=100
+    ),
+    "GaPController(total_steps int)": lambda: GaPController(masked(), total_steps=100),
+    "DynamicSparseEngine(total_steps=)": lambda: DynamicSparseEngine(
+        masked(), GradientGrowth(), total_steps=100, delta_t=10
+    ),
+    "MaskedModel.set_masks(no sync_budget)": lambda: masked().set_masks({}),
+}
 
 
-class TestDeprecatedAlias:
-    def test_old_name_warns_and_is_used(self):
-        with pytest.warns(DeprecationWarning, match="'ee_epsilon' is deprecated"):
-            value = warn_deprecated_alias("ee_epsilon", "epsilon", 0.7, UNSET)
-        assert value == 0.7
-
-    def test_new_name_wins_when_both_passed(self):
-        with pytest.warns(DeprecationWarning):
-            value = warn_deprecated_alias("ee_epsilon", "epsilon", 0.7, 0.2)
-        assert value == 0.2
-
-    def test_silent_when_old_name_absent(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert warn_deprecated_alias("old", "new", UNSET, 1.5) == 1.5
+@pytest.mark.parametrize("form", sorted(REMOVED_FORMS))
+def test_removed_form_raises_type_error(form):
+    with pytest.raises(TypeError):
+        REMOVED_FORMS[form]()
 
 
 class TestEntrypointIntegration:
-    def test_run_lm_config_matches_explicit_kwargs(self):
-        explicit = run_lm(method="dst_ee", sparsity=0.8, seed=0, **TINY_LM)
-        cfg = WorkloadConfig(method="dst_ee", sparsity=0.8, seed=0)
-        via_config = run_lm(config=cfg, **TINY_LM)
-        assert via_config.val_loss == explicit.val_loss
-        assert via_config.train_loss == explicit.train_loss
-        for name in explicit.masks:
-            np.testing.assert_array_equal(explicit.masks[name], via_config.masks[name])
-
-    def test_run_lm_explicit_overrides_config(self):
-        cfg = WorkloadConfig(method="dst_ee", sparsity=0.5, seed=0)
-        result = run_lm(config=cfg, sparsity=0.8, **TINY_LM)
-        assert result.sparsity == 0.8
-
-    def test_run_rl_deprecated_aliases_warn_and_match_new_names(self):
-        new = run_rl("dst_ee", "cartpole", seed=0, epsilon=0.9, **TINY_RL)
-        with pytest.warns(DeprecationWarning, match="ee_epsilon"):
-            old = run_rl("dst_ee", "cartpole", seed=0, ee_epsilon=0.9, **TINY_RL)
-        assert old.final_avg_return == new.final_avg_return
-        assert old.train_steps == new.train_steps
-
-    def test_run_rl_checkpoint_alias_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="checkpoint_every_episodes"):
-            run_rl(
-                "dense",
-                "cartpole",
-                seed=0,
-                checkpoint_dir=tmp_path / "rl",
-                checkpoint_every_episodes=100,
-                **TINY_RL,
-            )
-
-    def test_run_rl_via_config(self):
-        cfg = WorkloadConfig(method="dense", seed=0)
-        result = run_rl(config=cfg, **TINY_RL)
-        assert result.method == "dense"
-
     def test_missing_method_is_loud(self):
         with pytest.raises((TypeError, ValueError)):
             run_lm(**TINY_LM)

@@ -13,7 +13,7 @@ from repro import nn
 from repro.data import DataLoader, make_image_classification
 from repro.models import MLP
 from repro.optim import SGD
-from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel
+from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel, TrainingSchedule
 from repro.train import Trainer
 
 
@@ -31,8 +31,11 @@ def build(data, delta_t=4, sparsity=0.8, epochs_steps=1000, seed=0):
     loader = DataLoader(data.train, batch_size=32, shuffle=True,
                         rng=np.random.default_rng(seed))
     engine = DynamicSparseEngine(
-        masked, DSTEEGrowth(c=1e-2), total_steps=epochs_steps, delta_t=delta_t,
-        optimizer=optimizer, rng=np.random.default_rng(seed + 1),
+        masked,
+        DSTEEGrowth(c=1e-2),
+        schedule=TrainingSchedule(total_steps=epochs_steps, delta_t=delta_t),
+        optimizer=optimizer,
+        rng=np.random.default_rng(seed + 1),
     )
     trainer = Trainer(model, optimizer, nn.cross_entropy, loader,
                       controller=engine)

@@ -8,7 +8,7 @@ from repro.data import DataLoader, make_image_classification
 from repro.metrics import GradientNormTracker, fit_decay_rate, mask_incurred_error
 from repro.models import MLP
 from repro.optim import SGD, CosineAnnealingLR
-from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel
+from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel, TrainingSchedule
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +24,15 @@ def training_trace():
                         rng=np.random.default_rng(1))
     epochs = 10
     engine = DynamicSparseEngine(
-        masked, DSTEEGrowth(c=1e-3), total_steps=epochs * len(loader),
-        delta_t=2, optimizer=optimizer, rng=np.random.default_rng(2),
-        stop_fraction=1.0,
+        masked,
+        DSTEEGrowth(c=1e-3),
+        schedule=TrainingSchedule(
+            total_steps=epochs * len(loader),
+            delta_t=2,
+            stop_fraction=1.0,
+        ),
+        optimizer=optimizer,
+        rng=np.random.default_rng(2),
     )
     tracker = GradientNormTracker(masked)
     scheduler = CosineAnnealingLR(optimizer, t_max=epochs)

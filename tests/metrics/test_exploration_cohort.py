@@ -4,15 +4,17 @@ import numpy as np
 
 from repro.metrics import GrownWeightCohortTracker
 from repro.models import MLP
-from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel
+from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel, TrainingSchedule
 
 
 def make_engine(c=5.0, sparsity=0.8, seed=0):
     model = MLP(in_features=10, hidden=(14,), num_classes=3, seed=seed)
     masked = MaskedModel(model, sparsity, rng=np.random.default_rng(seed))
     engine = DynamicSparseEngine(
-        masked, DSTEEGrowth(c=c, epsilon=0.5), total_steps=1000, delta_t=10,
-        drop_fraction=0.3, rng=np.random.default_rng(seed + 1),
+        masked,
+        DSTEEGrowth(c=c, epsilon=0.5),
+        schedule=TrainingSchedule(total_steps=1000, delta_t=10, drop_fraction=0.3),
+        rng=np.random.default_rng(seed + 1),
     )
     return model, masked, engine
 

@@ -5,15 +5,17 @@ import pytest
 
 from repro.metrics import IgnoredImportantAnalysis
 from repro.models import MLP
-from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel
+from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel, TrainingSchedule
 
 
 def make_engine(sparsity=0.8, c=1e-2, seed=0):
     model = MLP(in_features=10, hidden=(16,), num_classes=3, seed=seed)
     masked = MaskedModel(model, sparsity, rng=np.random.default_rng(seed))
     engine = DynamicSparseEngine(
-        masked, DSTEEGrowth(c=c), total_steps=1000, delta_t=10,
-        drop_fraction=0.3, rng=np.random.default_rng(seed + 1),
+        masked,
+        DSTEEGrowth(c=c),
+        schedule=TrainingSchedule(total_steps=1000, delta_t=10, drop_fraction=0.3),
+        rng=np.random.default_rng(seed + 1),
     )
     return model, masked, engine
 

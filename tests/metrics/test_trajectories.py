@@ -5,7 +5,7 @@ import pytest
 
 from repro.metrics.trajectories import WeightTrajectoryRecorder
 from repro.models import MLP
-from repro.sparse import MaskedModel
+from repro.sparse import MaskedModel, TrainingSchedule
 
 
 def make_masked(seed=0):
@@ -102,8 +102,11 @@ class TestSelectByGradient:
         model, masked = make_masked()
         optimizer = SGD(model.parameters(), lr=0.5)
         engine = DynamicSparseEngine(
-            masked, DSTEEGrowth(c=100.0, epsilon=0.1), total_steps=1000,
-            delta_t=10, optimizer=optimizer, rng=np.random.default_rng(2),
+            masked,
+            DSTEEGrowth(c=100.0, epsilon=0.1),
+            schedule=TrainingSchedule(total_steps=1000, delta_t=10),
+            optimizer=optimizer,
+            rng=np.random.default_rng(2),
         )
         rng = np.random.default_rng(3)
         set_gradients(masked, rng)

@@ -9,7 +9,7 @@ from repro.models import MLP
 from repro.nn.losses import cross_entropy
 from repro.optim import SGD
 from repro.parallel import fork_available
-from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel
+from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel, TrainingSchedule
 from repro.train import Trainer
 
 pytestmark = pytest.mark.skipif(not fork_available(), reason="no fork support")
@@ -22,8 +22,11 @@ def _train(n_workers: int, epochs: int = 3):
                          rng=np.random.default_rng(1))
     optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
     engine = DynamicSparseEngine(
-        masked, DSTEEGrowth(c=1e-3), total_steps=64, delta_t=5,
-        optimizer=optimizer, rng=np.random.default_rng(2),
+        masked,
+        DSTEEGrowth(c=1e-3),
+        schedule=TrainingSchedule(total_steps=64, delta_t=5),
+        optimizer=optimizer,
+        rng=np.random.default_rng(2),
     )
     train_loader = DataLoader(data.train, batch_size=32, shuffle=True,
                               rng=np.random.default_rng(3))

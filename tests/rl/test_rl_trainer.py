@@ -9,7 +9,8 @@ from repro.rl.agent import DQNAgent, EpsilonSchedule
 from repro.rl.envs import make_env
 from repro.rl.replay import ReplayBuffer
 from repro.rl.trainer import EpisodeRecord, RLTrainer, rolling_returns
-from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel
+from repro.sparse import DSTEEGrowth, DynamicSparseEngine, MaskedModel, TrainingSchedule
+from repro.sparse.kernels import install_sparse_backend
 from repro.train.checkpoint import (
     CheckpointCallback,
     list_checkpoints,
@@ -39,9 +40,11 @@ def make_trainer(
         controller = DynamicSparseEngine(
             masked,
             DSTEEGrowth(c=1e-3),
-            total_steps=total_updates,
-            delta_t=delta_t,
-            drop_fraction=0.3,
+            schedule=TrainingSchedule(
+                total_steps=total_updates,
+                delta_t=delta_t,
+                drop_fraction=0.3,
+            ),
             optimizer=optimizer,
             rng=np.random.default_rng(seed + 10),
         )
@@ -152,8 +155,7 @@ class TestLoop:
         losses = {}
         for backend in (None, "csr"):
             trainer, _ = make_trainer(seed=11, sparsity=0.9)
-            trainer.sparse_backend = backend
-            trainer._install_sparse_backend()
+            install_sparse_backend(trainer.controller, trainer.optimizer, backend)
             rng = np.random.default_rng(0)
             batch = dict(
                 observations=rng.standard_normal((16, 4)).astype(np.float32),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models import MLP
-from repro.sparse import DynamicSparseEngine, MaskedModel, RandomGrowth
+from repro.sparse import DynamicSparseEngine, MaskedModel, RandomGrowth, TrainingSchedule
 from repro.sparse.analysis import (
     MaskDriftTracker,
     layer_density_table,
@@ -52,8 +52,14 @@ class TestDriftTracker:
         model = MLP(in_features=10, hidden=(14,), num_classes=3, seed=seed)
         masked = MaskedModel(model, 0.7, rng=np.random.default_rng(seed))
         engine = DynamicSparseEngine(
-            masked, growth, total_steps=1000, delta_t=10,
-            drop_fraction=0.4, drop_schedule="constant",
+            masked,
+            growth,
+            schedule=TrainingSchedule(
+                total_steps=1000,
+                delta_t=10,
+                drop_fraction=0.4,
+                drop_schedule="constant",
+            ),
             rng=np.random.default_rng(seed + 1),
         )
         return masked, engine

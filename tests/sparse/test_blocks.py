@@ -23,6 +23,7 @@ from repro.sparse import (
     DynamicSparseEngine,
     MaskedModel,
     MatrixBlockIndexer,
+    TrainingSchedule,
     expand_block_csr,
     install_training_backends,
     remove_training_backends,
@@ -275,8 +276,10 @@ class TestBlockEngine:
         if backend is not None:
             install_training_backends(masked, mode=backend, min_size=1)
         engine = DynamicSparseEngine(
-            masked, DSTEEGrowth(c=1e-3), total_steps=steps * 4,
-            delta_t=4, drop_fraction=0.3, optimizer=optimizer,
+            masked,
+            DSTEEGrowth(c=1e-3),
+            schedule=TrainingSchedule(total_steps=steps * 4, delta_t=4, drop_fraction=0.3),
+            optimizer=optimizer,
             rng=np.random.default_rng(5),
         )
         rng = np.random.default_rng(9)

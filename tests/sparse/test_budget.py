@@ -1,11 +1,10 @@
-"""DensityBudget: unit semantics, exact conservation, deprecation shims.
+"""DensityBudget: unit semantics and exact conservation.
 
 The redesign's contract (docs/controllers.md): the budget owns integer
 per-layer allocations in drop/grow units, every mutation conserves or
 hits its stated total *exactly*, and the engines converge the live masks
 to the allocations at each ΔT — including asymmetric drop/grow rounds
-that move density between layers.  These tests pin all three claims,
-plus the one-release deprecation shims of the old keyword style.
+that move density between layers.  These tests pin all three claims.
 """
 
 import warnings
@@ -20,7 +19,6 @@ from repro.sparse import (
     DensityBudget,
     DSTEEGrowth,
     DynamicSparseEngine,
-    GaPController,
     GMPController,
     GradientGrowth,
     MaskedModel,
@@ -267,12 +265,7 @@ class TestBalanceResumeBitwise:
 
 
 class TestDeprecationShims:
-    def test_set_masks_implicit_refresh_warns(self):
-        _, masked = make_masked(sparsity=0.8)
-        target = masked.targets[0]
-        with pytest.warns(DeprecationWarning, match="set_masks"):
-            masked.set_masks({target.name: np.ones_like(target.mask)})
-        assert target.target_density == pytest.approx(1.0)
+    """The one-release shims are gone; the forms that replaced them are silent."""
 
     def test_set_masks_explicit_forms_are_silent(self):
         _, masked = make_masked(sparsity=0.8)
@@ -283,22 +276,6 @@ class TestDeprecationShims:
             masked.set_masks(
                 {target.name: target.mask.copy()}, sync_budget=False
             )
-
-    def test_gmp_legacy_signature_warns(self):
-        _, masked = make_masked(sparsity=0.0)
-        with pytest.warns(DeprecationWarning, match="GMPController"):
-            GMPController(masked, 0.9, total_steps=100)
-
-    def test_str_legacy_signature_warns(self):
-        _, masked = make_masked(sparsity=0.0)
-        with pytest.warns(DeprecationWarning, match="STRController"):
-            STRController(masked, 0.9, total_steps=100)
-
-    def test_gap_legacy_int_does_not_warn(self):
-        _, masked = make_masked(sparsity=0.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            GaPController(masked, 100, n_partitions=2)
 
     def test_unified_forms_are_silent(self):
         _, masked = make_masked(sparsity=0.0)

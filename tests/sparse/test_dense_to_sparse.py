@@ -4,12 +4,28 @@ import numpy as np
 import pytest
 
 from repro.models import MLP
-from repro.sparse import GMPController, MaskedModel, STRController, cubic_sparsity
+from repro.sparse import (
+    DensityBudget,
+    GMPController,
+    MaskedModel,
+    STRController,
+    TrainingSchedule,
+    cubic_sparsity,
+)
 
 
 def dense_masked(seed=0):
     model = MLP(in_features=16, hidden=(24,), num_classes=4, seed=seed)
     return MaskedModel(model, 0.0, distribution="uniform", rng=np.random.default_rng(seed))
+
+
+def final_budget(masked, final_sparsity):
+    """The global budget a dense-to-sparse controller prunes down to."""
+    return DensityBudget.from_global(masked.targets, 1.0 - final_sparsity)
+
+
+# STR's threshold window: cadence 50, from 5% to 75% of training.
+STR_WINDOW = dict(delta_t=50, t_start_fraction=0.05, t_end_fraction=0.75)
 
 
 def fill_gradients(masked, rng):
@@ -38,8 +54,11 @@ class TestGMP:
     def test_reaches_final_sparsity(self):
         masked = dense_masked()
         controller = GMPController(
-            masked, final_sparsity=0.8, total_steps=100,
-            t_start_fraction=0.1, t_end_fraction=0.7, delta_t=10,
+            masked,
+            TrainingSchedule(
+                total_steps=100, delta_t=10, t_start_fraction=0.1, t_end_fraction=0.7
+            ),
+            final_budget(masked, 0.8),
         )
         rng = np.random.default_rng(0)
         for step in range(1, 101):
@@ -50,7 +69,9 @@ class TestGMP:
 
     def test_sparsity_monotone_nondecreasing(self):
         masked = dense_masked()
-        controller = GMPController(masked, 0.9, total_steps=100, delta_t=10)
+        controller = GMPController(
+            masked, TrainingSchedule(total_steps=100, delta_t=10), final_budget(masked, 0.9)
+        )
         rng = np.random.default_rng(0)
         history = [masked.global_sparsity()]
         for step in range(1, 101):
@@ -65,8 +86,11 @@ class TestGMP:
         for target in masked.targets:
             target.param.data = rng.standard_normal(target.param.shape).astype(np.float32)
         controller = GMPController(
-            masked, 0.5, total_steps=10, t_start_fraction=0.0,
-            t_end_fraction=0.1, delta_t=1,
+            masked,
+            TrainingSchedule(
+                total_steps=10, delta_t=1, t_start_fraction=0.0, t_end_fraction=0.1
+            ),
+            final_budget(masked, 0.5),
         )
         fill_gradients(masked, rng)
         controller.on_backward(1)  # prunes straight to 0.5
@@ -81,7 +105,10 @@ class TestGMP:
     def test_granet_regrow_keeps_target_sparsity(self):
         masked = dense_masked()
         controller = GMPController(
-            masked, 0.7, total_steps=100, delta_t=10, regrow_fraction=0.5,
+            masked,
+            TrainingSchedule(total_steps=100, delta_t=10),
+            final_budget(masked, 0.7),
+            regrow_fraction=0.5,
             rng=np.random.default_rng(0),
         )
         rng = np.random.default_rng(2)
@@ -91,12 +118,16 @@ class TestGMP:
         assert masked.global_sparsity() == pytest.approx(0.7, abs=0.03)
 
     def test_invalid_final_sparsity(self):
-        with pytest.raises(ValueError):
-            GMPController(dense_masked(), 1.0, total_steps=10)
+        masked = dense_masked()
+        for final_sparsity in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                GMPController(masked, TrainingSchedule(total_steps=10), final_budget(masked, final_sparsity))
 
     def test_history_recorded(self):
         masked = dense_masked()
-        controller = GMPController(masked, 0.6, total_steps=50, delta_t=10)
+        controller = GMPController(
+            masked, TrainingSchedule(total_steps=50, delta_t=10), final_budget(masked, 0.6)
+        )
         rng = np.random.default_rng(0)
         for step in range(1, 51):
             fill_gradients(masked, rng)
@@ -113,8 +144,11 @@ class TestSTR:
         for target in masked.targets:
             target.param.data = rng.standard_normal(target.param.shape).astype(np.float32)
         controller = STRController(
-            masked, final_sparsity=0.85, total_steps=100,
-            t_start_fraction=0.0, t_end_fraction=0.8, delta_t=5,
+            masked,
+            TrainingSchedule(
+                total_steps=100, delta_t=5, t_start_fraction=0.0, t_end_fraction=0.8
+            ),
+            final_budget(masked, 0.85),
         )
         for step in range(1, 101):
             # Simulate weight drift between shrinkage steps.
@@ -132,15 +166,24 @@ class TestSTR:
         for target in masked.targets:
             target.param.data = rng.standard_normal(target.param.shape).astype(np.float32)
         before = sum(float(np.abs(t.param.data).sum()) for t in masked.targets)
-        controller = STRController(masked, 0.5, total_steps=10, t_start_fraction=0.0,
-                                   t_end_fraction=0.5, delta_t=1)
+        controller = STRController(
+            masked,
+            TrainingSchedule(
+                total_steps=10, delta_t=1, t_start_fraction=0.0, t_end_fraction=0.5
+            ),
+            final_budget(masked, 0.5),
+        )
         controller.after_step(5)
         after = sum(float(np.abs(t.param.data).sum()) for t in masked.targets)
         assert after < before
 
     def test_gradients_stay_dense(self):
         masked = dense_masked()
-        controller = STRController(masked, 0.8, total_steps=100)
+        controller = STRController(
+            masked,
+            TrainingSchedule(total_steps=100, **STR_WINDOW),
+            final_budget(masked, 0.8),
+        )
         assert controller.on_backward(1) is False  # no skip, no masking
 
     def test_masks_track_nonzero_pattern(self):
@@ -148,12 +191,19 @@ class TestSTR:
         rng = np.random.default_rng(5)
         for target in masked.targets:
             target.param.data = rng.standard_normal(target.param.shape).astype(np.float32)
-        controller = STRController(masked, 0.6, total_steps=10, t_start_fraction=0.0,
-                                   t_end_fraction=0.5, delta_t=1)
+        controller = STRController(
+            masked,
+            TrainingSchedule(
+                total_steps=10, delta_t=1, t_start_fraction=0.0, t_end_fraction=0.5
+            ),
+            final_budget(masked, 0.6),
+        )
         controller.after_step(5)
         for target in masked.targets:
             assert np.array_equal(target.mask, target.param.data != 0.0)
 
     def test_invalid_final_sparsity(self):
-        with pytest.raises(ValueError):
-            STRController(dense_masked(), 0.0, total_steps=10)
+        masked = dense_masked()
+        for final_sparsity in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                STRController(masked, TrainingSchedule(total_steps=10, **STR_WINDOW), final_budget(masked, final_sparsity))

@@ -25,19 +25,21 @@ from repro.sparse import (
     MaskedModel,
     RandomGrowth,
     SignFlipDrop,
+    TrainingSchedule,
 )
 
 
-def make_setup(sparsity=0.5, growth=None, seed=0, **engine_kwargs):
+SCHEDULE = TrainingSchedule(total_steps=1000, delta_t=10, drop_fraction=0.3)
+
+
+def make_setup(sparsity=0.5, growth=None, seed=0, schedule=SCHEDULE, **engine_kwargs):
     model = MLP(in_features=12, hidden=(16,), num_classes=4, seed=seed)
     masked = MaskedModel(model, sparsity, rng=np.random.default_rng(seed))
     optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
     engine = DynamicSparseEngine(
         masked,
         growth if growth is not None else GradientGrowth(),
-        total_steps=1000,
-        delta_t=10,
-        drop_fraction=0.3,
+        schedule=schedule,
         optimizer=optimizer,
         rng=np.random.default_rng(seed + 1),
         **engine_kwargs,
@@ -194,7 +196,9 @@ class TestScheduleIntegration:
         assert len(engine.history) == 1
 
     def test_topology_frozen_after_stop_step(self):
-        model, masked, opt, engine = make_setup(sparsity=0.5, stop_fraction=0.5)
+        model, masked, opt, engine = make_setup(
+            sparsity=0.5, schedule=SCHEDULE.with_overrides(stop_fraction=0.5)
+        )
         set_gradients(masked, np.random.default_rng(0))
         assert not engine.on_backward(step=600)  # past stop: regular step
         assert len(engine.history) == 0
@@ -292,8 +296,14 @@ class TestEngineProperty:
         model = MLP(in_features=10, hidden=(12,), num_classes=3, seed=seed)
         masked = MaskedModel(model, sparsity, rng=np.random.default_rng(seed))
         engine = DynamicSparseEngine(
-            masked, GradientGrowth(), total_steps=100, delta_t=10,
-            drop_fraction=drop_fraction, rng=np.random.default_rng(seed + 1),
+            masked,
+            GradientGrowth(),
+            schedule=TrainingSchedule(
+                total_steps=100,
+                delta_t=10,
+                drop_fraction=drop_fraction,
+            ),
+            rng=np.random.default_rng(seed + 1),
         )
         rng = np.random.default_rng(seed + 2)
         budget = masked.total_active

@@ -11,16 +11,20 @@ from repro.sparse import (
     MaskedModel,
     MomentumGrowth,
     RandomGrowth,
+    TrainingSchedule,
 )
 
 
-def make(sparsity=0.5, growth=None, seed=0, **kwargs):
+SCHEDULE = TrainingSchedule(total_steps=1000, delta_t=10)
+
+
+def make(sparsity=0.5, growth=None, seed=0, schedule=SCHEDULE, **kwargs):
     model = MLP(in_features=10, hidden=(12,), num_classes=3, seed=seed)
     masked = MaskedModel(model, sparsity, rng=np.random.default_rng(seed))
     engine = DynamicSparseEngine(
         masked,
         growth if growth is not None else GradientGrowth(),
-        total_steps=1000, delta_t=10,
+        schedule=schedule,
         rng=np.random.default_rng(seed + 1),
         **kwargs,
     )
@@ -43,8 +47,10 @@ class TestExtremeDensities:
         assert masked.total_active == budget
 
     def test_extremely_sparse_keeps_at_least_one_per_layer(self):
-        model, masked, engine = make(sparsity=0.98, drop_fraction=0.9,
-                                     drop_schedule="constant")
+        model, masked, engine = make(
+            sparsity=0.98,
+            schedule=SCHEDULE.with_overrides(drop_fraction=0.9, drop_schedule="constant"),
+        )
         set_gradients(masked, np.random.default_rng(0))
         for step in (10, 20, 30):
             engine.mask_update(step)
@@ -87,8 +93,11 @@ class TestOptimizers:
         masked = MaskedModel(model, 0.5, rng=np.random.default_rng(0))
         optimizer = Adam(model.parameters(), lr=1e-3)
         engine = DynamicSparseEngine(
-            masked, GradientGrowth(), total_steps=100, delta_t=10,
-            optimizer=optimizer, rng=np.random.default_rng(1),
+            masked,
+            GradientGrowth(),
+            schedule=TrainingSchedule(total_steps=100, delta_t=10),
+            optimizer=optimizer,
+            rng=np.random.default_rng(1),
         )
         rng = np.random.default_rng(2)
         # Populate Adam state.
@@ -141,7 +150,9 @@ class TestValidation:
         masked = MaskedModel(model, 0.5, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="grow_allocation"):
             DynamicSparseEngine(
-                masked, RandomGrowth(), total_steps=100,
+                masked,
+                RandomGrowth(),
+                schedule=TrainingSchedule(total_steps=100),
                 grow_allocation="sideways",
             )
 
@@ -204,8 +215,10 @@ class TestFillDeficitExactness:
         small.mask = np.ones_like(small.mask)
         masked.budget.refresh_from_masks(masked)
         engine = DynamicSparseEngine(
-            masked, GradientGrowth(), total_steps=1000, delta_t=10,
-            drop_fraction=0.4, grow_allocation="proportional",
+            masked,
+            GradientGrowth(),
+            schedule=TrainingSchedule(total_steps=1000, delta_t=10, drop_fraction=0.4),
+            grow_allocation="proportional",
             rng=np.random.default_rng(1),
         )
         rng = np.random.default_rng(2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models import MLP
-from repro.sparse import CoverageTracker, MaskedModel
+from repro.sparse import CoverageTracker, MaskedModel, TrainingSchedule
 from repro.sparse.io import load_sparse_checkpoint, save_sparse_checkpoint
 
 
@@ -74,8 +74,11 @@ class TestRoundTrip:
         restored, coverage = load_sparse_checkpoint(fresh_model, path)
         optimizer = SGD(fresh_model.parameters(), lr=0.1)
         engine = DynamicSparseEngine(
-            restored, DSTEEGrowth(c=1e-3), total_steps=100, delta_t=10,
-            optimizer=optimizer, rng=np.random.default_rng(0),
+            restored,
+            DSTEEGrowth(c=1e-3),
+            schedule=TrainingSchedule(total_steps=100, delta_t=10),
+            optimizer=optimizer,
+            rng=np.random.default_rng(0),
         )
         engine.coverage = coverage  # resume exploration state
         for target in restored.targets:

@@ -13,6 +13,7 @@ from repro.sparse import (
     DynamicSparseEngine,
     GradientGrowth,
     MaskedModel,
+    TrainingSchedule,
     install_training_backends,
     remove_training_backends,
     select_backend,
@@ -254,8 +255,14 @@ class TestCachedIndexProperty:
         model = MLP(in_features=10, hidden=(12,), num_classes=3, seed=seed)
         masked = MaskedModel(model, sparsity, rng=np.random.default_rng(seed))
         engine = DynamicSparseEngine(
-            masked, GradientGrowth(), total_steps=100, delta_t=10,
-            drop_fraction=drop_fraction, rng=np.random.default_rng(seed + 1),
+            masked,
+            GradientGrowth(),
+            schedule=TrainingSchedule(
+                total_steps=100,
+                delta_t=10,
+                drop_fraction=drop_fraction,
+            ),
+            rng=np.random.default_rng(seed + 1),
         )
         rng = np.random.default_rng(seed + 2)
         for step in (10, 20, 30):
@@ -298,8 +305,11 @@ class TestEngineWithBackends:
         model, masked = mlp_setup(sparsity=0.9)
         optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
         engine = DynamicSparseEngine(
-            masked, DSTEEGrowth(c=1e-3), total_steps=200, delta_t=5,
-            optimizer=optimizer, rng=np.random.default_rng(1),
+            masked,
+            DSTEEGrowth(c=1e-3),
+            schedule=TrainingSchedule(total_steps=200, delta_t=5),
+            optimizer=optimizer,
+            rng=np.random.default_rng(1),
         )
         install_training_backends(masked, mode="csr", min_size=1)
         masked.bind_optimizer(optimizer)

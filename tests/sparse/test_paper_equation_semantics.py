@@ -15,6 +15,7 @@ from repro.sparse import (
     DSTEEGrowth,
     DynamicSparseEngine,
     MaskedModel,
+    TrainingSchedule,
     acquisition_score,
     erdos_renyi_kernel,
 )
@@ -71,7 +72,9 @@ class TestPaperDropRule:
         target.mark_mask_dirty()
         masked.budget.refresh_from_masks(masked)
         engine = DynamicSparseEngine(
-            masked, DSTEEGrowth(c=0.0), total_steps=100, delta_t=10,
+            masked,
+            DSTEEGrowth(c=0.0),
+            schedule=TrainingSchedule(total_steps=100, delta_t=10),
             rng=np.random.default_rng(1),
         )
         engine.drop_schedule = lambda step: 2.0 / 10.0  # k = 2 of 10 active
@@ -136,8 +139,11 @@ class TestFixedNonzeroBudget:
         loader = DataLoader(data.train, batch_size=32, shuffle=True,
                             rng=np.random.default_rng(0))
         engine = DynamicSparseEngine(
-            masked, DSTEEGrowth(c=1e-3), total_steps=3 * len(loader),
-            delta_t=2, optimizer=optimizer, rng=np.random.default_rng(1),
+            masked,
+            DSTEEGrowth(c=1e-3),
+            schedule=TrainingSchedule(total_steps=3 * len(loader), delta_t=2),
+            optimizer=optimizer,
+            rng=np.random.default_rng(1),
         )
 
         budgets = []

@@ -7,7 +7,7 @@ from repro import nn
 from repro.data import DataLoader
 from repro.models import MLP
 from repro.optim import SGD, CosineAnnealingLR
-from repro.sparse import DynamicSparseEngine, GradientGrowth, MaskedModel
+from repro.sparse import DynamicSparseEngine, GradientGrowth, MaskedModel, TrainingSchedule
 from repro.train import EarlyStopping, LambdaCallback, Trainer, evaluate_classifier
 
 
@@ -84,8 +84,11 @@ class TestSparseIntegration:
         loader = DataLoader(tiny_data.train, batch_size=32, shuffle=True,
                             rng=np.random.default_rng(0))
         engine = DynamicSparseEngine(
-            masked, GradientGrowth(), total_steps=5 * len(loader),
-            delta_t=3, optimizer=optimizer, rng=np.random.default_rng(1),
+            masked,
+            GradientGrowth(),
+            schedule=TrainingSchedule(total_steps=5 * len(loader), delta_t=3),
+            optimizer=optimizer,
+            rng=np.random.default_rng(1),
         )
         trainer = Trainer(model, optimizer, nn.cross_entropy, loader,
                           controller=engine)
@@ -101,8 +104,11 @@ class TestSparseIntegration:
         loader = DataLoader(tiny_data.train, batch_size=32, shuffle=True,
                             rng=np.random.default_rng(0))
         engine = DynamicSparseEngine(
-            masked, GradientGrowth(), total_steps=4 * len(loader),
-            delta_t=3, optimizer=optimizer, rng=np.random.default_rng(1),
+            masked,
+            GradientGrowth(),
+            schedule=TrainingSchedule(total_steps=4 * len(loader), delta_t=3),
+            optimizer=optimizer,
+            rng=np.random.default_rng(1),
         )
         trainer = Trainer(model, optimizer, nn.cross_entropy, loader,
                           controller=engine)
@@ -116,8 +122,10 @@ class TestSparseIntegration:
         loader = DataLoader(tiny_data.train, batch_size=32, shuffle=True,
                             rng=np.random.default_rng(0))
         engine = DynamicSparseEngine(
-            masked, GradientGrowth(), total_steps=2 * len(loader),
-            delta_t=3, optimizer=optimizer,
+            masked,
+            GradientGrowth(),
+            schedule=TrainingSchedule(total_steps=2 * len(loader), delta_t=3),
+            optimizer=optimizer,
         )
         trainer = Trainer(model, optimizer, nn.cross_entropy, loader,
                           controller=engine)
@@ -165,8 +173,11 @@ class TestSparseBackend:
         masked = MaskedModel(model, 0.9, rng=np.random.default_rng(0))
         optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
         engine = DynamicSparseEngine(
-            masked, GradientGrowth(), total_steps=200, delta_t=10,
-            optimizer=optimizer, rng=np.random.default_rng(1),
+            masked,
+            GradientGrowth(),
+            schedule=TrainingSchedule(total_steps=200, delta_t=10),
+            optimizer=optimizer,
+            rng=np.random.default_rng(1),
         )
         train_loader = DataLoader(
             tiny_data.train, batch_size=32, shuffle=True,
