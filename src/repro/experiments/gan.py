@@ -12,7 +12,8 @@ engine realizes its new allocations at its next ΔT mask update.
 Everything is dependency-free: data is sampled from closed-form mixtures
 (:data:`MIXTURES`), the networks are :class:`repro.models.mlp.MLP`
 instances, and the loss is the hinge GAN objective built from existing
-tensor ops.  :class:`GANTrainer` mirrors :class:`repro.rl.trainer.RLTrainer`:
+tensor ops.  :class:`GANTrainer` shares the loop core of
+:class:`repro.rl.trainer.RLTrainer` (:mod:`repro.train.loop`):
 ``state_dict``/``load_state_dict`` capture everything that evolves (both
 networks, both optimizers, both controllers, the balancer's margin EMA and
 transfer ledger, the data/latent RNG streams, history, callbacks), so a
@@ -43,8 +44,9 @@ from repro.models.mlp import MLP
 from repro.optim import Adam
 from repro.parallel import run_sharded
 from repro.sparse.budget import DensityBudget
-from repro.train.callbacks import Callback, callback_states, restore_callback_states
+from repro.train.callbacks import Callback
 from repro.train.checkpoint import CheckpointCallback, load_training_checkpoint
+from repro.train.loop import TrainLoop, mask_stats, sparse_update
 
 __all__ = [
     "MIXTURES",
@@ -233,7 +235,7 @@ class GanStepRecord:
         return self.step
 
 
-class GANTrainer:
+class GANTrainer(TrainLoop):
     """Alternating hinge-GAN loop with per-network DST controllers.
 
     Each global step runs one discriminator update and one generator
@@ -246,6 +248,12 @@ class GANTrainer:
     # Construction-time config (mixture geometry and the loss have no
     # evolving state); the balancer, RNGs and history ARE checkpointed.
     CHECKPOINT_EXEMPT = {"mixture"}
+    STATE_KEYS = (
+        "global_step generator discriminator g_optimizer d_optimizer g_controller"
+        " d_controller balancer data_rng latent_rng last_loss_d last_loss_g history"
+        " callbacks"
+    ).split()
+    record_type = GanStepRecord
 
     def __init__(
         self,
@@ -293,15 +301,10 @@ class GANTrainer:
         z = rng.standard_normal((n, self.latent_dim)).astype(np.float32)
         return np.asarray(self.generator(Tensor(z)).data)
 
-    def _density(self, controller) -> float | None:
-        masked = getattr(controller, "masked", None)
-        return None if masked is None else 1.0 - masked.global_sparsity()
-
     # ------------------------------------------------------------------
     def fit(self, total_steps: int) -> list[GanStepRecord]:
         """Train until ``total_steps`` global steps (resume-aware)."""
-        for callback in self.callbacks:
-            callback.bind(self)
+        self._start_fit()
         while self.global_step < total_steps:
             self.global_step += 1
             step = self.global_step
@@ -320,13 +323,7 @@ class GANTrainer:
             d_fake = self.discriminator(fake_detached)
             loss_d = (1.0 - d_real).relu().mean() + (1.0 + d_fake).relu().mean()
             loss_d.backward()
-            skip_d = False
-            if self.d_controller is not None:
-                skip_d = self.d_controller.on_backward(step)
-            if not skip_d:
-                self.d_optimizer.step()
-                if self.d_controller is not None:
-                    self.d_controller.after_step(step)
+            sparse_update(self.d_controller, self.d_optimizer, step)
             margin = float(np.mean(d_real.data)) - float(np.mean(d_fake.data))
             if self.balancer is not None:
                 self.balancer.observe(
@@ -341,115 +338,59 @@ class GANTrainer:
             fake = self.generator(self._latents(self.batch_size))
             loss_g = (-self.discriminator(fake)).mean()
             loss_g.backward()
-            skip_g = False
-            if self.g_controller is not None:
-                skip_g = self.g_controller.on_backward(step)
-            if not skip_g:
-                self.g_optimizer.step()
-                if self.g_controller is not None:
-                    self.g_controller.after_step(step)
+            sparse_update(self.g_controller, self.g_optimizer, step)
 
             self.last_loss_d = loss_d.item()
             self.last_loss_g = loss_g.item()
             if step % self.log_every == 0 or transferred:
-                record = GanStepRecord(
-                    step=step,
-                    loss_d=self.last_loss_d,
-                    loss_g=self.last_loss_g,
-                    margin=margin,
-                    g_density=self._density(self.g_controller),
-                    d_density=self._density(self.d_controller),
-                    transferred=transferred,
+                self._record(
+                    GanStepRecord(
+                        step=step,
+                        loss_d=self.last_loss_d,
+                        loss_g=self.last_loss_g,
+                        margin=margin,
+                        g_density=_density(self.g_controller),
+                        d_density=_density(self.d_controller),
+                        transferred=transferred,
+                    )
                 )
-                self.history.append(record)
-                for callback in self.callbacks:
-                    callback.on_epoch_end(record)
-            for callback in self.callbacks:
-                callback.on_step_end(step)
-            if any(callback.should_stop() for callback in self.callbacks):
+            self._step_end(step)
+            if self._should_stop():
                 break
         return self.history
 
     # ------------------------------------------------------------------
-    # checkpointing (resume-exact; see module docstring)
+    # checkpointing: the loop's own entries (TrainLoop adds the rest)
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
+    def _components(self) -> dict:
         return {
-            "global_step": self.global_step,
-            "generator": self.generator.state_dict(),
-            "discriminator": self.discriminator.state_dict(),
-            "g_optimizer": self.g_optimizer.state_dict(),
-            "d_optimizer": self.d_optimizer.state_dict(),
-            "g_controller": (
-                self.g_controller.state_dict() if self.g_controller is not None else None
-            ),
-            "d_controller": (
-                self.d_controller.state_dict() if self.d_controller is not None else None
-            ),
-            "balancer": self.balancer.state_dict() if self.balancer is not None else None,
+            "generator": self.generator,
+            "discriminator": self.discriminator,
+            "g_optimizer": self.g_optimizer,
+            "d_optimizer": self.d_optimizer,
+            "g_controller": self.g_controller,
+            "d_controller": self.d_controller,
+            "balancer": self.balancer,
+        }
+
+    def _loop_state(self) -> dict:
+        return {
             "data_rng": self.data_rng.bit_generator.state,
             "latent_rng": self.latent_rng.bit_generator.state,
             "last_loss_d": self.last_loss_d,
             "last_loss_g": self.last_loss_g,
-            "history": [
-                {
-                    "step": record.step,
-                    "loss_d": record.loss_d,
-                    "loss_g": record.loss_g,
-                    "margin": record.margin,
-                    "g_density": record.g_density,
-                    "d_density": record.d_density,
-                    "transferred": record.transferred,
-                }
-                for record in self.history
-            ],
-            "callbacks": callback_states(self.callbacks),
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        for name, attr in (
-            ("g_controller", self.g_controller),
-            ("d_controller", self.d_controller),
-            ("balancer", self.balancer),
-        ):
-            if (state[name] is None) != (attr is None):
-                raise ValueError(f"checkpoint and trainer disagree on {name} presence")
-        self.generator.load_state_dict(state["generator"])
-        self.discriminator.load_state_dict(state["discriminator"])
-        self.g_optimizer.load_state_dict(state["g_optimizer"])
-        self.d_optimizer.load_state_dict(state["d_optimizer"])
-        if self.g_controller is not None:
-            self.g_controller.load_state_dict(state["g_controller"])
-        if self.d_controller is not None:
-            self.d_controller.load_state_dict(state["d_controller"])
-        if self.balancer is not None:
-            self.balancer.load_state_dict(state["balancer"])
+    def _load_loop_state(self, state: dict) -> None:
         self.data_rng.bit_generator.state = state["data_rng"]
         self.latent_rng.bit_generator.state = state["latent_rng"]
-        self.global_step = int(state["global_step"])
-        self.last_loss_d = (
-            None if state["last_loss_d"] is None else float(state["last_loss_d"])
-        )
-        self.last_loss_g = (
-            None if state["last_loss_g"] is None else float(state["last_loss_g"])
-        )
-        self.history = [
-            GanStepRecord(
-                step=int(record["step"]),
-                loss_d=float(record["loss_d"]),
-                loss_g=float(record["loss_g"]),
-                margin=float(record["margin"]),
-                g_density=(
-                    None if record["g_density"] is None else float(record["g_density"])
-                ),
-                d_density=(
-                    None if record["d_density"] is None else float(record["d_density"])
-                ),
-                transferred=int(record["transferred"]),
-            )
-            for record in state["history"]
-        ]
-        restore_callback_states(self.callbacks, state.get("callbacks", []))
+        self.last_loss_d = state["last_loss_d"]
+        self.last_loss_g = state["last_loss_g"]
+
+
+def _density(controller) -> float | None:
+    sparsity, _ = mask_stats(controller)
+    return None if sparsity is None else 1.0 - sparsity
 
 
 # ----------------------------------------------------------------------

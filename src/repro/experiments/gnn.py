@@ -31,6 +31,7 @@ from repro.sparse import (
     MaskedModel,
     TrainingSchedule,
 )
+from repro.train.loop import sparse_update
 
 __all__ = [
     "GNNResult",
@@ -113,11 +114,7 @@ def train_link_predictor(
             loss.backward()
             if admm is not None:
                 admm.add_penalty_gradients()
-            skip = controller.on_backward(step) if controller is not None else False
-            if not skip:
-                optimizer.step()
-                if controller is not None:
-                    controller.after_step(step)
+            sparse_update(controller, optimizer, step)
         if admm is not None and (epoch + 1) % admm_dual_every == 0:
             admm.dual_update()
         final = evaluate_link_prediction(model, data)

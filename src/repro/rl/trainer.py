@@ -6,11 +6,12 @@ gradient steps whose sparsity is controlled by the *same*
 :class:`~repro.sparse.engine.SparsityController` machinery as supervised
 training — on a mask-update step the optimizer update is replaced by one
 drop-and-grow round (Algorithm 1), and otherwise gradients outside the
-mask are zeroed before the step.  The trainer reuses the supervised
-stack's callback protocol (:class:`repro.train.callbacks.Callback`,
-including :class:`repro.train.checkpoint.CheckpointCallback`), the sparse
-execution backends, and the optimizer binding for sparse coordinate
-updates.
+mask are zeroed before the step.  The trainer shares the supervised
+trainer's loop core (:mod:`repro.train.loop`: the Algorithm-1 update,
+callback dispatch and checkpoint-state path), its callback protocol
+(:class:`repro.train.callbacks.Callback`, including
+:class:`repro.train.checkpoint.CheckpointCallback`), the sparse execution
+backends, and the optimizer binding for sparse coordinate updates.
 
 Resume semantics match the supervised trainer: :meth:`state_dict` captures
 *everything that evolves* — both Q-networks, optimizer moments, controller
@@ -45,8 +46,8 @@ from repro.rl.agent import DQNAgent, EpsilonSchedule
 from repro.rl.envs import SOLVE_WINDOW, Env
 from repro.rl.replay import ReplayBuffer
 from repro.sparse.engine import SparsityController
-from repro.sparse.kernels import install_sparse_backend
-from repro.train.callbacks import Callback, callback_states, restore_callback_states
+from repro.train.callbacks import Callback
+from repro.train.loop import TrainLoop, mask_stats, sparse_update
 
 __all__ = ["EpisodeRecord", "RLTrainer", "rolling_returns"]
 
@@ -79,7 +80,7 @@ def rolling_returns(history: Sequence[EpisodeRecord], window: int = SOLVE_WINDOW
     ]
 
 
-class RLTrainer:
+class RLTrainer(TrainLoop):
     """Step-based DQN trainer with DST controller hooks.
 
     Parameters
@@ -122,6 +123,11 @@ class RLTrainer:
     # config, no evolving state), so resume correctness does not depend on
     # checkpointing it.
     CHECKPOINT_EXEMPT = {"epsilon_schedule"}
+    STATE_KEYS = (
+        "global_step train_step model target_model optimizer scheduler controller agent"
+        " buffer env observation episode history callbacks"
+    ).split()
+    record_type = EpisodeRecord
 
     def __init__(
         self,
@@ -188,9 +194,7 @@ class RLTrainer:
         position (mid-episode included), so the same ``fit(total_steps)``
         call finishes the original budget.
         """
-        install_sparse_backend(self.controller, self.optimizer, self.sparse_backend)
-        for callback in self.callbacks:
-            callback.bind(self)
+        self._start_fit()
         start = time.perf_counter()
         steps_at_start = self.global_step
         train_at_start = self.train_step
@@ -217,9 +221,8 @@ class RLTrainer:
             if terminated or truncated:
                 self._finish_episode(epsilon)
 
-            for callback in self.callbacks:
-                callback.on_step_end(self.global_step)
-            if any(callback.should_stop() for callback in self.callbacks):
+            self._step_end(self.global_step)
+            if self._should_stop():
                 break
 
         elapsed = time.perf_counter() - start
@@ -236,13 +239,7 @@ class RLTrainer:
         loss = self.agent.td_loss(**batch)
         loss.backward()
         self.train_step += 1
-        skip_step = False
-        if self.controller is not None:
-            skip_step = self.controller.on_backward(self.train_step)
-        if not skip_step:
-            self.optimizer.step()
-            if self.controller is not None:
-                self.controller.after_step(self.train_step)
+        sparse_update(self.controller, self.optimizer, self.train_step)
         if self.scheduler is not None and self.train_step % self.scheduler_every == 0:
             self.scheduler.step()
         # Sync after the (possibly replaced-by-mask-update) step so the
@@ -252,6 +249,7 @@ class RLTrainer:
         self._episode_losses.append(loss.item())
 
     def _finish_episode(self, epsilon: float) -> None:
+        sparsity, exploration_rate = mask_stats(self.controller)
         record = EpisodeRecord(
             episode=len(self.history),
             global_step=self.global_step,
@@ -261,14 +259,9 @@ class RLTrainer:
             train_loss=(
                 float(np.mean(self._episode_losses)) if self._episode_losses else None
             ),
-            sparsity=(
-                self.controller.masked.global_sparsity()
-                if self.controller is not None
-                else None
-            ),
-            exploration_rate=self._exploration_rate(),
+            sparsity=sparsity,
+            exploration_rate=exploration_rate,
         )
-        self.history.append(record)
         self._episode_return = 0.0
         self._episode_length = 0
         self._episode_losses = []
@@ -277,14 +270,7 @@ class RLTrainer:
         # the reset's RNG draw lands on the same side of the checkpoint in
         # interrupted and uninterrupted runs).
         self._obs = self.env.reset()
-        for callback in self.callbacks:
-            callback.on_epoch_end(record)
-
-    def _exploration_rate(self) -> float | None:
-        coverage = getattr(self.controller, "coverage", None)
-        if coverage is None:
-            return None
-        return coverage.exploration_rate()
+        self._record(record)
 
     # ------------------------------------------------------------------
     # reporting
@@ -314,69 +300,32 @@ class RLTrainer:
         return None
 
     # ------------------------------------------------------------------
-    # checkpointing
+    # checkpointing: the loop's own entries (TrainLoop adds the rest)
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Complete, serializable training state (see module docstring)."""
+    def _components(self) -> dict:
         return {
-            "global_step": self.global_step,
+            "model": self.agent.online,
+            "target_model": self.agent.target,
+            "optimizer": self.optimizer,
+            "scheduler": self.scheduler,
+            "controller": self.controller,
+            "agent": self.agent,
+            "buffer": self.buffer,
+            "env": self.env,
+        }
+
+    def _loop_state(self) -> dict:
+        return {
             "train_step": self.train_step,
-            "model": self.agent.online.state_dict(),
-            "target_model": self.agent.target.state_dict(),
-            "optimizer": self.optimizer.state_dict(),
-            "scheduler": (
-                self.scheduler.state_dict() if self.scheduler is not None else None
-            ),
-            "controller": (
-                self.controller.state_dict() if self.controller is not None else None
-            ),
-            "agent": self.agent.state_dict(),
-            "buffer": self.buffer.state_dict(),
-            "env": self.env.state_dict(),
             "observation": None if self._obs is None else np.asarray(self._obs).copy(),
             "episode": {
                 "return": float(self._episode_return),
                 "length": int(self._episode_length),
                 "losses": np.asarray(self._episode_losses, dtype=np.float64),
             },
-            "history": [
-                {
-                    "episode": record.episode,
-                    "global_step": record.global_step,
-                    "episode_return": record.episode_return,
-                    "length": record.length,
-                    "epsilon": record.epsilon,
-                    "train_loss": record.train_loss,
-                    "sparsity": record.sparsity,
-                    "exploration_rate": record.exploration_rate,
-                }
-                for record in self.history
-            ],
-            "callbacks": callback_states(self.callbacks),
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (resume-exact).
-
-        The trainer must have been constructed with the same configuration
-        (network architecture, optimizer/controller types, environment,
-        buffer capacity, schedules); only the evolving state is restored.
-        """
-        if (state["controller"] is None) != (self.controller is None):
-            raise ValueError("checkpoint and trainer disagree on controller presence")
-        if (state["scheduler"] is None) != (self.scheduler is None):
-            raise ValueError("checkpoint and trainer disagree on scheduler presence")
-        self.agent.online.load_state_dict(state["model"])
-        self.agent.target.load_state_dict(state["target_model"])
-        if self.controller is not None:
-            self.controller.load_state_dict(state["controller"])
-        self.optimizer.load_state_dict(state["optimizer"])
-        if self.scheduler is not None:
-            self.scheduler.load_state_dict(state["scheduler"])
-        self.agent.load_state_dict(state["agent"])
-        self.buffer.load_state_dict(state["buffer"])
-        self.env.load_state_dict(state["env"])
-        self.global_step = int(state["global_step"])
+    def _load_loop_state(self, state: dict) -> None:
         self.train_step = int(state["train_step"])
         observation = state.get("observation")
         self._obs = None if observation is None else np.asarray(observation, np.float32)
@@ -384,25 +333,3 @@ class RLTrainer:
         self._episode_return = float(episode["return"])
         self._episode_length = int(episode["length"])
         self._episode_losses = [float(value) for value in episode["losses"]]
-        self.history = [
-            EpisodeRecord(
-                episode=int(record["episode"]),
-                global_step=int(record["global_step"]),
-                episode_return=float(record["episode_return"]),
-                length=int(record["length"]),
-                epsilon=float(record["epsilon"]),
-                train_loss=(
-                    None if record["train_loss"] is None else float(record["train_loss"])
-                ),
-                sparsity=(
-                    None if record["sparsity"] is None else float(record["sparsity"])
-                ),
-                exploration_rate=(
-                    None
-                    if record["exploration_rate"] is None
-                    else float(record["exploration_rate"])
-                ),
-            )
-            for record in state["history"]
-        ]
-        restore_callback_states(self.callbacks, state.get("callbacks", []))

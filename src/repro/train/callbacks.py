@@ -19,25 +19,27 @@ __all__ = [
 class Callback:
     """Base callback: override any subset of hooks.
 
-    ``bind`` is called once at the start of :meth:`Trainer.fit` with the
-    trainer itself, so callbacks that need training state (e.g. the
-    checkpoint callback) can reach it without threading it through every
-    hook.  ``state_dict``/``load_state_dict`` let a callback's evolving
-    state survive a checkpoint/restore cycle; return ``None`` (the default)
-    for stateless callbacks.
+    ``Trainer``, ``RLTrainer`` and ``GANTrainer`` all dispatch these hooks
+    through :class:`repro.train.loop.TrainLoop`, whose module docstring
+    gives each trainer's hook order.  ``bind`` is called once at the start
+    of ``fit`` with the trainer itself, so callbacks that need training
+    state (e.g. the checkpoint callback) can reach it without threading it
+    through every hook.  ``state_dict``/``load_state_dict`` let a
+    callback's evolving state survive a checkpoint/restore cycle; return
+    ``None`` (the default) for stateless callbacks.
     """
 
     def bind(self, trainer) -> None:
-        """Called by ``Trainer.fit`` before training starts."""
+        """Called by the trainer's ``fit`` before training starts."""
 
     def on_step_end(self, step: int) -> None:
-        """Called after every training iteration (``step`` is global)."""
+        """Called after every batch, environment step or GAN step (``step`` is global)."""
 
     def on_epoch_end(self, record: EpochRecord) -> None:
-        """Called after each epoch's evaluation."""
+        """Called with each new history record (epoch, episode or logged GAN step)."""
 
     def should_stop(self) -> bool:
-        """Return True to stop training early."""
+        """Return True to stop training early (asked per epoch, or per RL/GAN step)."""
         return False
 
     def state_dict(self) -> dict | None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 __all__ = ["EpochRecord", "History"]
 
@@ -20,14 +20,6 @@ class EpochRecord:
     exploration_rate: float | None = None
     steps_per_sec: float | None = None
     mask_update_ms: float | None = None
-
-    def to_dict(self) -> dict:
-        """Plain-scalar dict (checkpoint serialization)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EpochRecord":
-        return cls(**data)
 
 
 @dataclass
@@ -58,10 +50,5 @@ class History:
     def __len__(self) -> int:
         return len(self.epochs)
 
-    def to_list(self) -> list[dict]:
-        """Plain list of per-epoch dicts (checkpoint serialization)."""
-        return [record.to_dict() for record in self.epochs]
-
-    @classmethod
-    def from_list(cls, records: list[dict]) -> "History":
-        return cls(epochs=[EpochRecord.from_dict(r) for r in records])
+    def __iter__(self):
+        return iter(self.epochs)

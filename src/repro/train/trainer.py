@@ -1,10 +1,10 @@
 """Training loop with sparse-training hooks.
 
 The :class:`Trainer` implements the iteration structure of Algorithm 1:
-forward → backward → ``controller.on_backward(t)``; when the controller
-signals a mask-update step the optimizer step is *skipped* for that
-iteration (the paper replaces the SGD update with the drop-and-grow), and
-otherwise gradients outside the mask have already been zeroed so only
+forward → backward → :func:`~repro.train.loop.sparse_update`; when the
+controller signals a mask-update step the optimizer step is *skipped* for
+that iteration (the paper replaces the SGD update with the drop-and-grow),
+and otherwise gradients outside the mask have already been zeroed so only
 active weights move.
 
 Checkpointing: :meth:`Trainer.state_dict` captures the *complete* training
@@ -37,9 +37,9 @@ from repro.nn.module import Module
 from repro.optim.lr_scheduler import LRScheduler
 from repro.optim.sgd import Optimizer
 from repro.sparse.engine import SparsityController
-from repro.sparse.kernels import install_sparse_backend
-from repro.train.callbacks import Callback, callback_states, restore_callback_states
+from repro.train.callbacks import Callback
 from repro.train.history import EpochRecord, History
+from repro.train.loop import TrainLoop, mask_stats, sparse_update
 
 __all__ = ["Trainer", "evaluate_classifier"]
 
@@ -75,7 +75,7 @@ def _named_module_rngs(model: Module) -> list[tuple[str, np.random.Generator]]:
     return pairs
 
 
-class Trainer:
+class Trainer(TrainLoop):
     """Epoch-based trainer for classification models.
 
     Parameters
@@ -107,6 +107,12 @@ class Trainer:
         process, so drop/grow semantics are unchanged.  ``0``/``1`` (and
         unsupported platforms) train in-process.
     """
+
+    STATE_KEYS = (
+        "global_step model optimizer scheduler controller history rng callbacks"
+        " epoch_progress"
+    ).split()
+    record_type = EpochRecord
 
     def __init__(
         self,
@@ -172,11 +178,9 @@ class Trainer:
         epoch), so the same ``fit(epochs)`` call finishes the original
         budget.
         """
-        install_sparse_backend(self.controller, self.optimizer, self.sparse_backend)
+        self._start_fit()
         self._worker_pool = self._open_worker_pool()
         self._warn_if_worker_resume_inexact()
-        for callback in self.callbacks:
-            callback.bind(self)
         try:
             return self._fit(epochs)
         finally:
@@ -224,25 +228,21 @@ class Trainer:
             ):
                 test_acc = evaluate_classifier(self.model, self.test_loader)
 
-            record = EpochRecord(
-                epoch=epoch,
-                train_loss=train_loss,
-                train_accuracy=train_acc,
-                test_accuracy=test_acc,
-                learning_rate=self.optimizer.lr,
-                sparsity=(
-                    self.controller.masked.global_sparsity()
-                    if self.controller is not None
-                    else None
-                ),
-                exploration_rate=self._exploration_rate(),
-                steps_per_sec=steps_per_sec,
-                mask_update_ms=self._mask_update_ms(updates_before),
+            sparsity, exploration_rate = mask_stats(self.controller)
+            self._record(
+                EpochRecord(
+                    epoch=epoch,
+                    train_loss=train_loss,
+                    train_accuracy=train_acc,
+                    test_accuracy=test_acc,
+                    learning_rate=self.optimizer.lr,
+                    sparsity=sparsity,
+                    exploration_rate=exploration_rate,
+                    steps_per_sec=steps_per_sec,
+                    mask_update_ms=self._mask_update_ms(updates_before),
+                )
             )
-            self.history.append(record)
-            for callback in self.callbacks:
-                callback.on_epoch_end(record)
-            if any(callback.should_stop() for callback in self.callbacks):
+            if self._should_stop():
                 break
         return self.history
 
@@ -304,30 +304,17 @@ class Trainer:
                     batch_loss = loss.item()
                     batch_acc = accuracy(logits, targets)
 
-                skip_step = False
-                if self.controller is not None:
-                    skip_step = self.controller.on_backward(self.global_step)
-                if not skip_step:
-                    self.optimizer.step()
-                    if self.controller is not None:
-                        self.controller.after_step(self.global_step)
+                sparse_update(self.controller, self.optimizer, self.global_step)
 
                 losses.append(batch_loss)
                 accuracies.append(batch_acc)
                 progress["batches_done"] += 1
-                for callback in self.callbacks:
-                    callback.on_step_end(self.global_step)
+                self._step_end(self.global_step)
         finally:
             self._epoch_progress = None
         elapsed = time.perf_counter() - start
         steps_per_sec = steps / elapsed if elapsed > 0 else 0.0
         return float(np.mean(losses)), float(np.mean(accuracies)), steps_per_sec
-
-    def _exploration_rate(self) -> float | None:
-        coverage = getattr(self.controller, "coverage", None)
-        if coverage is None:
-            return None
-        return coverage.exploration_rate()
 
     def _mask_update_count(self) -> int:
         records = getattr(self.controller, "history", None)
@@ -353,76 +340,36 @@ class Trainer:
         return float(np.mean(fresh))
 
     # ------------------------------------------------------------------
-    # checkpointing
+    # checkpointing: the loop's own entries (TrainLoop adds the rest)
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Complete, serializable training state (see module docstring).
+    def _components(self) -> dict:
+        return {
+            "model": self.model,
+            "optimizer": self.optimizer,
+            "scheduler": self.scheduler,
+            "controller": self.controller,
+        }
 
-        Safe to call at any point — between epochs or from a step-granular
-        callback mid-epoch (the partial epoch's progress is included so the
-        epoch can resume at the exact batch boundary).
+    def _loop_state(self) -> dict:
+        """Data-order and dropout RNG states, plus the partial epoch mid-epoch.
+
+        Safe to checkpoint at any point: from a step-granular callback
+        mid-epoch the partial epoch's progress is included so the epoch can
+        resume at the exact batch boundary.
         """
-        state: dict = {
-            "global_step": self.global_step,
-            "model": self.model.state_dict(),
-            "optimizer": self.optimizer.state_dict(),
-            "scheduler": (
-                self.scheduler.state_dict() if self.scheduler is not None else None
-            ),
-            "controller": (
-                self.controller.state_dict() if self.controller is not None else None
-            ),
-            "history": self.history.to_list(),
+        progress = self._epoch_progress
+        return {
             "rng": {
-                "train_loader": copy.deepcopy(
-                    self.train_loader.rng.bit_generator.state
-                ),
+                "train_loader": copy.deepcopy(self.train_loader.rng.bit_generator.state),
                 "modules": {
                     key: copy.deepcopy(rng.bit_generator.state)
                     for key, rng in _named_module_rngs(self.model)
                 },
             },
-            "callbacks": callback_states(self.callbacks),
-            "epoch_progress": None,
+            "epoch_progress": None if progress is None else _copy_progress(progress),
         }
-        progress = self._epoch_progress
-        if progress is not None:
-            state["epoch_progress"] = {
-                "epoch": progress["epoch"],
-                "batches_done": progress["batches_done"],
-                "loader_rng_epoch_start": copy.deepcopy(
-                    progress["loader_rng_epoch_start"]
-                ),
-                "losses": np.asarray(progress["losses"], dtype=np.float64),
-                "accuracies": np.asarray(progress["accuracies"], dtype=np.float64),
-            }
-        return state
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (resume-exact).
-
-        The trainer must have been constructed with the same configuration
-        (model architecture, optimizer/scheduler/controller types, data
-        pipeline) as the one that produced the state; only the evolving
-        state is restored.
-        """
-        if (state["controller"] is None) != (self.controller is None):
-            raise ValueError(
-                "checkpoint and trainer disagree on controller presence"
-            )
-        if (state["scheduler"] is None) != (self.scheduler is None):
-            raise ValueError(
-                "checkpoint and trainer disagree on scheduler presence"
-            )
-        self.model.load_state_dict(state["model"])
-        if self.controller is not None:
-            self.controller.load_state_dict(state["controller"])
-        self.optimizer.load_state_dict(state["optimizer"])
-        if self.scheduler is not None:
-            self.scheduler.load_state_dict(state["scheduler"])
-        self.history = History.from_list(state["history"])
-        self.global_step = int(state["global_step"])
-
+    def _load_loop_state(self, state: dict) -> None:
         rng_state = state.get("rng", {})
         loader_state = rng_state.get("train_loader")
         if loader_state is not None:
@@ -431,19 +378,17 @@ class Trainer:
         for key, rng in _named_module_rngs(self.model):
             if key in module_states:
                 rng.bit_generator.state = copy.deepcopy(module_states[key])
-
-        restore_callback_states(self.callbacks, state.get("callbacks", []))
-
         self._restored = True
-        self._pending_resume = None
         progress = state.get("epoch_progress")
-        if progress is not None:
-            self._pending_resume = {
-                "epoch": int(progress["epoch"]),
-                "batches_done": int(progress["batches_done"]),
-                "loader_rng_epoch_start": copy.deepcopy(
-                    progress["loader_rng_epoch_start"]
-                ),
-                "losses": np.asarray(progress["losses"], dtype=np.float64),
-                "accuracies": np.asarray(progress["accuracies"], dtype=np.float64),
-            }
+        self._pending_resume = None if progress is None else _copy_progress(progress)
+
+
+def _copy_progress(progress: dict) -> dict:
+    """Detached copy of a partial epoch's progress (checkpoint entry)."""
+    return {
+        "epoch": int(progress["epoch"]),
+        "batches_done": int(progress["batches_done"]),
+        "loader_rng_epoch_start": copy.deepcopy(progress["loader_rng_epoch_start"]),
+        "losses": np.asarray(progress["losses"], dtype=np.float64),
+        "accuracies": np.asarray(progress["accuracies"], dtype=np.float64),
+    }

@@ -255,13 +255,6 @@ class TestCheckpointResume:
         assert 50 in steps and 100 in steps and 150 in steps
         assert len(steps) >= 3 + len(trainer.history) // 2 - 1
 
-    def test_controller_presence_mismatch_raises(self):
-        sparse_trainer, _ = make_trainer(seed=0)
-        dense_trainer, _ = make_trainer(seed=0, dense=True)
-        sparse_trainer.fit(40)
-        with pytest.raises(ValueError, match="controller"):
-            dense_trainer.load_state_dict(sparse_trainer.state_dict())
-
     def test_resume_restores_partial_episode_accumulators(self):
         trainer, _ = make_trainer(seed=6)
         trainer.fit(45)

@@ -255,3 +255,30 @@ class TestRepoIsClean:
         assert result.all_findings == []
         committed = Baseline.load(REPO_ROOT / "tools" / "reprolint" / "baseline.json")
         assert committed.counts == {}, "RPL001/RPL002 debt must be fixed, not baselined"
+
+
+class TestCheckpointCoverage:
+    """RPL002 covers every trainer through ``TrainLoop``, and the GAN balancer."""
+
+    @staticmethod
+    def _lint_gan(tmp_path: Path, leaky_class: str | None):
+        source = (REPO_ROOT / "src" / "repro" / "experiments" / "gan.py").read_text()
+        if leaky_class is not None:
+            start = source.index(f"class {leaky_class}")
+            init = source.index("    def __init__(", start)
+            body = source.index("    ):\n", init) + len("    ):\n")
+            source = source[:body] + "        self.leaky_counter = []\n" + source[body:]
+        gan = write(tmp_path, "gan.py", source)
+        loop = write(
+            tmp_path, "loop.py", (REPO_ROOT / "src" / "repro" / "train" / "loop.py").read_text()
+        )
+        return run_paths([str(gan), str(loop)], all_rules()).all_findings
+
+    def test_loop_hooks_count_as_checkpointed(self, tmp_path):
+        assert self._lint_gan(tmp_path, None) == []
+
+    @pytest.mark.parametrize("leaky_class", ["GANTrainer", "GanDensityBalancer"])
+    def test_planted_leak_is_flagged(self, tmp_path, leaky_class):
+        findings = self._lint_gan(tmp_path, leaky_class)
+        assert [finding.code for finding in findings] == ["RPL002"]
+        assert f"self.leaky_counter of stateful class {leaky_class}" in findings[0].message

@@ -225,19 +225,6 @@ class TestTrainerStateDict:
         ):
             np.testing.assert_array_equal(p_ref.data, p_res.data)
 
-    def test_controller_presence_mismatch_rejected(self, tiny_data, tiny_mlp_factory):
-        trainer = _make_trainer(tiny_data, tiny_mlp_factory)
-        state = trainer.state_dict()
-        state["controller"] = {"type": "DynamicSparseEngine"}
-        with pytest.raises(ValueError, match="controller"):
-            trainer.load_state_dict(state)
-
-    def test_scheduler_presence_mismatch_rejected(self, tiny_data, tiny_mlp_factory):
-        trainer = _make_trainer(tiny_data, tiny_mlp_factory)
-        state = trainer.state_dict()
-        state["scheduler"] = None
-        with pytest.raises(ValueError, match="scheduler"):
-            trainer.load_state_dict(state)
 
 
 class TestReviewGuards:

@@ -63,8 +63,8 @@ STATEFUL_ROOTS = frozenset(
         "LRScheduler",
         "SparsityController",
         "Callback",
-        "Trainer",
-        "RLTrainer",
+        "TrainLoop",
+        "GanDensityBalancer",
         "DQNAgent",
         "ReplayBuffer",
         "Env",

@@ -1,8 +1,9 @@
 # reprolint: treat-as=repro/sparse/fixture_ckpt.py
 """Known-bad RPL002 fixture: pairing and coverage failures.
 
-``Optimizer``/``Callback``/``Trainer`` are stateful roots, so classes
-deriving from them (by bare name) are checked.
+``Optimizer``/``Callback``/``TrainLoop``/``GanDensityBalancer`` are
+stateful roots, so classes deriving from them (by bare name), and the
+roots themselves, are checked.
 """
 
 
@@ -60,7 +61,7 @@ class LMPerplexityCallback(Callback):  # noqa: F821
         self.val_losses = list(state["val_losses"])
 
 
-class LMSamplerState(Trainer):  # expect: RPL002  # noqa: F821
+class LMSamplerState(TrainLoop):  # expect: RPL002  # noqa: F821
     """Greedy-decode cache with no checkpoint hooks at all.
 
     A char-LM trainer that memoizes prompt prefixes between epochs: the
@@ -72,7 +73,7 @@ class LMSamplerState(Trainer):  # expect: RPL002  # noqa: F821
         self.prefix_cache = {}
 
 
-class ExemptEngine(Trainer):  # noqa: F821
+class ExemptEngine(TrainLoop):  # noqa: F821
     """CHECKPOINT_EXEMPT silences declared-derived attributes only."""
 
     # Fixture stand-in for a pure strategy object.
@@ -88,3 +89,43 @@ class ExemptEngine(Trainer):  # noqa: F821
 
     def load_state_dict(self, state):
         pass
+
+
+class HookedLoop(TrainLoop):  # noqa: F821
+    """A loop core whose shared state_dict asks each subclass for its parts."""
+
+    def state_dict(self):
+        return {"history": self.history, **self._loop_state()}
+
+    def load_state_dict(self, state):
+        self.history = state["history"]
+        self._load_loop_state(state)
+
+
+class GANTrainer(HookedLoop):
+    """Hooks reached from the base state_dict count; a leak still fires."""
+
+    def __init__(self):
+        self.history = []
+        self.data_rng = make_rng()  # reached through _loop_state  # noqa: F821
+        self.leaky_counter = []  # expect: RPL002
+
+    def _loop_state(self):
+        return {"data_rng": self.data_rng.bit_generator.state}
+
+    def _load_loop_state(self, state):
+        self.data_rng.bit_generator.state = state["data_rng"]
+
+
+class GanDensityBalancer:
+    """A root by its own name: its transfer ledger must be checkpointed."""
+
+    def __init__(self):
+        self.transfers = []
+        self.leaky_counter = []  # expect: RPL002
+
+    def state_dict(self):
+        return {"transfers": list(self.transfers)}
+
+    def load_state_dict(self, state):
+        self.transfers = list(state["transfers"])

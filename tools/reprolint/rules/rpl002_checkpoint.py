@@ -12,7 +12,9 @@ and resume drifts a week later under a bench run.  Two checks:
   (``STATEFUL_ROOTS``): every *public mutable* attribute created in
   ``__init__`` (container literals/comprehensions, non-cast constructor
   calls) must be mentioned — as ``self.attr`` or the string ``"attr"`` —
-  in the class's own or an ancestor's ``state_dict``/``load_state_dict``.
+  in the class's own or an ancestor's ``state_dict``/``load_state_dict``,
+  or in a method of the hierarchy those reach through ``self.method``
+  (a base ``state_dict`` that asks each subclass for its parts).
 
 Escape hatches, in preference order: a class-level
 ``CHECKPOINT_EXEMPT = {"attr", ...}`` declaration for derived caches that
@@ -70,7 +72,8 @@ class ClassRecord:
     bases: list[str] = field(default_factory=list)
     defines: set[str] = field(default_factory=set)  # of _PAIR members
     mutable_attrs: dict[str, ast.AST] = field(default_factory=dict)
-    referenced: set[str] = field(default_factory=set)
+    # Names each method mentions (self attributes + str constants).
+    method_refs: dict[str, set[str]] = field(default_factory=dict)
     exempt: set[str] = field(default_factory=set)
 
 
@@ -153,6 +156,29 @@ def _class_exemptions(node: ast.ClassDef) -> set[str]:
     return exempt
 
 
+def _checkpoint_references(hierarchy: list[ClassRecord]) -> set[str]:
+    """Names mentioned by ``state_dict``/``load_state_dict`` and what they reach.
+
+    Starts from every definition of the pair in the hierarchy and follows
+    ``self.<method>`` mentions to any method of that name in the hierarchy,
+    so a base ``state_dict`` that calls subclass hooks covers what the
+    hooks mention.
+    """
+    referenced: set[str] = set()
+    pending = list(_PAIR)
+    visited: set[str] = set()
+    while pending:
+        name = pending.pop()
+        if name in visited:
+            continue
+        visited.add(name)
+        for owner in hierarchy:
+            found = owner.method_refs.get(name, set())
+            referenced |= found
+            pending.extend(found)
+    return referenced
+
+
 class CheckpointCompleteness(Rule):
     code = "RPL002"
     name = "checkpoint-completeness"
@@ -184,9 +210,9 @@ class CheckpointCompleteness(Rule):
         for stmt in node.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
+            record.method_refs[stmt.name] = _collect_references(stmt)
             if stmt.name in _PAIR:
                 record.defines.add(stmt.name)
-                record.referenced |= _collect_references(stmt)
             elif stmt.name == "__init__":
                 for body_node in ast.walk(stmt):
                     for attr in _self_attr_targets(body_node):
@@ -260,12 +286,11 @@ class CheckpointCompleteness(Rule):
         if not roots:
             return
         defines_anywhere = set(record.defines)
-        referenced = set(record.referenced)
         exempt = set(record.exempt)
         for ancestor in ancestry:
             defines_anywhere |= ancestor.defines
-            referenced |= ancestor.referenced
             exempt |= ancestor.exempt
+        referenced = _checkpoint_references([record, *ancestry])
         if "state_dict" not in defines_anywhere:
             yield self.finding(
                 record.module,
