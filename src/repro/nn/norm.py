@@ -1,9 +1,11 @@
-"""Batch normalization layers.
+"""Normalization layers.
 
-Both layers keep running estimates of mean/variance (buffers) for inference
-and compute batch statistics through the autograd graph during training, so
-gradients flow through the normalization exactly as in the reference
-implementations the paper's experiments rely on.
+The batch-norm layers keep running estimates of mean/variance (buffers) for
+inference and compute batch statistics inside the fused
+:func:`repro.autograd.ops.batch_norm` node during training, so gradients flow
+through the normalization exactly as in the reference implementations the
+paper's experiments rely on.  :class:`LayerNorm` normalizes each row over the
+last axis with the fused :func:`repro.autograd.ops.layer_norm` node.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ class _BatchNorm(Module):
         return ops.add(ops.mul(x_hat, gamma), beta)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.num_features}, eps={self.eps}, momentum={self.momentum})"
+        name = type(self).__name__
+        return f"{name}({self.num_features}, eps={self.eps}, momentum={self.momentum})"
 
 
 class LayerNorm(Module):
@@ -66,10 +69,10 @@ class LayerNorm(Module):
     Unlike batch norm there are no running statistics — train and eval
     behave identically, and the statistics are per-example (reduced over
     the last axis only), so transformer blocks normalize each token's
-    feature vector independently of batch composition.  Composed from
-    autograd mean/var/sqrt primitives, so gradients flow through the
-    statistics exactly (verified against numerical gradients in
-    ``tests/nn/test_transformer.py``).
+    feature vector independently of batch composition.  One fused autograd
+    node (:func:`repro.autograd.ops.layer_norm`) with a closed-form backward
+    that flows through the statistics exactly (checked against numerical
+    gradients and the composed formula in ``tests/nn/test_transformer.py``).
     """
 
     def __init__(self, normalized_dim: int, eps: float = 1e-5):
@@ -83,13 +86,8 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.normalized_dim:
-            raise ValueError(
-                f"LayerNorm({self.normalized_dim}) got trailing dim {x.shape[-1]}"
-            )
-        mean = ops.mean(x, axis=-1, keepdims=True)
-        var = ops.var(x, axis=-1, keepdims=True)
-        x_hat = ops.div(ops.sub(x, mean), ops.sqrt(ops.add(var, self.eps)))
-        return ops.add(ops.mul(x_hat, self.weight), self.bias)
+            raise ValueError(f"LayerNorm({self.normalized_dim}) got trailing dim {x.shape[-1]}")
+        return ops.layer_norm(x, self.weight, self.bias, self.eps)
 
     def __repr__(self) -> str:
         return f"LayerNorm({self.normalized_dim}, eps={self.eps})"

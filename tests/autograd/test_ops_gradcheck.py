@@ -4,6 +4,8 @@ Inputs are float64 where possible for tight tolerances; ops that are only
 sub-differentiable (relu/abs/max) are checked at points away from kinks.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,22 @@ class TestArithmeticGradients:
     def test_pow(self):
         a = t64(np.abs(RNG.standard_normal((4,))) + 0.5)
         gradcheck(lambda x: ops.pow(x, 3.0), [a], atol=1e-4, rtol=1e-4)
+
+    @pytest.mark.parametrize("exponent", [0, 1, 2, 3, 4])
+    def test_pow_integer_exponent_negative_bases_and_zeros(self, exponent):
+        values = np.array([-2.5, -1.0, -0.3, 0.0, 0.0, 0.4, 1.7])
+        weights = RNG.standard_normal(values.shape)
+        gradcheck(
+            lambda x: ops.mul(ops.pow(x, float(exponent)), weights),
+            [t64(values)], atol=1e-5, rtol=1e-5,
+        )
+
+    def test_pow_zero_exponent_gradient_is_exactly_zero_at_zero(self):
+        x = t64([-1.0, 0.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ops.pow(x, 0.0).backward(np.ones(3))
+        np.testing.assert_array_equal(x.grad, np.zeros(3))
 
     def test_matmul_2d(self):
         a = t64(RNG.standard_normal((3, 4)))
@@ -144,6 +162,25 @@ class TestReductionGradients:
     def test_min(self):
         values = RNG.permutation(12).astype(np.float64).reshape(3, 4)
         gradcheck(lambda x: ops.min(x, axis=1), [t64(values)], atol=1e-4, rtol=1e-4)
+
+
+class TestFusedGradients:
+    def test_gelu(self):
+        # Non-uniform output gradient so every derivative term is exercised.
+        a = t64(RNG.standard_normal((4, 5)) * 2.0)
+        weights = RNG.standard_normal((4, 5))
+        gradcheck(lambda x: ops.mul(ops.gelu(x), weights), [a], atol=1e-6, rtol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(4, 6), (2, 3, 6)])
+    def test_layer_norm(self, shape):
+        x = t64(RNG.standard_normal(shape) * 2.0 + 1.0)
+        gamma = t64(RNG.standard_normal(6) + 1.0)
+        beta = t64(RNG.standard_normal(6))
+        weights = RNG.standard_normal(shape)
+        gradcheck(
+            lambda a, g, b: ops.mul(ops.layer_norm(a, g, b, 1e-5), weights),
+            [x, gamma, beta], atol=1e-6, rtol=1e-5,
+        )
 
 
 class TestShapeGradients:

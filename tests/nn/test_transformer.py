@@ -1,15 +1,68 @@
-"""Transformer primitives: causal masking, LayerNorm gradients, embedding
-sparse-row gradients, and the left-pad serving contract of CharGPT."""
+"""Transformer primitives: causal masking, the fused LayerNorm and GELU
+nodes against their composed formulas, embedding sparse-row gradients, and
+the left-pad serving contract of CharGPT."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.autograd import Tensor, gradcheck
+from repro.autograd import Tensor, gradcheck, no_grad, ops
 from repro.models import CharGPT
 from repro.nn.losses import cross_entropy, lm_cross_entropy
 
 RNG = np.random.default_rng(0)
+
+DTYPES = [np.float32, np.float64]
+
+
+def _const(value, dtype):
+    """A constant in ``dtype``: a Python float would become float32."""
+    return np.asarray(value, dtype=dtype)
+
+
+def _composed_gelu(x):
+    """The GELU graph before it was fused, kept as the oracle."""
+    c, s = _const(0.044715, x.dtype), _const(np.sqrt(2.0 / np.pi), x.dtype)
+    cubic = ops.add(x, ops.mul(c, ops.pow(x, 3.0)))
+    gate = ops.add(_const(1.0, x.dtype), ops.tanh(ops.mul(s, cubic)))
+    return ops.mul(ops.mul(_const(0.5, x.dtype), x), gate)
+
+
+def _composed_layer_norm(x, gamma, beta, eps):
+    """The LayerNorm graph before it was fused, kept as the oracle."""
+    mean = ops.mean(x, axis=-1, keepdims=True)
+    var = ops.var(x, axis=-1, keepdims=True)
+    x_hat = ops.div(ops.sub(x, mean), ops.sqrt(ops.add(var, _const(eps, x.dtype))))
+    return ops.add(ops.mul(x_hat, gamma), beta)
+
+
+def _graph_nodes(out):
+    """Number of op nodes recorded between ``out`` and its leaves."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+    return len(seen)
+
+
+def _accumulated_dtypes(monkeypatch):
+    """Record the dtype of every gradient handed to ``Tensor._accumulate``
+    (which casts to the parameter's dtype, so ``.grad`` alone would hide a
+    float64 promotion inside a backward)."""
+    seen = []
+    accumulate = Tensor._accumulate
+
+    def spy(self, grad):
+        seen.append(grad.dtype)
+        accumulate(self, grad)
+
+    monkeypatch.setattr(Tensor, "_accumulate", spy)
+    return seen
 
 
 def _tiny_gpt(**overrides):
@@ -83,6 +136,46 @@ class TestLayerNorm:
     def test_trailing_dim_mismatch_raises(self):
         with pytest.raises(ValueError, match="trailing dim"):
             nn.LayerNorm(8)(Tensor(np.zeros((2, 4), np.float32)))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(16, 8), (3, 5, 8)])
+    def test_matches_composed_oracle(self, dtype, shape):
+        layer = nn.LayerNorm(8)
+        layer.weight.data = (RNG.standard_normal(8) + 1.0).astype(dtype)
+        layer.bias.data = RNG.standard_normal(8).astype(dtype)
+        x_data = (RNG.standard_normal(shape) * 3.0 + 2.0).astype(dtype)
+        upstream = RNG.standard_normal(shape).astype(dtype)
+        results = []
+        for forward in (
+            lambda x: layer(x),
+            lambda x: _composed_layer_norm(x, layer.weight, layer.bias, layer.eps),
+        ):
+            layer.zero_grad()
+            x = Tensor(x_data, requires_grad=True)
+            out = forward(x)
+            out.backward(upstream)
+            results.append((out.data, x.grad, layer.weight.grad, layer.bias.grad))
+        tol = dict(rtol=1e-4, atol=2e-5) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-12)
+        for fused, composed in zip(*results):
+            assert fused.dtype == dtype
+            np.testing.assert_allclose(fused, composed, **tol)
+
+    def test_float32_stays_float32(self, monkeypatch):
+        layer = nn.LayerNorm(8)
+        x = Tensor(RNG.standard_normal((3, 4, 8)).astype(np.float32), requires_grad=True)
+        seen = _accumulated_dtypes(monkeypatch)
+        out = layer(x)
+        out.backward(np.ones_like(out.data))
+        assert out.dtype == np.float32
+        assert len(seen) == 4  # upstream, x, gamma, beta
+        assert set(seen) == {np.dtype(np.float32)}
+
+    def test_forward_records_one_graph_node(self):
+        layer = nn.LayerNorm(8)
+        x = Tensor(RNG.standard_normal((4, 8)).astype(np.float32), requires_grad=True)
+        out = layer(x)
+        assert out._parents == (x, layer.weight, layer.bias)
+        assert _graph_nodes(out) == 1
 
 
 class TestEmbedding:
@@ -175,3 +268,63 @@ class TestGELU:
             0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
         )
         np.testing.assert_allclose(out, expected, atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_matches_composed_oracle(self, dtype):
+        x_data = (RNG.standard_normal((64, 32)) * 2.0).astype(dtype)
+        upstream = RNG.standard_normal((64, 32)).astype(dtype)
+        results = []
+        for forward in (nn.GELU(), _composed_gelu):
+            x = Tensor(x_data, requires_grad=True)
+            out = forward(x)
+            out.backward(upstream)
+            results.append((out.data, x.grad))
+        (fused_out, fused_grad), (composed_out, composed_grad) = results
+        assert fused_out.dtype == dtype and fused_grad.dtype == dtype
+        if dtype == np.float32:
+            np.testing.assert_allclose(fused_out, composed_out, rtol=1e-6, atol=5e-7)
+            np.testing.assert_allclose(fused_grad, composed_grad, rtol=1e-5, atol=2e-6)
+        else:
+            np.testing.assert_allclose(fused_out, composed_out, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(fused_grad, composed_grad, rtol=1e-12, atol=1e-14)
+
+    def test_float32_stays_float32(self, monkeypatch):
+        x = Tensor(RNG.standard_normal((4, 16)).astype(np.float32), requires_grad=True)
+        seen = _accumulated_dtypes(monkeypatch)
+        out = nn.GELU()(x)
+        out.backward(np.ones_like(out.data))
+        assert out.dtype == np.float32
+        assert seen == [np.dtype(np.float32)] * 2  # upstream, x
+
+    def test_forward_records_one_graph_node(self):
+        x = Tensor(RNG.standard_normal((4, 16)).astype(np.float32), requires_grad=True)
+        out = nn.GELU()(x)
+        assert out._parents == (x,)
+        assert _graph_nodes(out) == 1
+
+    def test_no_grad_saves_no_derivative(self):
+        """The recorded forward computes one derivative array and keeps it
+        alive next to its output; under ``no_grad`` the derivative is
+        neither kept nor computed (the peak is one array lower)."""
+        x = Tensor(RNG.standard_normal((256, 256)).astype(np.float32), requires_grad=True)
+        act = nn.GELU()
+
+        def traced_call():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = act(x)
+                current, peak = tracemalloc.get_traced_memory()
+                return out, current - before, peak - before
+            finally:
+                tracemalloc.stop()
+
+        with no_grad():
+            out, plain_kept, plain_peak = traced_call()
+        assert out._backward is None
+        out, recorded_kept, recorded_peak = traced_call()
+        assert out._backward is not None
+        nbytes = x.data.nbytes
+        assert plain_kept < 1.5 * nbytes
+        assert recorded_kept > 1.9 * nbytes
+        assert plain_peak < recorded_peak - 0.5 * nbytes
