@@ -24,6 +24,7 @@ __all__ = [
     "neg",
     "pow",
     "matmul",
+    "linear",
     "exp",
     "log",
     "sqrt",
@@ -47,6 +48,7 @@ __all__ = [
     "reshape",
     "transpose",
     "getitem",
+    "embedding",
     "cat",
     "stack",
     "softmax",
@@ -159,6 +161,48 @@ def matmul(a, b) -> Tensor:
         b._accumulate(_unbroadcast(grad_b, b.shape))
 
     return Tensor._make(out_data, (a, b), backward)
+
+
+def linear(x, weight, bias=None) -> Tensor:
+    """Affine map ``x @ weight.T + bias``, one node with closed-form backward.
+
+    ``x`` is ``(..., in)`` and ``weight`` ``(out, in)``; leading axes of
+    ``x`` are flattened into rows for the products and restored on the
+    output and on ``dx``.  The backward is ``dx = grad @ weight``,
+    ``dweight = (x.T @ grad).T`` and ``dbias = grad.sum(0)``: for a 2-D
+    ``x`` these are the products of the composed
+    ``matmul(x, transpose(weight)) + bias`` graph, so the values are bitwise
+    the same, without its transpose and add nodes.  ``dweight`` is stored
+    C-ordered.  ``grad.T @ x`` is not used for it: BLAS rounds it
+    differently from ``x.T @ grad`` at some float64 shapes.
+    """
+    x, weight = ensure_tensor(x), ensure_tensor(weight)
+    if x.ndim < 1 or weight.ndim != 2:
+        raise ValueError(
+            f"linear expects an (..., in) input and a 2-D weight, "
+            f"got {x.ndim}-D and {weight.ndim}-D"
+        )
+    # A view for a 2-D input: same strides, so the same BLAS rounding.
+    x2d = x.data.reshape(-1, x.shape[-1])
+    out_data = x2d @ weight.data.T
+    if bias is None:
+        parents = (x, weight)
+    else:
+        bias = ensure_tensor(bias)
+        out_data = out_data + bias.data
+        parents = (x, weight, bias)
+    out_data = out_data.reshape(x.shape[:-1] + (weight.shape[0],))
+
+    def backward(grad: np.ndarray) -> None:
+        grad2d = grad.reshape(-1, grad.shape[-1])
+        if x.requires_grad:
+            x._accumulate((grad2d @ weight.data).reshape(x.shape))
+        if weight.requires_grad:
+            weight._accumulate(np.ascontiguousarray((x2d.T @ grad2d).T))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad2d.sum(axis=0))
+
+    return Tensor._make(out_data, parents, backward)
 
 
 # ----------------------------------------------------------------------
@@ -472,6 +516,9 @@ def layer_norm(x, gamma, beta, eps: float) -> Tensor:
     out_data += beta.data
 
     def backward(grad: np.ndarray) -> None:
+        # einsum sums an F-ordered array (a sparse layer's input gradient)
+        # in another order than a C-ordered one; one layout, one rounding.
+        grad = np.ascontiguousarray(grad)
         rows = grad.reshape(-1, n)
         beta._accumulate(np.einsum("ni->i", rows))
         gamma._accumulate(np.einsum("ni,ni->i", rows, x_hat.reshape(-1, n)))
@@ -606,6 +653,49 @@ def getitem(a, index) -> Tensor:
         a._accumulate(full)
 
     return Tensor._make(out_data, (a,), backward)
+
+
+def embedding(weight, indices) -> Tensor:
+    """Row lookup ``weight[indices]`` with a sorted segment-sum backward.
+
+    ``weight`` is ``(num_embeddings, dim)`` and ``indices`` an integer
+    array of any shape with values in ``[0, num_embeddings)``; the output
+    is ``indices.shape + (dim,)``.  Ids outside that range raise
+    ``IndexError``: a negative id would alias a positive one in the forward
+    but fall into its own segment in the backward.  The backward groups the gradient rows by
+    id with a stable argsort and sums each group with ``np.add.reduce``
+    over a C-ordered block.  That sum runs row after row, in the order the
+    ids occur, and adds into a zero row, which is exactly what
+    ``np.add.at`` computes, so the gradient is bitwise the one
+    :func:`getitem` gives.  Rows no id touches stay exactly zero.
+    """
+    weight = ensure_tensor(weight)
+    idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise TypeError(f"embedding ids must be integers, got dtype {idx.dtype}")
+    num_embeddings = weight.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= num_embeddings):
+        raise IndexError(
+            f"embedding ids must be in [0, {num_embeddings}), "
+            f"got range [{idx.min()}, {idx.max()}]"
+        )
+    out_data = weight.data[idx]
+
+    def backward(grad: np.ndarray) -> None:
+        ids = idx.reshape(-1)
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        rows = grad.reshape((ids.size,) + weight.shape[1:])[order]
+        starts = np.flatnonzero(np.diff(ids, prepend=ids[:1] - 1))
+        ends = np.append(starts[1:], ids.size)
+        sums = np.empty((starts.size,) + rows.shape[1:], dtype=rows.dtype)
+        for k, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+            np.add.reduce(rows[start:end], axis=0, out=sums[k])
+        full = np.zeros_like(weight.data)
+        full[ids[starts]] += sums
+        weight._accumulate(full)
+
+    return Tensor._make(out_data, (weight,), backward)
 
 
 def cat(tensors: Iterable, axis: int = 0) -> Tensor:

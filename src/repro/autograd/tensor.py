@@ -192,7 +192,10 @@ class Tensor:
         if grad.dtype != self.data.dtype:
             grad = grad.astype(self.data.dtype)
         if self.grad is None:
-            self.grad = grad.copy() if grad.base is not None or grad is self.data else grad
+            # Copy views so the gradient never aliases another array; order
+            # "K" keeps the layout (a transposed view stays a cheap copy).
+            owned = grad.base is None and grad is not self.data
+            self.grad = grad if owned else grad.copy(order="K")
         else:
             self.grad = self.grad + grad
 

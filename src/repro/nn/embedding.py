@@ -1,12 +1,14 @@
 """Token/position embedding lookup with sparse-row gradient accumulation.
 
 ``Embedding`` is a learned table of shape ``(num_embeddings,
-embedding_dim)`` indexed by integer ids.  The forward pass routes through
-:func:`repro.autograd.ops.getitem`, whose backward uses ``np.add.at`` —
-so the gradient accumulated into the table is *sparse by construction*:
-only rows touched by the batch receive non-zero gradient, with repeated
-ids summed exactly as a dense one-hot matmul would.  That property is
-what lets `MaskedModel` sparsify embedding tables and what the
+embedding_dim)`` indexed by integer ids.  The forward pass is one
+:func:`repro.autograd.ops.embedding` node, whose backward sums the
+gradient rows of each id (a stable argsort, then one sequential
+``np.add.reduce`` per id, bitwise what ``np.add.at`` gives) into a zeroed
+table — so the gradient accumulated into the table is *sparse by
+construction*: only rows touched by the batch receive non-zero gradient,
+with repeated ids summed exactly as a dense one-hot matmul would.  That
+property is what lets `MaskedModel` sparsify embedding tables and what the
 touched-row optimizer binding in ``repro.sparse.masked`` relies on.
 """
 
@@ -44,15 +46,7 @@ class Embedding(Module):
         self.weight = Parameter(table.astype(np.float32), name="embedding")
 
     def forward(self, indices) -> Tensor:
-        idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
-        if not np.issubdtype(idx.dtype, np.integer):
-            raise TypeError(f"Embedding indices must be integers, got dtype {idx.dtype}")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_embeddings):
-            raise IndexError(
-                f"embedding ids must be in [0, {self.num_embeddings}), "
-                f"got range [{idx.min()}, {idx.max()}]"
-            )
-        return ops.getitem(self.weight, idx)
+        return ops.embedding(self.weight, indices)
 
     def __repr__(self) -> str:
         return f"Embedding({self.num_embeddings}, {self.embedding_dim})"

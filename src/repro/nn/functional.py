@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 # Re-exported primitives (same objects; listed for API completeness).
+linear = _ops.linear
 conv2d = _conv.conv2d
 max_pool2d = _conv.max_pool2d
 avg_pool2d = _conv.avg_pool2d
@@ -40,14 +41,6 @@ sigmoid = _ops.sigmoid
 tanh = _ops.tanh
 softmax = _ops.softmax
 log_softmax = _ops.log_softmax
-
-
-def linear(x, weight, bias=None) -> Tensor:
-    """``x @ weight.T + bias`` with weight shaped ``(out, in)``."""
-    out = _ops.matmul(ensure_tensor(x), _ops.transpose(ensure_tensor(weight)))
-    if bias is not None:
-        out = _ops.add(out, bias)
-    return out
 
 
 def dropout(

@@ -53,10 +53,7 @@ class Linear(Module):
             out = backend(x)
             if out is not None:
                 return out
-        out = ops.matmul(x, ops.transpose(self.weight))
-        if self.bias is not None:
-            out = ops.add(out, self.bias)
-        return out
+        return ops.linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return (

@@ -9,9 +9,9 @@ sparsities this is both smaller (CSR storage ∝ non-zeros) and, for large
 enough layers, faster than the dense kernels.
 
 The matmuls route through the same :class:`~repro.sparse.kernels.CsrMatmul`
-helper as the training backends: the transposed CSR structure is
-precomputed once, so ``x @ W.T`` runs as a single sparse product with one
-contiguous output — no double-transpose copy of either operand's result.
+helper as the training backends: ``x @ W.T`` runs as one direct
+``csr_matvecs`` product (``W @ x.T``) into a fresh output per call, with no
+scipy operator dispatch and no double-transpose copy of either operand.
 
 Compiled modules are inference-only: they raise if the model is in
 training mode, and they do not participate in autograd.
@@ -216,8 +216,9 @@ class SparseConv2d(Module):
         cols, _, out_h, out_w = _im2col(data, kh, kw, stride, padding)
         n = data.shape[0]
         cols_mat = np.ascontiguousarray(cols).reshape(n * out_h * out_w, self.in_channels * kh * kw)
-        out_mat = np.ascontiguousarray(self._matmul.matmul_xwt(cols_mat))
-        out = out_mat.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        # The product's .T is a fresh C-ordered (out_channels, N*oh*ow) array.
+        out_mat = self._matmul.matmul_xwt(cols_mat).T
+        out = out_mat.reshape(self.out_channels, n, out_h, out_w).transpose(1, 0, 2, 3)
         if self.bias_data is not None:
             out = out + self.bias_data.reshape(1, -1, 1, 1)
         return Tensor(np.ascontiguousarray(out, dtype=np.float32))

@@ -29,12 +29,14 @@ module provides that compute path for **training**:
   mode and thresholds are overridable per call or process-wide via
   environment variables.
 
-Both matmul orientations use the documented ``dense @ sparse`` product with
-a *stored transposed structure* (``W`` and ``W.T`` share their nnz values
-through two cached gather permutations), so neither direction pays the
-double-transpose copy that a naive ``(csr @ x.T).T`` incurs.  The outputs
-are Fortran-contiguous, which makes chained sparse layers copy-free: the
-next layer's ``x.T`` ravel is then already C-ordered.
+Every product calls scipy's ``csr_matvecs`` kernel directly with the
+sparse operand on the left (``Y += A @ X`` over C-contiguous operands),
+which skips the per-call wrapper objects, transposes and ravel copies of
+scipy's ``dense @ sparse`` operator.  Each orientation reads its own stored
+structure (``W`` and ``W.T`` share their nnz values through cached gather
+permutations).  The CSR products return the Fortran-ordered ``.T`` view of
+a C-contiguous ``(rows, N)`` result, so a chained sparse layer receives an
+input whose transpose is already C-contiguous and needs no staging copy.
 
 Environment overrides
 ---------------------
@@ -49,6 +51,7 @@ import os
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from repro import nn
 from repro.autograd.conv import (
@@ -65,11 +68,6 @@ from repro.autograd.tensor import Tensor, ensure_tensor
 from repro.hotpath import hot_path
 from repro.sparse.blocks import expand_block_csr
 from repro.sparse.masked import MaskedModel, SparseParam
-
-try:  # pragma: no cover - scipy always ships _sparsetools today
-    from scipy.sparse import _sparsetools as _spt
-except ImportError:  # pragma: no cover
-    _spt = None
 
 __all__ = [
     "BACKEND_ENV",
@@ -146,12 +144,54 @@ def select_backend(
     return "dense"
 
 
+@hot_path
+def _csr_matvecs(indptr, indices, data, x2d: np.ndarray, out: np.ndarray) -> None:
+    """``out += A @ x2d`` for the CSR matrix ``A`` of shape
+    ``(out.shape[0], x2d.shape[0])``; both operands C-contiguous."""
+    _sparsetools.csr_matvecs(
+        out.shape[0], x2d.shape[0], x2d.shape[1], indptr, indices, data, x2d.ravel(), out.ravel()
+    )
+
+
+@hot_path
+def _csr_product(indptr, indices, data, shape: tuple[int, int], a2d: np.ndarray) -> np.ndarray:
+    """``(A @ a2d.T).T`` for the CSR matrix ``A`` of shape ``shape``.
+
+    ``csr_matvecs`` indexes the operand with the stored column indices and
+    checks no bounds, so the operand's width is checked here.
+    """
+    n_out, n_col = shape
+    if a2d.ndim != 2 or a2d.shape[1] != n_col:
+        raise ValueError(
+            f"dimension mismatch: sparse product expects a 2-D operand with "
+            f"{n_col} columns, got shape {a2d.shape}"
+        )
+    # One staging copy; a Fortran-ordered operand (the output of a previous
+    # sparse product) is already C-contiguous when transposed and skips it.
+    a_t = np.ascontiguousarray(a2d.T)  # reprolint: disable=RPL005
+    # Fresh per call: the result is handed to autograd or to a serving caller.
+    dtype = np.promote_types(data.dtype, a_t.dtype)
+    out = np.zeros((n_out, a_t.shape[1]), dtype=dtype)  # reprolint: disable=RPL005
+    _csr_matvecs(indptr, indices, data, a_t, out)
+    return out.T
+
+
 class CsrMatmul:
     """CSR (and transposed CSR) form of a 2-D weight view, mask-structured.
 
     ``sync`` refreshes the nnz values from the flat dense weight on every
     call (one cached gather per orientation) and rebuilds the index
     structure only when ``version`` changed since the last sync.
+
+    Both products run ``csr_matvecs`` on the stored arrays: ``x @ W.T`` as
+    ``W @ x.T`` and ``g @ W`` as ``W.T @ g.T``.  Each row of the result sums
+    its terms in ascending column order from zero, the order scipy's
+    ``dense @ sparse`` operator uses, so the values are bitwise identical to
+    it.  The result is the Fortran-ordered ``.T`` view of a fresh
+    C-contiguous array.  Nothing is cached across calls: the output goes to
+    autograd (and to the frozen serving layers of
+    :mod:`repro.sparse.inference`), where a reused buffer would be
+    overwritten under a live tensor.
     """
 
     def __init__(self, shape2d: tuple[int, int]):
@@ -246,17 +286,18 @@ class CsrMatmul:
             matrix.has_sorted_indices = True
             matrix.has_canonical_format = True
 
-    # Both products keep the sparse operand on the left internally (scipy's
-    # fast path) by routing through the pre-transposed structure.
     @hot_path
     def matmul_xwt(self, x2d: np.ndarray) -> np.ndarray:
-        """``x @ W.T`` for row-major ``x`` of shape (N, cols) -> (N, rows)."""
-        return np.asarray(x2d @ self.csr_t)
+        """``x @ W.T`` for ``x`` of shape (N, cols) -> (N, rows), F-ordered."""
+        csr = self.csr
+        return _csr_product(csr.indptr, csr.indices, csr.data, self.shape2d, x2d)
 
     @hot_path
     def matmul_gw(self, g2d: np.ndarray) -> np.ndarray:
-        """``g @ W`` for row-major ``g`` of shape (N, rows) -> (N, cols)."""
-        return np.asarray(g2d @ self.csr)
+        """``g @ W`` for ``g`` of shape (N, rows) -> (N, cols), F-ordered."""
+        csr_t = self.csr_t
+        rows, cols = self.shape2d
+        return _csr_product(csr_t.indptr, csr_t.indices, csr_t.data, (cols, rows), g2d)
 
 
 class BsrMatmul:
@@ -277,8 +318,10 @@ class BsrMatmul:
     cached flat-element gather so a sync refreshes values with two
     ``np.take`` calls and no per-step allocation.  ``csr_matvecs`` computes
     ``Y += A @ X``, so the bias folds into the output initialization for
-    free.  Output buffers live in a small per-instance cache keyed by name
-    (same step-lifetime contract as :class:`~repro.autograd.conv.ConvWorkspace`).
+    free.  Staging and output buffers live in a small per-instance cache
+    keyed by name (same step-lifetime contract as
+    :class:`~repro.autograd.conv.ConvWorkspace`); a product whose result
+    becomes a tensor's data asks for a fresh array with ``reuse=False``.
     """
 
     def __init__(self, shape2d: tuple[int, int], block_size: int):
@@ -378,29 +421,23 @@ class BsrMatmul:
     # products (sparse operand on the left; operands C-contiguous)
     # ------------------------------------------------------------------
     @hot_path
-    def _matvecs(self, n_row, n_col, indptr, indices, data, x2d, out) -> None:
-        if _spt is not None:
-            _spt.csr_matvecs(
-                n_row, n_col, x2d.shape[1], indptr, indices, data, x2d.ravel(), out.ravel()
-            )
-        else:  # pragma: no cover - exercised only without scipy internals
-            csr = sp.csr_matrix((n_row, n_col), dtype=np.float32)
-            csr.data, csr.indices, csr.indptr = data, indices, indptr
-            csr.has_sorted_indices = True
-            csr.has_canonical_format = True
-            out += csr @ x2d
-
-    @hot_path
-    def matmul_wx(self, x_t: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    def matmul_wx(
+        self, x_t: np.ndarray, bias: np.ndarray | None = None, reuse: bool = True
+    ) -> np.ndarray:
         """``W @ x_t`` (+ broadcast bias) for C-contiguous ``x_t`` of shape
-        ``(cols, N)``; returns a cached C-contiguous ``(rows, N)`` buffer."""
+        ``(cols, N)``; returns a C-contiguous ``(rows, N)`` array, a cached
+        buffer unless ``reuse=False`` (for results that become a tensor's
+        data and must survive the next call)."""
         rows, cols = self.shape2d
-        out = self.buffer("wx", (rows, x_t.shape[1]))
+        if reuse:
+            out = self.buffer("wx", (rows, x_t.shape[1]))
+        else:
+            out = np.empty((rows, x_t.shape[1]), dtype=np.float32)  # reprolint: disable=RPL005
         if bias is not None:
             np.copyto(out, bias.reshape(rows, 1))
         else:
             out.fill(0.0)
-        self._matvecs(rows, cols, self._indptr, self._indices, self._data, x_t, out)
+        _csr_matvecs(self._indptr, self._indices, self._data, x_t, out)
         return out
 
     @hot_path
@@ -418,7 +455,7 @@ class BsrMatmul:
             # accumulation, so the cached buffer would alias across steps.
             # reprolint: disable-next=RPL005
             out = np.zeros((cols, g_t.shape[1]), dtype=np.float32)
-        self._matvecs(cols, rows, self._indptr_t, self._indices_t, self._data_t, g_t, out)
+        _csr_matvecs(self._indptr_t, self._indices_t, self._data_t, g_t, out)
         return out
 
     def scatter_grad_w(self, g_t: np.ndarray, x_t: np.ndarray, grad_w: np.ndarray) -> None:
@@ -490,7 +527,10 @@ class LinearKernel(_KernelBase):
 
     Dispatches per call to the CSR or BSR matmul pair; returns ``None``
     (declining the call, so the module falls back to its dense path) when
-    dispatch picks dense or the input is unsupported.
+    dispatch picks dense or the input is unsupported.  Every output and
+    every array a backward closure reads is fresh per call, so the layer
+    may run several forwards before one backward (a GAN discriminator
+    scoring real and fake batches).
     """
 
     def __init__(self, module, target, mode="auto", density_threshold=None, min_size=None):
@@ -535,7 +575,14 @@ class LinearKernel(_KernelBase):
             if x.requires_grad:
                 x._accumulate(matmul.matmul_gw(grad))
             if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=0))
+                # numpy sums a C-ordered array row by row but an F-ordered
+                # one's columns pairwise.  A CSR layer whose output reaches
+                # another sparse layer through elementwise ops (the
+                # char-GPT's fc -> GELU -> proj) gets its gradient
+                # F-ordered, so sum in C order: the rounding then does not
+                # depend on the layout.
+                # reprolint: disable-next=RPL005
+                bias._accumulate(np.ascontiguousarray(grad).sum(axis=0))
 
         return Tensor._make(out, parents, backward)
 
@@ -544,13 +591,15 @@ class LinearKernel(_KernelBase):
         bias = self.module.bias
         matmul = self._bsr()
         matmul.sync(weight.data.reshape(-1), self.target)
-        n, in_features = data.shape
+        n = data.shape[0]
 
-        # Sparse-left orientation: stage x.T C-contiguous once, then
+        # Sparse-left orientation: stage x.T C-contiguous, then
         # out.T = W @ x.T lands C-contiguous and out is its free F view.
-        x_t = matmul.buffer("xT", (in_features, n))
-        np.copyto(x_t, data.T)
-        out = matmul.matmul_wx(x_t, None if bias is None else bias.data).T
+        # Both are fresh per call: the output becomes a tensor and the
+        # backward reads x.T, so a second forward before the backward must
+        # not overwrite either.
+        x_t = np.ascontiguousarray(data.T)  # reprolint: disable=RPL005
+        out = matmul.matmul_wx(x_t, None if bias is None else bias.data, reuse=False).T
 
         parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -582,6 +631,13 @@ class Conv2dKernel(_KernelBase):
     Lowers to im2col exactly like :func:`repro.autograd.conv.conv2d`, but
     the filter-matrix products (forward and input-gradient) run on the
     mask-structured CSR or block-sparse matrices.
+
+    Step-lifetime contract: the output and im2col stagings live in the
+    module's ``ConvWorkspace`` (when it has one), and the BSR path's
+    transposed stagings always live in ``BsrMatmul.buffer`` slots.  The next
+    call overwrites them, so a layer must not run a second forward before
+    the first one's backward.  Unlike :class:`LinearKernel`, a conv layer
+    does not support two forwards before one backward.
     """
 
     def __init__(self, module, target, mode="auto", density_threshold=None, min_size=None):
@@ -631,21 +687,17 @@ class Conv2dKernel(_KernelBase):
         cols, padded_shape, out_h, out_w = _im2col(data, kh, kw, stride, padding, workspace)
         n = data.shape[0]
         cols_mat = _contiguous_cols(cols, workspace).reshape(n * out_h * out_w, c_in * kh * kw)
-        out_mat = matmul.matmul_xwt(cols_mat)  # (N*oh*ow, c_out), scipy-allocated
+        out_mat = matmul.matmul_xwt(cols_mat)  # (N*oh*ow, c_out), F-ordered
+        # out_mat.T is the product's fresh C-ordered (c_out, N*oh*ow) array,
+        # so this reshape is a view.
+        src = out_mat.T.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
         if workspace is not None:
             out_data = workspace.get("out", (n, c_out, out_h, out_w), np.float32)
-            if out_mat.flags.f_contiguous and not out_mat.flags.c_contiguous:
-                # scipy's dense@sparse product is Fortran-ordered; its
-                # transpose is then a free C-ordered view to reshape from.
-                src = out_mat.T.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
-            else:
-                src = out_mat.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
             np.copyto(out_data, src)
             if bias is not None:
                 np.add(out_data, bias.data.reshape(1, c_out, 1, 1), out=out_data)
         else:
-            out_data = np.ascontiguousarray(out_mat).reshape(n, out_h, out_w, c_out)
-            out_data = out_data.transpose(0, 3, 1, 2)
+            out_data = src
             if bias is not None:
                 out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
 
@@ -657,9 +709,10 @@ class Conv2dKernel(_KernelBase):
                 # Dense by design: growth rules score inactive weights too.
                 _accumulate_grad_w(weight, grad_mat, cols_mat, workspace)
             if x.requires_grad:
-                # matmul_gw returns scipy's F-ordered product; _col2im needs a
-                # C-contiguous 6-D view, so stage the transpose copy into the
-                # workspace instead of allocating it fresh every step.
+                # matmul_gw returns the F-ordered .T view of its product;
+                # _col2im needs a C-contiguous 6-D view, so stage the
+                # transpose copy into the workspace instead of allocating it
+                # fresh every step.
                 grad_cols_mat = matmul.matmul_gw(grad_mat)
                 if workspace is not None:
                     grad_cols = workspace.get(

@@ -265,9 +265,9 @@ class SparseParam:
 def _touched_rows_provider(target: SparseParam):
     """Active indices restricted to rows whose current gradient is non-zero.
 
-    Embedding gradients are sparse by construction (``np.add.at`` scatter
-    from :func:`repro.autograd.ops.getitem`): a batch touches only the
-    rows its ids index.  Dense-Adam semantics would still decay the
+    Embedding gradients are sparse by construction (the per-id row sums
+    of :func:`repro.autograd.ops.embedding` land in a zeroed table): a
+    batch touches only the rows its ids index.  Dense-Adam semantics would still decay the
     moments of every *active* coordinate — including rows the batch never
     saw — and then move their weights from stale momentum.  Restricting
     the bound index set to touched rows gives the lazy semantics of

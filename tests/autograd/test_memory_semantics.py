@@ -21,6 +21,18 @@ class TestGradientAliasing:
         x.grad[0] = 123.0
         assert x.data[0] == 1.0
 
+    def test_view_gradient_is_copied_in_its_layout(self):
+        # A transposed (F-ordered) view is copied, so mutating its base
+        # later leaves .grad unchanged, and the copy stays F-ordered rather
+        # than paying a transposing copy.
+        x = Tensor(np.zeros((4, 3), dtype=np.float32), requires_grad=True)
+        base = np.arange(12, dtype=np.float32).reshape(3, 4)
+        x._accumulate(base.T)
+        base[:] = -1.0
+        np.testing.assert_array_equal(x.grad, np.arange(12, dtype=np.float32).reshape(3, 4).T)
+        assert x.grad.base is None
+        assert x.grad.flags.f_contiguous and not x.grad.flags.c_contiguous
+
     def test_accumulation_is_fresh_array(self):
         x = Tensor(np.ones(3, dtype=np.float64), requires_grad=True)
         ops.sum(ops.mul(x, 2.0)).backward()

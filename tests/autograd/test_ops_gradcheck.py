@@ -182,6 +182,24 @@ class TestFusedGradients:
             [x, gamma, beta], atol=1e-6, rtol=1e-5,
         )
 
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_linear(self, bias):
+        x = t64(RNG.standard_normal((5, 4)))
+        w = t64(RNG.standard_normal((3, 4)))
+        b = t64(RNG.standard_normal(3))
+        weights = RNG.standard_normal((5, 3))
+        if bias:
+            fn, inputs = (lambda a, m, c: ops.mul(ops.linear(a, m, c), weights)), [x, w, b]
+        else:
+            fn, inputs = (lambda a, m: ops.mul(ops.linear(a, m), weights)), [x, w]
+        gradcheck(fn, inputs, atol=1e-6, rtol=1e-6)
+
+    def test_embedding(self):
+        w = t64(RNG.standard_normal((6, 3)))
+        idx = np.array([[0, 2], [2, 5]])
+        weights = RNG.standard_normal((2, 2, 3))
+        gradcheck(lambda m: ops.mul(ops.embedding(m, idx), weights), [w], atol=1e-6, rtol=1e-6)
+
 
 class TestShapeGradients:
     def test_reshape(self):

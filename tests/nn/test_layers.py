@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.autograd import Tensor
+from repro.autograd import Tensor, ops
 
 
 RNG = np.random.default_rng(3)
@@ -37,6 +37,64 @@ class TestLinear:
 
     def test_repr(self):
         assert "Linear(in=3, out=2" in repr(nn.Linear(3, 2))
+
+
+def _composed_linear(x, weight, bias):
+    """The Linear graph before it became one node, kept as the oracle."""
+    out = ops.matmul(x, ops.transpose(weight))
+    return out if bias is None else ops.add(out, bias)
+
+
+class TestLinearNode:
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize(
+        "n, d_in, d_out", [(1024, 64, 64), (1024, 64, 65), (7, 5, 3), (64, 128, 20)]
+    )
+    def test_bitwise_matches_composed_oracle(self, n, d_in, d_out, bias):
+        rng = np.random.default_rng(n + d_out)
+        x_data = rng.standard_normal((n, d_in)).astype(np.float32)
+        w_data = rng.standard_normal((d_out, d_in)).astype(np.float32)
+        b_data = rng.standard_normal(d_out).astype(np.float32)
+        upstream = rng.standard_normal((n, d_out)).astype(np.float32)
+        results = []
+        for forward in (ops.linear, _composed_linear):
+            x = Tensor(x_data, requires_grad=True)
+            w = Tensor(w_data, requires_grad=True)
+            b = Tensor(b_data, requires_grad=True) if bias else None
+            out = forward(x, w, b)
+            out.backward(upstream)
+            results.append([out.data, x.grad, w.grad] + ([b.grad] if bias else []))
+        for fused, composed in zip(*results):
+            assert fused.dtype == np.float32
+            np.testing.assert_array_equal(fused, composed)
+        assert results[0][2].flags.c_contiguous  # weight gradient
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_forward_records_one_graph_node(self, bias):
+        layer = nn.Linear(8, 4, bias=bias, rng=np.random.default_rng(0))
+        x = Tensor(RNG.standard_normal((3, 8)).astype(np.float32), requires_grad=True)
+        out = layer(x)
+        assert out._parents == tuple(p for p in (x, layer.weight, layer.bias) if p is not None)
+        assert all(parent._backward is None for parent in out._parents)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_batched_input_matches_composed_oracle(self, bias):
+        rng = np.random.default_rng(5)
+        x_data = rng.standard_normal((2, 3, 8)).astype(np.float32)
+        w_data = rng.standard_normal((4, 8)).astype(np.float32)
+        b_data = rng.standard_normal(4).astype(np.float32)
+        upstream = rng.standard_normal((2, 3, 4)).astype(np.float32)
+        results = []
+        for forward in (ops.linear, _composed_linear):
+            x = Tensor(x_data, requires_grad=True)
+            w = Tensor(w_data, requires_grad=True)
+            b = Tensor(b_data, requires_grad=True) if bias else None
+            out = forward(x, w, b)
+            out.backward(upstream)
+            results.append([out.data, x.grad, w.grad] + ([b.grad] if bias else []))
+        for fused, composed in zip(*results):
+            assert fused.shape == composed.shape
+            np.testing.assert_allclose(fused, composed, rtol=1e-5, atol=1e-5)
 
 
 class TestConv2d:

@@ -190,6 +190,35 @@ class TestEmbedding:
         untouched = np.delete(np.arange(10), [1, 3])
         assert not grad[untouched].any()
 
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            np.array([4, 1, 4, 4, 0, 1]),  # repeated ids
+            np.full(1100, 2),  # one segment over 1000 rows long
+            np.broadcast_to(np.arange(8), (5, 8)),  # broadcast position ids
+            np.zeros(0, np.int64),  # empty index
+            RNG.integers(0, 65, size=(32, 32)),  # a char-GPT batch
+        ],
+    )
+    def test_gradient_bitwise_matches_add_at(self, ids):
+        rng = np.random.default_rng(ids.size)
+        emb = nn.Embedding(65, 16, rng=rng)
+        upstream = rng.standard_normal(ids.shape + (16,)).astype(np.float32)
+        upstream[..., 0] = -0.0  # signed zeros must sum as np.add.at does
+        out = emb(ids)
+        out.backward(upstream)
+        reference = np.zeros_like(emb.weight.data)
+        np.add.at(reference, ids, upstream)
+        np.testing.assert_array_equal(out.data, emb.weight.data[ids])
+        np.testing.assert_array_equal(emb.weight.grad, reference)
+        np.testing.assert_array_equal(np.signbit(emb.weight.grad), np.signbit(reference))
+
+    def test_forward_records_one_graph_node(self):
+        emb = nn.Embedding(10, 4)
+        out = emb(np.array([[1, 2], [3, 1]]))
+        assert out._parents == (emb.weight,)
+        assert _graph_nodes(out) == 1
+
     def test_output_shape_follows_indices(self):
         emb = nn.Embedding(6, 3)
         assert emb(np.zeros((2, 5), np.int64)).shape == (2, 5, 3)
@@ -200,6 +229,14 @@ class TestEmbedding:
             emb(np.zeros(3, np.float32))
         with pytest.raises(IndexError, match="embedding ids"):
             emb(np.array([0, 6]))
+
+    @pytest.mark.parametrize("ids", [np.array([0, -1]), np.array([[2, 6]]), np.array([-7])])
+    def test_op_rejects_out_of_range_ids(self, ids):
+        """A negative id would alias a positive one in the forward but land
+        in its own segment in the backward, so the op itself rejects it."""
+        weight = Tensor(np.zeros((6, 3), np.float32), requires_grad=True)
+        with pytest.raises(IndexError, match="embedding ids"):
+            ops.embedding(weight, ids)
 
 
 class TestLeftPadContract:

@@ -42,6 +42,13 @@ class TestSparseLinear:
         with pytest.raises(RuntimeError, match="inference-only"):
             sparse(Tensor(np.zeros((1, 4), dtype=np.float32)))
 
+    @pytest.mark.parametrize("width", [15, 17])
+    def test_wrong_input_width_raises(self, width):
+        sparse = SparseLinear(nn.Linear(16, 8, rng=np.random.default_rng(1)))
+        sparse.eval()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            sparse(Tensor(np.ones((4, width), dtype=np.float32)))
+
     def test_nnz_matches_mask(self):
         dense = nn.Linear(10, 10, rng=np.random.default_rng(1))
         mask = RNG.random((10, 10)) < 0.2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import nn
-from repro.autograd import Tensor
+from repro.autograd import Tensor, ops
 from repro.models import MLP
 from repro.optim import SGD
 from repro.sparse import (
@@ -91,6 +91,14 @@ class TestLinearParity:
         out = model(x)  # falls back to the dense path, no crash
         assert out.shape == (4, 5)
 
+    @pytest.mark.parametrize("width", [23, 25])
+    def test_wrong_input_width_raises(self, width):
+        model, masked = mlp_setup()
+        install_training_backends(masked, mode="csr", min_size=1)
+        x = Tensor(np.ones((4, width), dtype=np.float32))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            model(x)
+
     def test_remove_backends_restores_dense_path(self):
         model, masked = mlp_setup()
         install_training_backends(masked, mode="csr", min_size=1)
@@ -98,6 +106,53 @@ class TestLinearParity:
         for module in model.modules():
             if isinstance(module, (nn.Linear, nn.Conv2d)):
                 assert module.forward_backend is None
+
+
+class TestTwoForwardsOneBackward:
+    """A layer called twice before one backward (a GAN discriminator scoring
+    real and fake batches) must keep both outputs and sum both gradients."""
+
+    @staticmethod
+    def _run(layer, xs, upstreams):
+        layer.zero_grad()
+        inputs = [Tensor(x, requires_grad=True) for x in xs]
+        outs, snapshots = [], []
+        for inp in inputs:
+            outs.append(layer(inp))
+            snapshots.append(outs[-1].data.copy())
+        # The first output must survive the second forward unchanged.
+        for out, snapshot in zip(outs, snapshots):
+            np.testing.assert_array_equal(out.data, snapshot)
+        terms = [ops.sum(ops.mul(out, g)) for out, g in zip(outs, upstreams)]
+        ops.add(*terms).backward()
+        return (
+            snapshots,
+            [inp.grad for inp in inputs],
+            layer.weight.grad.copy(),
+            layer.bias.grad.copy(),
+        )
+
+    @pytest.mark.parametrize("mode, block_size", [("csr", 1), ("bsr", 4)])
+    def test_matches_dense_path(self, mode, block_size):
+        layer = nn.Linear(64, 64, rng=np.random.default_rng(0))
+        masked = MaskedModel(
+            layer, 0.9, distribution="uniform",
+            rng=np.random.default_rng(1), block_size=block_size,
+        )
+        xs = [RNG.standard_normal((16, 64)).astype(np.float32) for _ in range(2)]
+        upstreams = [RNG.standard_normal((16, 64)).astype(np.float32) for _ in range(2)]
+        dense = self._run(layer, xs, upstreams)
+        report = install_training_backends(masked, mode=mode, min_size=1)
+        assert set(report.values()) == {mode}
+        sparse = self._run(layer, xs, upstreams)
+        remove_training_backends(layer)
+
+        active = masked.targets[0].mask.astype(bool)
+        for got, want in zip(sparse[0] + sparse[1], dense[0] + dense[1]):
+            np.testing.assert_allclose(got, want, atol=1e-5)
+        # Between mask updates the BSR weight gradient covers active tiles.
+        np.testing.assert_allclose(sparse[2][active], dense[2][active], atol=1e-5)
+        np.testing.assert_allclose(sparse[3], dense[3], atol=1e-5)
 
 
 class TestConvParity:
@@ -232,6 +287,50 @@ class TestCsrMatmul:
         g = RNG.standard_normal((7, 12)).astype(np.float32)
         np.testing.assert_allclose(matmul.matmul_xwt(x), x @ w.T, atol=1e-5)
         np.testing.assert_allclose(matmul.matmul_gw(g), g @ w, atol=1e-5)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "shape, n, density",
+        [((256, 64), 1024, 0.05), ((64, 256), 1024, 0.05), ((65, 64), 3, 0.3),
+         ((7, 13), 1, 0.5), ((300, 129), 77, 0.1), ((5, 9), 4, 0.0)],
+    )
+    def test_products_bitwise_match_scipy_operator(self, shape, n, density, order):
+        """The direct ``csr_matvecs`` products equal scipy's ``dense @ sparse``
+        bit for bit, in its Fortran layout, for C- and F-ordered operands."""
+        rng = np.random.default_rng(n)
+        mask = rng.random(shape) < density
+        w = rng.standard_normal(shape).astype(np.float32) * mask
+        matmul = CsrMatmul(shape)
+        matmul.sync(w.reshape(-1), np.flatnonzero(mask.reshape(-1)), version=0)
+        x = np.asarray(rng.standard_normal((n, shape[1])), np.float32, order=order)
+        g = np.asarray(rng.standard_normal((n, shape[0])), np.float32, order=order)
+        for got, want in (
+            (matmul.matmul_xwt(x), x @ matmul.csr_t),
+            (matmul.matmul_gw(g), g @ matmul.csr),
+        ):
+            np.testing.assert_array_equal(got, want)
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    def test_rejects_operand_of_wrong_width(self):
+        w = RNG.standard_normal((6, 8)).astype(np.float32)
+        matmul = CsrMatmul(w.shape)
+        matmul.sync(w.reshape(-1), np.arange(w.size), version=0)
+        for shape in ((3, 7), (3, 9), (8,)):
+            bad = np.ones(shape, np.float32)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                matmul.matmul_xwt(bad)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matmul.matmul_gw(np.ones((3, 8), np.float32))
+
+    def test_outputs_are_fresh_per_call(self):
+        w = RNG.standard_normal((6, 8)).astype(np.float32)
+        matmul = CsrMatmul(w.shape)
+        matmul.sync(w.reshape(-1), np.arange(w.size), version=0)
+        x = RNG.standard_normal((3, 8)).astype(np.float32)
+        first = matmul.matmul_xwt(x)
+        snapshot = first.copy()
+        matmul.matmul_xwt(2 * x)
+        np.testing.assert_array_equal(first, snapshot)
 
     def test_empty_mask(self):
         w = np.zeros((4, 6), dtype=np.float32)
