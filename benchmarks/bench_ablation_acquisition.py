@@ -1,7 +1,7 @@
 """Ablation — the acquisition function's components (Eq. 1).
 
-DESIGN.md §5: isolate the contribution of each term of the acquisition
-score by comparing, at fixed budget and schedule:
+Isolates the contribution of each term of the acquisition score by
+comparing, at fixed budget and schedule:
 
 * exploitation only   (c = 0 ⇒ RigL's greedy rule),
 * exploration only    (random-ish growth driven by the coverage bonus with

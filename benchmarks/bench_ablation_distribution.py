@@ -1,7 +1,6 @@
 """Ablation — layer-wise sparsity distribution (ERK vs ER vs uniform).
 
-DESIGN.md §5: the paper initializes with ERK "as in RigL and ITOP".  This
-bench compares the three distributions at equal global budget under
+The paper initializes with ERK "as in RigL and ITOP".  This bench compares the three distributions at equal global budget under
 DST-EE.
 
 Shape checks: all three hold the global budget; ERK allocates more density

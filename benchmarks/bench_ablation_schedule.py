@@ -1,6 +1,6 @@
 """Ablation — mask-update period ΔT and drop-fraction schedule.
 
-DESIGN.md §5: the paper follows RigL's recipe (cosine-annealed drop
+The paper follows RigL's recipe (cosine-annealed drop
 fraction, updates every ΔT, frozen topology for the tail of training).
 This bench varies ΔT and the annealing schedule at fixed budget.
 

@@ -16,7 +16,7 @@ top-|grad| rule at round q would have missed, per conv layer.
 Shape checks: the ignored fraction is high (> 0.5 on average) and exceeds
 90% in a majority of the measurable conv layers — note that under ERK at
 90% sparsity the early narrow convs stay dense, so fewer than 16 layers
-participate at bench scale (recorded in EXPERIMENTS.md).
+participate at bench scale.
 """
 
 from __future__ import annotations

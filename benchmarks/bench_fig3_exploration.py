@@ -7,7 +7,7 @@ within the swept range, larger c ⇒ higher final accuracy.
 
 At bench scale the gradient magnitudes are larger than in a 160-epoch
 CIFAR run, so the *effective* sweep extends one decade higher (the
-relative ordering is what matters); EXPERIMENTS.md records the mapping.
+relative ordering is what matters, not the absolute c values).
 
 Shape checks: exploration degree is monotone non-decreasing in c, and the
 highest-c run is at least as accurate as the lowest-c run.

@@ -380,7 +380,7 @@ def conv_workspace_ab() -> dict:
 def time_multi_seed_sweep() -> dict:
     """Wall-clock of one multi-seed cell, serial vs ``n_proc`` sharding."""
     from repro.data.synthetic import cifar10_like
-    from repro.experiments.runner import run_multi_seed
+    from repro.experiments.runner import run_image_classification, run_multi_seed
 
     settings = _SWEEP_SETTINGS[get_scale().name]
     data = cifar10_like(
@@ -397,7 +397,8 @@ def time_multi_seed_sweep() -> dict:
     def timed_run(n_proc: int) -> tuple[float, float]:
         start = time.perf_counter()
         mean, _, _ = run_multi_seed(
-            "dst_ee", factory, data, seeds=seeds, n_proc=n_proc, **kwargs
+            run_image_classification, "dst_ee", factory, data,
+            seeds=seeds, n_proc=n_proc, **kwargs,
         )
         return time.perf_counter() - start, mean
 

@@ -14,8 +14,12 @@ Shape checks:
 
 from __future__ import annotations
 
-
-from repro.experiments import format_table, run_multi_seed, table2_settings
+from repro.experiments import (
+    format_table,
+    run_image_classification,
+    run_multi_seed,
+    table2_settings,
+)
 from repro.flops import profile_model
 
 SETTINGS = table2_settings()
@@ -30,17 +34,18 @@ def _build_table() -> tuple[str, dict]:
     cells: dict = {}
     kwargs = SETTINGS.run_kwargs()
 
-    dense_mean, dense_std, dense_results = None, None, None
-    dense_mean, dense_std, dense_results = run_multi_seed(
-        "dense", factory, data, seeds=SETTINGS.scale.seeds, **kwargs
+    dense_mean, dense_std, _ = run_multi_seed(
+        run_image_classification, "dense", factory, data, seeds=SETTINGS.scale.seeds, **kwargs
     )
-    rows.append({
-        "method": "dense",
-        "sparsity": "-",
-        "train_x": "1.00x",
-        "infer_x": "1.00x",
-        "top1": f"{100 * dense_mean:.2f} ± {100 * dense_std:.2f}",
-    })
+    rows.append(
+        {
+            "method": "dense",
+            "sparsity": "-",
+            "train_x": "1.00x",
+            "infer_x": "1.00x",
+            "top1": f"{100 * dense_mean:.2f} ± {100 * dense_std:.2f}",
+        }
+    )
     cells["dense"] = {None: dense_mean}
 
     for sparsity in SETTINGS.sparsities:
@@ -48,17 +53,24 @@ def _build_table() -> tuple[str, dict]:
             if method == "dense":
                 continue
             mean, std, results = run_multi_seed(
-                method, factory, data, seeds=SETTINGS.scale.seeds,
-                sparsity=sparsity, **kwargs,
+                run_image_classification,
+                method,
+                factory,
+                data,
+                seeds=SETTINGS.scale.seeds,
+                sparsity=sparsity,
+                **kwargs,
             )
             sample = results[0]
-            rows.append({
-                "method": method,
-                "sparsity": f"{int(sparsity * 100)}%",
-                "train_x": f"{sample.training_flops_multiplier:.2f}x",
-                "infer_x": f"{sample.inference_flops_multiplier:.2f}x",
-                "top1": f"{100 * mean:.2f} ± {100 * std:.2f}",
-            })
+            rows.append(
+                {
+                    "method": method,
+                    "sparsity": f"{int(sparsity * 100)}%",
+                    "train_x": f"{sample.training_flops_multiplier:.2f}x",
+                    "infer_x": f"{sample.inference_flops_multiplier:.2f}x",
+                    "top1": f"{100 * mean:.2f} ± {100 * std:.2f}",
+                }
+            )
             cells.setdefault(method, {})[sparsity] = {
                 "acc": mean,
                 "train_x": sample.training_flops_multiplier,
@@ -69,9 +81,11 @@ def _build_table() -> tuple[str, dict]:
         rows,
         ["method", "sparsity", "train_x", "infer_x", "top1"],
         headers=["Method", "Sparsity", "Training FLOPs", "Inference FLOPs", "Top-1"],
-        title=(f"Table II [ResNet-50-family / imagenet-like] "
-               f"dense fwd = {profile.total_flops:,} FLOPs "
-               f"(scale={SETTINGS.scale.name})"),
+        title=(
+            f"Table II [ResNet-50-family / imagenet-like] "
+            f"dense fwd = {profile.total_flops:,} FLOPs "
+            f"(scale={SETTINGS.scale.name})"
+        ),
     )
     return table, cells
 

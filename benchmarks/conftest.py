@@ -1,9 +1,9 @@
 """Shared infrastructure for the benchmark harness.
 
-Every bench regenerates one table or figure of the paper (see DESIGN.md §4).
-Tables are printed to stdout *and* written to ``benchmarks/results/``, so the
-numbers survive pytest's output capture; EXPERIMENTS.md records the
-paper-vs-measured comparison.
+Every bench regenerates one table, figure or ablation of the paper at
+laptop scale.  Tables are printed to stdout *and* written to
+``benchmarks/results/``, so the numbers survive pytest's output capture and
+can be compared with the paper's by hand.
 
 Scale is controlled by the ``REPRO_SCALE`` environment variable
 (``small``/``medium``/``full`` — see :mod:`repro.experiments.configs`).

@@ -13,8 +13,8 @@ from repro.models import vgg19
 
 
 def main() -> None:
-    # A CIFAR-10 stand-in (see DESIGN.md for the substitution rationale)
-    # and a width-scaled VGG-19 (the paper's 16-conv architecture).
+    # A CIFAR-10 stand-in (CIFAR itself is not available offline) and a
+    # width-scaled VGG-19 (the paper's 16-conv architecture).
     data = cifar10_like(n_train=1024, n_test=512, image_size=12, seed=0)
 
     def model_factory(seed: int):

@@ -6,8 +6,8 @@ mixtures rendered as low-frequency images*: each class owns a smooth random
 prototype image, and every example is the prototype under a random contrast,
 shift and additive noise.  The task is nonconvex for a CNN, benefits from
 capacity, and degrades gracefully with sparsity — which is what the relative
-comparisons in Tables I/II exercise.  See DESIGN.md §2 for the substitution
-argument.
+comparisons in Tables I/II exercise; the benches check those orderings, not
+the paper's absolute accuracies.
 
 All generators take an explicit seed and return a
 :class:`~repro.data.dataset.ClassificationData`.

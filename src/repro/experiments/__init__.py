@@ -8,25 +8,20 @@ from repro.experiments.registry import (
     RL_METHODS,
     STATIC_METHODS,
     MethodSetup,
+    SweepCell,
     build_method,
-    enumerate_lm_cells,
-    enumerate_rl_cells,
+    enumerate_cells,
     method_family,
 )
-from repro.experiments.runner import RunResult, run_image_classification, run_multi_seed
-from repro.experiments.rl import (
-    RLRunResult,
-    run_rl,
-    run_rl_multi_seed,
-    run_rl_sweep,
+from repro.experiments.runner import (
+    RunResult,
+    SweepReport,
+    run_image_classification,
+    run_multi_seed,
+    run_sweep,
 )
-from repro.experiments.lm import (
-    LMRunResult,
-    evaluate_lm,
-    run_lm,
-    run_lm_multi_seed,
-    run_lm_sweep,
-)
+from repro.experiments.rl import RLRunResult, run_rl
+from repro.experiments.lm import LMRunResult, evaluate_lm, run_lm
 from repro.experiments.gnn import (
     GNNResult,
     evaluate_link_prediction,
@@ -60,17 +55,15 @@ __all__ = [
     "LMRunResult",
     "RLRunResult",
     "RunResult",
-    "enumerate_lm_cells",
-    "enumerate_rl_cells",
+    "SweepCell",
+    "SweepReport",
+    "enumerate_cells",
     "evaluate_lm",
     "run_image_classification",
     "run_lm",
-    "run_lm_multi_seed",
-    "run_lm_sweep",
     "run_multi_seed",
     "run_rl",
-    "run_rl_multi_seed",
-    "run_rl_sweep",
+    "run_sweep",
     "GNNResult",
     "evaluate_link_prediction",
     "train_link_predictor",

@@ -524,6 +524,7 @@ def _command_run(args) -> int:
     data = _dataset(args)
     if args.seeds is not None:
         mean, std, results = run_multi_seed(
+            run_image_classification,
             args.method,
             _model_factory(args, data.num_classes),
             data,
@@ -564,7 +565,7 @@ def _command_run(args) -> int:
 
 def _command_sweep(args) -> int:
     from repro.experiments.registry import enumerate_cells
-    from repro.experiments.runner import run_sweep
+    from repro.experiments.runner import run_image_classification, run_sweep
     from repro.experiments.tables import format_float, format_table
 
     data = _dataset(args)
@@ -588,10 +589,20 @@ def _command_sweep(args) -> int:
             "checkpoint_keep_last": args.keep_last,
         }
     builders = _model_builders(args, data.num_classes)
+
+    def run_cell(cell, **kwargs):
+        return run_image_classification(
+            cell.method,
+            builders[cell.model],
+            data,
+            sparsity=cell.sparsity,
+            seed=cell.seed,
+            **kwargs,
+        )
+
     report = run_sweep(
         cells,
-        {name: (lambda num_classes, b=builders[name]: b) for name in args.models},
-        {args.dataset: data},
+        run_cell,
         n_proc=args.nproc,
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -633,12 +644,14 @@ def _format_return(value: float | None) -> str:
 
 
 def _command_run_rl(args) -> int:
-    from repro.experiments.rl import run_rl, run_rl_multi_seed
+    from repro.experiments.rl import run_rl
+    from repro.experiments.runner import run_multi_seed
     from repro.rl.envs import ENV_REGISTRY
 
     rl_kwargs = _run_kwargs(args)
     if args.seeds is not None:
-        mean, std, results = run_rl_multi_seed(
+        mean, std, results = run_multi_seed(
+            run_rl,
             args.method,
             args.env,
             seeds=tuple(args.seeds),
@@ -656,7 +669,7 @@ def _command_run_rl(args) -> int:
             final = _format_return(result.final_avg_return)
             best = _format_return(result.best_avg_return)
             print(f"  seed {seed}: final avg return {final} (best {best}, {solved})")
-        print(f"avg return:           {mean:.2f} ± {std:.2f}")
+        print(f"avg return:           {_format_return(mean)} ± {_format_return(std)}")
         print(f"solved seeds:         {sum(1 for r in results if r.solved)}" f"/{len(results)}")
         return 0
 
@@ -724,11 +737,13 @@ def _command_run_rl(args) -> int:
 
 
 def _command_run_lm(args) -> int:
-    from repro.experiments.lm import run_lm, run_lm_multi_seed
+    from repro.experiments.lm import run_lm
+    from repro.experiments.runner import mean_std, run_multi_seed
 
     lm_kwargs = _run_kwargs(args)
     if args.seeds is not None:
-        mean, std, results = run_lm_multi_seed(
+        _, _, results = run_multi_seed(
+            run_lm,
             args.method,
             args.corpus,
             seeds=tuple(args.seeds),
@@ -743,6 +758,7 @@ def _command_run_lm(args) -> int:
                 f"  seed {seed}: val ppl {result.val_perplexity:.3f} "
                 f"(next-token acc {result.val_next_token_accuracy:.4f})"
             )
+        mean, std = mean_std(result.val_perplexity for result in results)
         print(f"val perplexity:       {mean:.3f} ± {std:.3f}")
         return 0
 
@@ -951,11 +967,13 @@ def _command_gnn(args) -> int:
 
 
 def _command_run_gan(args) -> int:
-    from repro.experiments.gan import run_gan, run_gan_multi_seed
+    from repro.experiments.gan import run_gan
+    from repro.experiments.runner import run_multi_seed
 
     gan_kwargs = _run_kwargs(args)
     if args.seeds is not None:
-        mean, std, results = run_gan_multi_seed(
+        mean, std, results = run_multi_seed(
+            run_gan,
             args.method,
             args.mixture,
             seeds=tuple(args.seeds),

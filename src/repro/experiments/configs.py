@@ -2,7 +2,8 @@
 
 The paper's experiments (VGG-19/ResNet-50 on CIFAR & ImageNet, 100–250
 epochs on 8 GPUs) are reproduced at laptop scale on the synthetic datasets
-(DESIGN.md §2).  The scale is selectable with the ``REPRO_SCALE``
+of :mod:`repro.data.synthetic`, since the real ones are not available
+offline.  The scale is selectable with the ``REPRO_SCALE``
 environment variable:
 
 * ``small`` (default) — minutes on a CPU; 1 seed; reduced method grid is
@@ -33,8 +34,9 @@ __all__ = [
 ]
 
 # Method rows of Table I, in the paper's order (SIS's subdifferential solver
-# is out of scope; the STR proximal family represents dense-to-sparse — see
-# DESIGN.md).  "dense" is the reference row.
+# is out of scope for this NumPy-only stack; the STR thresholding variant of
+# repro.sparse.str_prune represents dense-to-sparse).  "dense" is the
+# reference row.
 TABLE1_METHODS = (
     "dense",
     "snip",

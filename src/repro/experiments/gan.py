@@ -21,8 +21,11 @@ killed run resumed from a checkpoint continues **bitwise identically**.
 
 Quality is scored by *mode coverage*: the fraction of mixture modes that
 receive a non-trivial share of generated samples (the standard synthetic
-2-D GAN health check) — surfaced as ``final_accuracy`` so the sweep
-aggregation machinery works unchanged.
+2-D GAN health check) — surfaced as ``final_accuracy`` so the
+workload-agnostic :func:`~repro.experiments.runner.run_multi_seed` and
+:func:`~repro.experiments.runner.run_sweep` aggregate it unchanged.  A GAN
+sweep cell is a :class:`~repro.experiments.registry.SweepCell` with
+``model="gan"`` and the mixture name in the ``dataset`` slot.
 """
 
 from __future__ import annotations
@@ -34,15 +37,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.experiments.registry import GAN_METHODS, SweepCell, build_method
-from repro.experiments.runner import (
-    SweepReport,
-    _resolve_resume_path,
-    run_cell_grid,
-)
+from repro.experiments.registry import GAN_METHODS, build_method
+from repro.experiments.runner import _resolve_resume_path
 from repro.models.mlp import MLP
 from repro.optim import Adam
-from repro.parallel import run_sharded
 from repro.sparse.budget import DensityBudget
 from repro.train.callbacks import Callback
 from repro.train.checkpoint import CheckpointCallback, load_training_checkpoint
@@ -55,8 +53,6 @@ __all__ = [
     "GANTrainer",
     "GANRunResult",
     "run_gan",
-    "run_gan_multi_seed",
-    "run_gan_sweep",
 ]
 
 
@@ -576,65 +572,3 @@ def run_gan(
         discriminator=discriminator if keep_model else None,
     )
 
-
-def run_gan_multi_seed(
-    method: str,
-    mixture: str = "ring8",
-    seeds: tuple[int, ...] = (0, 1, 2),
-    n_proc: int | None = None,
-    **kwargs,
-) -> tuple[float, float, list[GANRunResult]]:
-    """Run several seeds; return (mean mode coverage, std, all results)."""
-    jobs = [
-        (lambda seed=seed: run_gan(method, mixture, seed=seed, **kwargs))
-        for seed in seeds
-    ]
-    results = [
-        shard.unwrap() for shard in run_sharded(jobs, n_proc=n_proc, fail_fast=True)
-    ]
-    scores = np.array([r.mode_coverage for r in results])
-    return float(np.mean(scores)), float(np.std(scores)), results
-
-
-def run_gan_sweep(
-    cells: Sequence[SweepCell],
-    n_proc: int | None = None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    **run_kwargs,
-) -> SweepReport:
-    """Run a grid of GAN sweep cells across ``n_proc`` worker processes.
-
-    Cells come from
-    :func:`repro.experiments.registry.enumerate_gan_cells` (``dataset`` is
-    the mixture name).  Crash isolation, per-cell result records,
-    ``manifest.json``, config-fingerprint invalidation, and ``resume=True``
-    semantics are identical to the supervised and RL sweeps — all three
-    share :func:`repro.experiments.runner.run_cell_grid`.
-    """
-    cells = list(cells)
-    for cell in cells:
-        if cell.method not in GAN_METHODS:
-            raise ValueError(f"method {cell.method!r} is not GAN-capable; known: {GAN_METHODS}")
-        if cell.dataset not in MIXTURES:
-            raise KeyError(f"no mixture named {cell.dataset!r}")
-
-    def run_cell(cell: SweepCell, cell_dir, resume_cell: bool, kwargs: dict):
-        return run_gan(
-            cell.method,
-            cell.dataset,
-            sparsity=cell.sparsity,
-            seed=cell.seed,
-            checkpoint_dir=cell_dir,
-            resume_from=cell_dir if resume_cell else None,
-            **kwargs,
-        )
-
-    return run_cell_grid(
-        cells,
-        run_cell,
-        n_proc=n_proc,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        **run_kwargs,
-    )

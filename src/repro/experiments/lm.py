@@ -12,10 +12,14 @@ Every method/budget/schedule/checkpoint/backend keyword is named
 identically to the image/RL/GAN runners.
 
 Fault tolerance mirrors the other workloads: ``checkpoint_dir`` writes
-resume-exact training checkpoints during the run, ``resume_from``
-continues a killed run bitwise-identically (including mid-epoch), and
-:func:`run_lm_sweep` reuses :func:`~repro.experiments.runner.run_cell_grid`
-verbatim for crash isolation, per-cell records, and ``resume=True``.
+resume-exact training checkpoints during the run and ``resume_from``
+continues a killed run bitwise-identically (including mid-epoch).  Seeds
+and grids go through the workload-agnostic
+:func:`~repro.experiments.runner.run_multi_seed` and
+:func:`~repro.experiments.runner.run_sweep`, which give crash isolation,
+per-cell records and ``resume=True``; an LM cell is a
+:class:`~repro.experiments.registry.SweepCell` with ``model="char_gpt"``
+and the corpus name in the ``dataset`` slot.
 """
 
 from __future__ import annotations
@@ -29,28 +33,17 @@ import numpy as np
 from repro.autograd.tensor import no_grad
 from repro.data.loader import DataLoader
 from repro.data.text import LMData, make_char_lm_data
-from repro.experiments.registry import LM_METHODS, SweepCell, build_method
-from repro.experiments.runner import (
-    SweepReport,
-    _resolve_resume_path,
-    run_cell_grid,
-)
+from repro.experiments.registry import LM_METHODS, build_method
+from repro.experiments.runner import _resolve_resume_path
 from repro.models.char_gpt import CharGPT
 from repro.nn.losses import lm_cross_entropy
 from repro.nn.module import Module
 from repro.optim import Adam
-from repro.parallel import run_sharded
 from repro.train import Trainer
 from repro.train.callbacks import Callback
 from repro.train.checkpoint import CheckpointCallback, load_training_checkpoint
 
-__all__ = [
-    "LMRunResult",
-    "evaluate_lm",
-    "run_lm",
-    "run_lm_multi_seed",
-    "run_lm_sweep",
-]
+__all__ = ["LMRunResult", "evaluate_lm", "run_lm"]
 
 CORPORA = ("markov-prose",)
 
@@ -272,73 +265,3 @@ def run_lm(
         masked=setup.masked if keep_model else None,
     )
 
-
-def run_lm_multi_seed(
-    method: str,
-    corpus: str = "markov-prose",
-    seeds: tuple[int, ...] = (0, 1, 2),
-    n_proc: int | None = None,
-    **kwargs,
-) -> tuple[float, float, list[LMRunResult]]:
-    """Run several seeds; return (mean val perplexity, std, all results).
-
-    Seeds fan out across ``n_proc`` worker processes exactly as the
-    supervised and RL multi-seed runners do — each seed recomputes
-    exactly what the serial path computes, and a failed seed raises as it
-    would serially.
-    """
-    jobs = [
-        (lambda seed=seed: run_lm(method, corpus, seed=seed, **kwargs))
-        for seed in seeds
-    ]
-    results = [
-        shard.unwrap() for shard in run_sharded(jobs, n_proc=n_proc, fail_fast=True)
-    ]
-    scores = np.array([r.val_perplexity for r in results])
-    return float(np.mean(scores)), float(np.std(scores)), results
-
-
-def run_lm_sweep(
-    cells: Sequence[SweepCell],
-    n_proc: int | None = None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    **run_kwargs,
-) -> SweepReport:
-    """Run a grid of LM sweep cells across ``n_proc`` worker processes.
-
-    Cells come from
-    :func:`repro.experiments.registry.enumerate_lm_cells` (``dataset`` is
-    the corpus name).  Crash isolation, per-cell result records,
-    ``manifest.json``, config-fingerprint invalidation, and ``resume=True``
-    semantics are identical to the supervised, RL, and GAN sweeps — all
-    four share :func:`repro.experiments.runner.run_cell_grid` verbatim.
-    """
-    cells = list(cells)
-    for cell in cells:
-        if cell.method not in LM_METHODS:
-            raise ValueError(
-                f"method {cell.method!r} is not LM-capable; known: {LM_METHODS}"
-            )
-        if cell.dataset not in CORPORA:
-            raise KeyError(f"no corpus named {cell.dataset!r}")
-
-    def run_cell(cell: SweepCell, cell_dir, resume_cell: bool, kwargs: dict):
-        return run_lm(
-            cell.method,
-            cell.dataset,
-            sparsity=cell.sparsity,
-            seed=cell.seed,
-            checkpoint_dir=cell_dir,
-            resume_from=cell_dir if resume_cell else None,
-            **kwargs,
-        )
-
-    return run_cell_grid(
-        cells,
-        run_cell,
-        n_proc=n_proc,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        **run_kwargs,
-    )

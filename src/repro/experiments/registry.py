@@ -49,9 +49,6 @@ __all__ = [
     "SweepCell",
     "build_method",
     "enumerate_cells",
-    "enumerate_rl_cells",
-    "enumerate_gan_cells",
-    "enumerate_lm_cells",
     "DYNAMIC_METHODS",
     "STATIC_METHODS",
     "DENSE_TO_SPARSE_METHODS",
@@ -125,7 +122,11 @@ class SweepCell:
 
     This is the granularity at which the parallel execution engine shards
     work (see :func:`repro.experiments.runner.run_sweep`): cells never
-    share state, so any subset can run in any process in any order.
+    share state, so any subset can run in any process in any order.  The
+    non-image workloads fill the slots by convention: RL cells are
+    ``model="dqn"`` with the environment as ``dataset``, GAN cells
+    ``model="gan"`` with the mixture, LM cells ``model="char_gpt"`` with the
+    corpus.
     """
 
     method: str
@@ -145,12 +146,20 @@ def enumerate_cells(
 ) -> list[SweepCell]:
     """Deterministic cell list for a (method × model × dataset × sparsity × seed) grid.
 
-    Methods are validated up front (one bad name fails fast instead of as
-    ``len(grid)`` broken cells).  With ``root_seed`` set, the explicit
-    ``seeds`` are replaced by per-cell seeds derived via
-    ``SeedSequence.spawn`` (:func:`repro.parallel.derive_seeds`): cell ``i``
-    always gets the same seed regardless of worker count or sweep order,
-    and no two cells share a stream.  With the default ``root_seed=None``
+    The one grid builder for every workload: an RL grid passes
+    ``models=["dqn"]`` and environment names as ``datasets`` (GAN:
+    ``["gan"]`` and mixtures; LM: ``["char_gpt"]`` and corpora).  Method
+    names are validated up front (one bad name fails fast instead of as
+    ``len(grid)`` broken cells).  Whether a workload can run a method and
+    whether a model or dataset exists is checked once, by the run function,
+    so in a sweep a cell it rejects becomes a failed
+    :class:`~repro.experiments.runner.CellOutcome` naming the problem.
+
+    With ``root_seed`` set, the explicit ``seeds`` are replaced by per-cell
+    seeds derived via ``SeedSequence.spawn``
+    (:func:`repro.parallel.derive_seeds`): cell ``i`` always gets the same
+    seed regardless of worker count or sweep order, and no two cells share
+    a stream.  With the default ``root_seed=None``
     every cell group reuses the explicit seed list — the paper's
     "(mean ± std) over seeds {0, 1, 2}" protocol.
     """
@@ -171,123 +180,6 @@ def enumerate_cells(
         grid = [
             (method, model, dataset, sparsity, derived[index])
             for index, (method, model, dataset, sparsity, _) in enumerate(grid)
-        ]
-    return [SweepCell(*entry) for entry in grid]
-
-
-def enumerate_rl_cells(
-    methods: Sequence[str],
-    envs: Sequence[str],
-    sparsities: Sequence[float],
-    seeds: Sequence[int] = (0, 1, 2),
-    root_seed: int | None = None,
-) -> list[SweepCell]:
-    """Deterministic cell list for an RL (method × env × sparsity × seed) grid.
-
-    RL cells reuse :class:`SweepCell` with ``model="dqn"`` and the
-    environment name in the ``dataset`` slot, so the sweep runner,
-    checkpoint records, and report aggregation all work unchanged (see
-    :func:`repro.experiments.rl.run_rl_sweep`).  Seeding semantics match
-    :func:`enumerate_cells`: ``root_seed`` derives one independent seed per
-    cell via ``SeedSequence.spawn``.
-    """
-    from repro.rl.envs import ENV_REGISTRY
-
-    for name in methods:
-        if name not in RL_METHODS:
-            raise ValueError(f"method {name!r} is not RL-capable; known: {RL_METHODS}")
-    for env_name in envs:
-        if env_name not in ENV_REGISTRY:
-            known = ", ".join(sorted(ENV_REGISTRY))
-            raise ValueError(f"unknown environment {env_name!r}; registered: {known}")
-    grid = [
-        (method, "dqn", env_name, sparsity, seed)
-        for method in methods
-        for env_name in envs
-        for sparsity in sparsities
-        for seed in seeds
-    ]
-    if root_seed is not None:
-        from repro.parallel import derive_seeds
-
-        derived = derive_seeds(root_seed, len(grid))
-        grid = [
-            (method, model, env_name, sparsity, derived[index])
-            for index, (method, model, env_name, sparsity, _) in enumerate(grid)
-        ]
-    return [SweepCell(*entry) for entry in grid]
-
-
-def enumerate_gan_cells(
-    methods: Sequence[str],
-    mixtures: Sequence[str],
-    sparsities: Sequence[float],
-    seeds: Sequence[int] = (0, 1, 2),
-    root_seed: int | None = None,
-) -> list[SweepCell]:
-    """Deterministic cell list for a GAN (method × mixture × sparsity × seed) grid.
-
-    GAN cells reuse :class:`SweepCell` with ``model="gan"`` and the mixture
-    name in the ``dataset`` slot, mirroring :func:`enumerate_rl_cells`, so
-    the sweep runner, checkpoint records, and report aggregation work
-    unchanged (see :func:`repro.experiments.gan.run_gan_sweep`).
-    """
-    from repro.experiments.gan import MIXTURES
-
-    for name in methods:
-        if name not in GAN_METHODS:
-            raise ValueError(f"method {name!r} is not GAN-capable; known: {GAN_METHODS}")
-    for mixture in mixtures:
-        if mixture not in MIXTURES:
-            known = ", ".join(sorted(MIXTURES))
-            raise ValueError(f"unknown mixture {mixture!r}; registered: {known}")
-    grid = [
-        (method, "gan", mixture, sparsity, seed)
-        for method in methods
-        for mixture in mixtures
-        for sparsity in sparsities
-        for seed in seeds
-    ]
-    if root_seed is not None:
-        from repro.parallel import derive_seeds
-
-        derived = derive_seeds(root_seed, len(grid))
-        grid = [
-            (method, model, mixture, sparsity, derived[index])
-            for index, (method, model, mixture, sparsity, _) in enumerate(grid)
-        ]
-    return [SweepCell(*entry) for entry in grid]
-
-
-def enumerate_lm_cells(
-    methods: Sequence[str],
-    sparsities: Sequence[float],
-    seeds: Sequence[int] = (0, 1, 2),
-    root_seed: int | None = None,
-) -> list[SweepCell]:
-    """Deterministic cell list for an LM (method × sparsity × seed) grid.
-
-    LM cells reuse :class:`SweepCell` with ``model="char_gpt"`` and the
-    corpus name in the ``dataset`` slot, mirroring the RL/GAN grids, so
-    the sweep runner, checkpoint records, and report aggregation work
-    unchanged (see :func:`repro.experiments.lm.run_lm_sweep`).
-    """
-    for name in methods:
-        if name not in LM_METHODS:
-            raise ValueError(f"method {name!r} is not LM-capable; known: {LM_METHODS}")
-    grid = [
-        (method, "char_gpt", "markov-prose", sparsity, seed)
-        for method in methods
-        for sparsity in sparsities
-        for seed in seeds
-    ]
-    if root_seed is not None:
-        from repro.parallel import derive_seeds
-
-        derived = derive_seeds(root_seed, len(grid))
-        grid = [
-            (method, model, corpus, sparsity, derived[index])
-            for index, (method, model, corpus, sparsity, _) in enumerate(grid)
         ]
     return [SweepCell(*entry) for entry in grid]
 

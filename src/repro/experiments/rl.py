@@ -8,10 +8,11 @@ resume-exact :class:`~repro.rl.trainer.RLTrainer`, and returns an
 
 Fault tolerance mirrors the supervised layer: pass ``checkpoint_dir`` to
 write resume-exact training checkpoints during the run and ``resume_from``
-to continue a killed run bitwise-identically; at the grid level,
-:func:`run_rl_sweep` records completed cells on disk and ``resume=True``
-skips them / resumes partial ones, reusing the same per-cell record and
-manifest machinery as the supervised sweep.
+to continue a killed run bitwise-identically.  Seeds and grids go through
+the workload-agnostic :func:`~repro.experiments.runner.run_multi_seed` and
+:func:`~repro.experiments.runner.run_sweep`; an RL cell is a
+:class:`~repro.experiments.registry.SweepCell` with ``model="dqn"`` and the
+environment name in the ``dataset`` slot.
 """
 
 from __future__ import annotations
@@ -22,23 +23,18 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.experiments.registry import RL_METHODS, SweepCell, build_method
-from repro.experiments.runner import (
-    SweepReport,
-    _resolve_resume_path,
-    run_cell_grid,
-)
+from repro.experiments.registry import RL_METHODS, build_method
+from repro.experiments.runner import _resolve_resume_path
 from repro.models.mlp import MLP
 from repro.optim import Adam
-from repro.parallel import run_sharded
 from repro.rl.agent import DQNAgent, EpsilonSchedule
-from repro.rl.envs import ENV_REGISTRY, SOLVE_WINDOW, make_env
+from repro.rl.envs import SOLVE_WINDOW, make_env
 from repro.rl.replay import ReplayBuffer
 from repro.rl.trainer import RLTrainer, rolling_returns
 from repro.train.callbacks import Callback
 from repro.train.checkpoint import CheckpointCallback, load_training_checkpoint
 
-__all__ = ["RLRunResult", "run_rl", "run_rl_multi_seed", "run_rl_sweep"]
+__all__ = ["RLRunResult", "run_rl"]
 
 
 @dataclass
@@ -234,73 +230,3 @@ def run_rl(
         masked=setup.masked if keep_model else None,
     )
 
-
-def run_rl_multi_seed(
-    method: str,
-    env_name: str = "cartpole",
-    seeds: tuple[int, ...] = (0, 1, 2),
-    n_proc: int | None = None,
-    **kwargs,
-) -> tuple[float, float, list[RLRunResult]]:
-    """Run several seeds; return (mean final return, std, all results).
-
-    Seeds are independent runs, so they fan out across ``n_proc`` worker
-    processes exactly as :func:`repro.experiments.runner.run_multi_seed`
-    does — each seed recomputes exactly what the serial path computes, and
-    a failed seed raises as it would serially.
-    """
-    jobs = [
-        (lambda seed=seed: run_rl(method, env_name, seed=seed, **kwargs))
-        for seed in seeds
-    ]
-    results = [
-        shard.unwrap() for shard in run_sharded(jobs, n_proc=n_proc, fail_fast=True)
-    ]
-    scores = np.array(
-        [r.final_avg_return if r.final_avg_return is not None else np.nan for r in results]
-    )
-    return float(np.nanmean(scores)), float(np.nanstd(scores)), results
-
-
-def run_rl_sweep(
-    cells: Sequence[SweepCell],
-    n_proc: int | None = None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    **run_kwargs,
-) -> SweepReport:
-    """Run a grid of RL sweep cells across ``n_proc`` worker processes.
-
-    Cells come from
-    :func:`repro.experiments.registry.enumerate_rl_cells` (``dataset`` is
-    the environment name).  Crash isolation, per-cell result records,
-    ``manifest.json``, config-fingerprint invalidation, and ``resume=True``
-    semantics are identical to :func:`repro.experiments.runner.run_sweep`
-    — the two sweeps share the underlying machinery.
-    """
-    cells = list(cells)
-    for cell in cells:
-        if cell.method not in RL_METHODS:
-            raise ValueError(f"method {cell.method!r} is not RL-capable; known: {RL_METHODS}")
-        if cell.dataset not in ENV_REGISTRY:
-            raise KeyError(f"no environment named {cell.dataset!r}")
-
-    def run_cell(cell: SweepCell, cell_dir, resume_cell: bool, kwargs: dict):
-        return run_rl(
-            cell.method,
-            cell.dataset,
-            sparsity=cell.sparsity,
-            seed=cell.seed,
-            checkpoint_dir=cell_dir,
-            resume_from=cell_dir if resume_cell else None,
-            **kwargs,
-        )
-
-    return run_cell_grid(
-        cells,
-        run_cell,
-        n_proc=n_proc,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        **run_kwargs,
-    )

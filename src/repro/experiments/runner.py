@@ -1,9 +1,17 @@
-"""Experiment cell runner: one (method, model, dataset, sparsity) training run.
+"""Experiment cells and the workload-agnostic seed fan-out and sweep.
 
-This is what every Table-I/II bench invokes.  It wires together the data
-loaders, optimizer + cosine schedule (the paper's recipe), the method from
-:mod:`repro.experiments.registry`, and FLOPs accounting, and returns a
-:class:`RunResult` with everything the tables report.
+:func:`run_image_classification` is what every Table-I/II bench invokes.
+It wires together the data loaders, optimizer + cosine schedule (the
+paper's recipe), the method from :mod:`repro.experiments.registry`, and
+FLOPs accounting, and returns a :class:`RunResult` with everything the
+tables report.
+
+:func:`run_multi_seed` and :func:`run_sweep` serve every workload — image,
+RL (:func:`~repro.experiments.rl.run_rl`), GAN
+(:func:`~repro.experiments.gan.run_gan`) and char-LM
+(:func:`~repro.experiments.lm.run_lm`).  Each takes the workload's run
+function and aggregates ``result.final_accuracy``, the score every result
+type exposes, through one helper, :func:`mean_std`.
 
 Fault tolerance: pass ``checkpoint_dir`` to write resume-exact training
 checkpoints (:mod:`repro.train.checkpoint`) during the run, and
@@ -23,7 +31,8 @@ import pathlib
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -49,7 +58,7 @@ __all__ = [
     "CellOutcome",
     "SweepReport",
     "cell_key",
-    "run_cell_grid",
+    "mean_std",
     "run_image_classification",
     "run_multi_seed",
     "run_sweep",
@@ -300,37 +309,46 @@ def run_image_classification(
     )
 
 
+def mean_std(scores: Iterable[float | None]) -> tuple[float | None, float | None]:
+    """(mean, std) of the scores that exist, or ``(None, None)`` if none do.
+
+    ``None`` marks a run without a score — an RL run too short to finish
+    one episode — and is skipped rather than poisoning the row with NaN.
+    """
+    present = np.array([score for score in scores if score is not None], dtype=np.float64)
+    if not present.size:
+        return None, None
+    return float(present.mean()), float(present.std())
+
+
 def run_multi_seed(
-    method: str,
-    model_factory: Callable[[int], Module],
-    data: ClassificationData,
-    seeds: tuple[int, ...] = (0, 1, 2),
+    run: Callable,
+    *args,
+    seeds: Sequence[int] = (0, 1, 2),
     n_proc: int | None = None,
     **kwargs,
-) -> tuple[float, float, list[RunResult]]:
-    """Run several seeds; return (mean accuracy, std, all results).
+) -> tuple[float | None, float | None, list]:
+    """Run ``run(*args, seed=s, **kwargs)`` per seed; return (mean, std, results).
 
-    Mirrors the paper's "(mean ± std) over three random seeds" protocol.
+    Mirrors the paper's "(mean ± std) over three random seeds" protocol for
+    any workload: ``run`` is :func:`run_image_classification`,
+    :func:`~repro.experiments.rl.run_rl`, :func:`~repro.experiments.lm.run_lm`
+    or :func:`~repro.experiments.gan.run_gan`, and the mean/std are over
+    each result's ``final_accuracy`` (accuracy, final average return,
+    next-token accuracy or mode coverage) via :func:`mean_std`.
+
     Seeds are independent runs, so they fan out across ``n_proc`` worker
     processes (default: the ``REPRO_NPROC`` environment variable; 1 =
     serial).  Every seed computes exactly what the serial path computes —
-    each run re-seeds all of its randomness from its own ``seed`` — and the
-    aggregation is identical; a failed seed raises, as it would serially
-    (in-process runs abort on the first failure with the original
-    exception; sharded runs raise after the other seeds finish).
+    each run re-seeds all of its randomness from its own ``seed`` — and a
+    failed seed raises, as it would serially (in-process runs abort on the
+    first failure with the original exception; sharded runs raise after the
+    other seeds finish).
     """
-    jobs = [
-        (lambda seed=seed: run_image_classification(
-            method, model_factory, data, seed=seed, **kwargs
-        ))
-        for seed in seeds
-    ]
-    results = [
-        shard.unwrap()
-        for shard in run_sharded(jobs, n_proc=n_proc, fail_fast=True)
-    ]
-    scores = np.array([r.final_accuracy for r in results])
-    return float(scores.mean()), float(scores.std()), results
+    jobs = [partial(run, *args, seed=seed, **kwargs) for seed in seeds]
+    results = [shard.unwrap() for shard in run_sharded(jobs, n_proc=n_proc, fail_fast=True)]
+    mean, std = mean_std(result.final_accuracy for result in results)
+    return mean, std, results
 
 
 @dataclass
@@ -367,7 +385,9 @@ class SweepReport:
         """Group over seeds: one ``mean ± std`` row per distinct cell.
 
         Rows preserve first-appearance order of the (method, model,
-        dataset, sparsity) groups, matching the serial table layout.
+        dataset, sparsity) groups, matching the serial table layout.  The
+        mean/std come from :func:`mean_std`, exactly as in
+        :func:`run_multi_seed`.
         """
         groups: dict[tuple, list[CellOutcome]] = {}
         for outcome in self.outcomes:
@@ -376,16 +396,17 @@ class SweepReport:
             groups.setdefault(key, []).append(outcome)
         rows = []
         for (method, model, dataset, sparsity), members in groups.items():
-            scores = np.array([o.result.final_accuracy for o in members if o.ok], dtype=np.float64)
+            scores = [o.result.final_accuracy for o in members if o.ok]
+            mean, std = mean_std(scores)
             rows.append(
                 {
                     "method": method,
                     "model": model,
                     "dataset": dataset,
                     "sparsity": sparsity,
-                    "mean_accuracy": float(scores.mean()) if scores.size else None,
-                    "std_accuracy": float(scores.std()) if scores.size else None,
-                    "seeds_ok": int(scores.size),
+                    "mean_accuracy": mean,
+                    "std_accuracy": std,
+                    "seeds_ok": len(scores),
                     "seeds_failed": sum(1 for o in members if not o.ok),
                 }
             )
@@ -493,8 +514,8 @@ def _write_manifest(checkpoint_dir: pathlib.Path, outcomes: list[CellOutcome]) -
 
 def run_sweep(
     cells: Sequence["SweepCell"],
-    model_factories: dict[str, Callable[[int], Callable[[int], Module]]],
-    datasets: dict[str, ClassificationData],
+    run: Callable,
+    *,
     n_proc: int | None = None,
     checkpoint_dir=None,
     resume: bool = False,
@@ -502,77 +523,31 @@ def run_sweep(
 ) -> SweepReport:
     """Run a grid of sweep cells across ``n_proc`` worker processes.
 
-    ``model_factories`` maps a model name to ``factory(num_classes) ->
-    (seed -> Module)`` (the shape :mod:`repro.experiments.configs` already
-    uses); ``datasets`` maps a dataset name to its data.  Unlike
-    :func:`run_multi_seed`, a failing cell does not abort the sweep: it is
-    reported as a failed :class:`CellOutcome` and every other cell still
-    runs (crash isolation extends to worker-process death).
+    ``run(cell, checkpoint_dir=..., resume_from=..., **run_kwargs)`` trains
+    one cell and returns its picklable result; callers pass a short closure
+    that maps the cell's fields onto their workload's run function, e.g.
+    ``lambda cell, **kw: run_rl(cell.method, cell.dataset,
+    sparsity=cell.sparsity, seed=cell.seed, **kw)``.  The run function
+    validates the cell; unlike :func:`run_multi_seed`, a failing cell does
+    not abort the sweep: it is reported as a failed :class:`CellOutcome`
+    and every other cell still runs (crash isolation extends to
+    worker-process death).
 
     Fault tolerance: with ``checkpoint_dir`` set, each cell trains with
     resume-exact checkpointing under ``<checkpoint_dir>/<cell_key>/`` and
-    records its finished :class:`RunResult` there (atomically, from the
-    worker that ran it); the parent maintains ``manifest.json``.  With
-    ``resume=True``, completed cells are served from those records without
-    re-running (``CellOutcome.cached``) and partial cells restore from
-    their latest checkpoint mid-epoch, so a killed sweep rerun with the
-    same arguments produces the :class:`SweepReport` the uninterrupted
-    sweep would have produced.
-    """
-    cells = list(cells)
-    for cell in cells:
-        if cell.model not in model_factories:
-            raise KeyError(f"no model factory for {cell.model!r}")
-        if cell.dataset not in datasets:
-            raise KeyError(f"no dataset named {cell.dataset!r}")
-
-    def run_cell(cell: "SweepCell", cell_dir, resume_cell: bool, kwargs: dict):
-        data = datasets[cell.dataset]
-        factory = model_factories[cell.model](data.num_classes)
-        return run_image_classification(
-            cell.method,
-            factory,
-            data,
-            sparsity=cell.sparsity,
-            seed=cell.seed,
-            checkpoint_dir=cell_dir,
-            resume_from=cell_dir if resume_cell else None,
-            **kwargs,
-        )
-
-    return run_cell_grid(
-        cells,
-        run_cell,
-        n_proc=n_proc,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        **run_kwargs,
-    )
-
-
-def run_cell_grid(
-    cells: Sequence["SweepCell"],
-    run_cell: Callable,
-    n_proc: int | None = None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    **run_kwargs,
-) -> SweepReport:
-    """Workload-agnostic sweep orchestration (shared by every cell grid).
-
-    ``run_cell(cell, cell_dir, resume, run_kwargs)`` trains one cell and
-    returns its picklable result; everything else — config-fingerprint
-    invalidation, cached-outcome resume, per-job crash isolation across
-    ``n_proc`` forked workers, atomic per-cell ``result.pkl`` records, and
-    the ``manifest.json`` — lives here exactly once, so the supervised and
-    RL sweeps cannot drift apart.
+    records its finished result there (atomically, from the worker that
+    ran it); the parent maintains ``manifest.json``.  A fingerprint of
+    ``run_kwargs`` guards both against a resumed sweep whose arguments
+    changed.  With ``resume=True``, completed cells are served from those
+    records without re-running (``CellOutcome.cached``) and partial cells
+    restore from their latest checkpoint mid-epoch, so a killed sweep rerun
+    with the same arguments produces the :class:`SweepReport` the
+    uninterrupted sweep would have produced.
     """
     cells = list(cells)
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
-    checkpoint_root = (
-        pathlib.Path(checkpoint_dir) if checkpoint_dir is not None else None
-    )
+    checkpoint_root = pathlib.Path(checkpoint_dir) if checkpoint_dir is not None else None
 
     fingerprint = _config_fingerprint(run_kwargs)
     cached: dict[int, CellOutcome] = {}
@@ -583,16 +558,19 @@ def run_cell_grid(
                 cached[index] = outcome
 
     def make_job(cell: "SweepCell"):
-        cell_dir = (
-            checkpoint_root / cell_key(cell) if checkpoint_root is not None else None
-        )
+        cell_dir = checkpoint_root / cell_key(cell) if checkpoint_root is not None else None
 
         def job():
             if cell_dir is not None:
                 # Checkpoints/results recorded under different sweep
                 # arguments must not leak into this run or a later resume.
                 _invalidate_stale_cell(cell_dir, fingerprint)
-            result = run_cell(cell, cell_dir, resume, run_kwargs)
+            result = run(
+                cell,
+                checkpoint_dir=cell_dir,
+                resume_from=cell_dir if resume else None,
+                **run_kwargs,
+            )
             if cell_dir is not None:
                 # The completed-cell record is written by whichever process
                 # ran the cell, so a killed *parent* loses nothing.

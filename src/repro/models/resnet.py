@@ -3,7 +3,7 @@
 ``resnet50`` reproduces the [3, 4, 6, 3] bottleneck layout of the paper's
 Tables I/II.  ``resnet50_mini`` is the same architecture family with
 [1, 1, 1, 1] blocks and a width multiplier — used by the benchmark harness so
-a full method-comparison sweep completes in minutes on CPU (see DESIGN.md).
+a full method-comparison sweep completes in minutes on CPU.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 ``vgg19`` reproduces the paper's 16-conv + classifier layout exactly; the
 ``width_mult`` knob scales the channel counts so the same architecture runs
-at laptop scale on the synthetic datasets (see DESIGN.md §2).  Max-pool
+at laptop scale on the synthetic stand-ins of :mod:`repro.data.synthetic`.  Max-pool
 stages are skipped automatically once the spatial size reaches 1, which lets
 the 5-stage configuration run on small synthetic images; the classifier is a
 single fully-connected layer on globally-pooled features, as in CIFAR VGG.

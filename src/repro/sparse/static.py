@@ -172,8 +172,8 @@ def synflow_masks(
 
     ``input_shape`` excludes the batch dimension (a single all-ones example
     is used).  ``rounds`` controls the exponential schedule granularity
-    (the original paper uses 100; 20 is accurate enough at these scales and
-    noted in EXPERIMENTS.md).
+    (the original paper uses 100; the default of 20 keeps bench-scale runs
+    cheap — pass ``rounds=100`` for the original schedule).
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")

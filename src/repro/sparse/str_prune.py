@@ -6,7 +6,7 @@ The original STR (Kusupati et al., ICML'20) reparameterizes each weight as
 indirect control makes hitting an exact target sparsity awkward, and the
 literal proximal form (subtracting τ from every weight every step) needs
 STR's 100-epoch budgets for surviving weights to out-run the shrinkage bias.
-Following the substitution rule (DESIGN.md §2) we keep STR's two essential
+Because the benches cannot afford those budgets, we keep STR's two essential
 behaviours at bench scale:
 
 * **layerwise thresholds applied to the live weights** — every step, each
@@ -16,7 +16,7 @@ behaviours at bench scale:
   |w|-quantile matching a cubic dense→sparse schedule, so which weights
   survive is decided by training dynamics while the level is exact.
 
-EXPERIMENTS.md records this as "STR (thresholding variant)".
+Tables therefore label this method "STR (thresholding variant)".
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Sparse-GAN stressor: balancer conservation, resume exactness, sweeps.
 
-The acceptance bar (ISSUE 9): the GAN workload trains through
-``run_cell_grid``, its ΔT density transfers between generator and
+The acceptance bar: the GAN workload trains through the shared
+``run_sweep``, its ΔT density transfers between generator and
 discriminator are visible in history, the combined G+D budget is exactly
 conserved, and kill-and-resume is bitwise identical.
 """
@@ -14,9 +14,9 @@ from repro.experiments.gan import (
     GanDensityBalancer,
     GANTrainer,
     run_gan,
-    run_gan_sweep,
 )
-from repro.experiments.registry import GAN_METHODS, build_method, enumerate_gan_cells
+from repro.experiments.registry import SweepCell, build_method, enumerate_cells
+from repro.experiments.runner import run_sweep
 from repro.models import MLP
 from repro.optim import Adam
 from repro.train.checkpoint import list_checkpoints
@@ -230,23 +230,35 @@ class TestGanResumeBitwise:
             trainer([LambdaCallback(lambda record: None)]).load_state_dict(state)
 
 
+def run_gan_cell(cell, **kwargs):
+    """The sweep's cell runner: a GAN cell carries the mixture in ``dataset``."""
+    return run_gan(cell.method, cell.dataset, sparsity=cell.sparsity, seed=cell.seed, **kwargs)
+
+
 class TestGanSweep:
     def test_enumerate_validates(self):
-        with pytest.raises(ValueError):
-            enumerate_gan_cells(("gmp",), ("ring4",), (0.8,), seeds=(0,))
-        with pytest.raises(ValueError, match="unknown mixture"):
-            enumerate_gan_cells(("set",), ("nope",), (0.8,), seeds=(0,))
-        cells = enumerate_gan_cells(
-            ("set", "dense"), ("ring4",), (0.8,), seeds=(0, 1)
-        )
+        with pytest.raises(ValueError, match="unknown method"):
+            enumerate_cells(("not_a_method",), ("gan",), ("ring4",), (0.8,), seeds=(0,))
+        cells = enumerate_cells(("set", "dense"), ("gan",), ("ring4",), (0.8,), seeds=(0, 1))
         assert len(cells) == 4
         assert {cell.model for cell in cells} == {"gan"}
-        assert all(cell.method in GAN_METHODS for cell in cells)
+        assert {cell.dataset for cell in cells} == {"ring4"}
 
-    def test_sweep_through_run_cell_grid(self, tmp_path):
-        cells = enumerate_gan_cells(("set",), ("ring4",), (0.8,), seeds=(0,))
-        report = run_gan_sweep(
+    def test_bad_cells_become_failed_outcomes(self):
+        cells = [
+            SweepCell("gmp", "gan", "ring4", 0.8, 0),
+            SweepCell("set", "gan", "nope", 0.8, 0),
+        ]
+        report = run_sweep(cells, run_gan_cell, n_proc=1)
+        assert [outcome.ok for outcome in report.outcomes] == [False, False]
+        assert "not GAN-capable" in report.outcomes[0].error
+        assert "unknown mixture 'nope'" in report.outcomes[1].error
+
+    def test_sweep_with_checkpoint_dir_aggregates(self, tmp_path):
+        cells = enumerate_cells(("set",), ("gan",), ("ring4",), (0.8,), seeds=(0,))
+        report = run_sweep(
             cells,
+            run_gan_cell,
             n_proc=1,
             checkpoint_dir=tmp_path,
             total_steps=60,

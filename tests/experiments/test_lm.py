@@ -14,7 +14,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.experiments import run_lm
+from repro.experiments import enumerate_cells, run_lm, run_sweep
 
 DELTA_T = 4
 
@@ -98,3 +98,25 @@ def test_unknown_method_and_corpus_rejected():
         run_lm(method="nonsense")
     with pytest.raises(ValueError, match="unknown corpus"):
         run_lm(method="dst_ee", corpus="wikitext")
+
+
+def _run_lm_cell(cell, **kwargs):
+    return run_lm(cell.method, cell.dataset, sparsity=cell.sparsity, seed=cell.seed, **kwargs)
+
+
+def test_sweep_resume_serves_cached_cells(tmp_path):
+    cells = enumerate_cells(["dst_ee"], ["char_gpt"], ["markov-prose"], [0.8], seeds=(0, 1))
+    run_kwargs = {k: v for k, v in BASE.items() if k not in ("method", "sparsity", "seed")}
+    first = run_sweep(cells, _run_lm_cell, n_proc=1, checkpoint_dir=tmp_path, **run_kwargs)
+    assert not first.failures
+    assert [outcome.cached for outcome in first.outcomes] == [False, False]
+    second = run_sweep(
+        cells, _run_lm_cell, n_proc=1, checkpoint_dir=tmp_path, resume=True, **run_kwargs
+    )
+    assert [outcome.cached for outcome in second.outcomes] == [True, True]
+    assert second.aggregate() == first.aggregate()
+    for ran, served in zip(first.outcomes, second.outcomes):
+        assert served.result.val_perplexity == ran.result.val_perplexity
+        assert served.result.masks.keys() == ran.result.masks.keys()
+        for name in ran.result.masks:
+            np.testing.assert_array_equal(served.result.masks[name], ran.result.masks[name])

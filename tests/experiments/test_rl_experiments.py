@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.cli import build_parser, main
-from repro.experiments.registry import RL_METHODS, enumerate_rl_cells
-from repro.experiments.rl import run_rl, run_rl_multi_seed, run_rl_sweep
+from repro.experiments.registry import RL_METHODS, SweepCell, enumerate_cells
+from repro.experiments.rl import run_rl
+from repro.experiments.runner import run_multi_seed, run_sweep
 from repro.parallel import fork_available
 
 TINY = dict(
@@ -17,6 +18,11 @@ TINY = dict(
     delta_t=10,
     target_sync_every=25,
 )
+
+
+def run_rl_cell(cell, **kwargs):
+    """The sweep's cell runner: an RL cell carries the env in ``dataset``."""
+    return run_rl(cell.method, cell.dataset, sparsity=cell.sparsity, seed=cell.seed, **kwargs)
 
 
 def signature(result):
@@ -76,8 +82,8 @@ class TestRunRL:
 
 class TestMultiSeed:
     def test_serial_matches_run_rl(self):
-        mean, std, results = run_rl_multi_seed(
-            "dst_ee", "cartpole", seeds=(0, 1), n_proc=1, **TINY
+        mean, std, results = run_multi_seed(
+            run_rl, "dst_ee", "cartpole", seeds=(0, 1), n_proc=1, **TINY
         )
         direct = [run_rl("dst_ee", "cartpole", seed=s, **TINY) for s in (0, 1)]
         assert [signature(r) for r in results] == [signature(r) for r in direct]
@@ -87,8 +93,8 @@ class TestMultiSeed:
 
     @pytest.mark.skipif(not fork_available(), reason="requires fork")
     def test_sharded_seeds_equal_serial(self):
-        serial = run_rl_multi_seed("dst_ee", "cartpole", seeds=(0, 1), n_proc=1, **TINY)
-        sharded = run_rl_multi_seed("dst_ee", "cartpole", seeds=(0, 1), n_proc=2, **TINY)
+        serial = run_multi_seed(run_rl, "dst_ee", "cartpole", seeds=(0, 1), n_proc=1, **TINY)
+        sharded = run_multi_seed(run_rl, "dst_ee", "cartpole", seeds=(0, 1), n_proc=2, **TINY)
         assert serial[0] == sharded[0]
         assert serial[1] == sharded[1]
         for a, b in zip(serial[2], sharded[2]):
@@ -98,32 +104,39 @@ class TestMultiSeed:
                 assert np.array_equal(a.masks[key], b.masks[key])
 
 
+SWEEP_KWARGS = {k: v for k, v in TINY.items() if k != "sparsity"}
+
+
 class TestEnumerateRLCells:
     def test_grid_shape_and_model_tag(self):
-        cells = enumerate_rl_cells(
-            ["dense", "dst_ee"], ["cartpole"], [0.9, 0.95], seeds=(0, 1)
+        cells = enumerate_cells(
+            ["dense", "dst_ee"], ["dqn"], ["cartpole"], [0.9, 0.95], seeds=(0, 1)
         )
         assert len(cells) == 2 * 1 * 2 * 2
         assert {cell.model for cell in cells} == {"dqn"}
         assert {cell.dataset for cell in cells} == {"cartpole"}
 
     def test_validates_methods_and_envs(self):
+        # Unknown method names fail fast at enumeration; whether RL can run
+        # a known method, and whether the env exists, is run_rl's check.
+        with pytest.raises(ValueError, match="unknown method"):
+            enumerate_cells(["not_a_method"], ["dqn"], ["cartpole"], [0.9])
         with pytest.raises(ValueError, match="not RL-capable"):
-            enumerate_rl_cells(["gmp"], ["cartpole"], [0.9])
-        with pytest.raises(ValueError, match="environment"):
-            enumerate_rl_cells(["dst_ee"], ["pong"], [0.9])
+            run_rl("gmp", "cartpole", **TINY)
+        with pytest.raises(KeyError, match="unknown environment"):
+            run_rl("dst_ee", "pong", **TINY)
 
     def test_root_seed_derives_stable_per_cell_seeds(self):
-        a = enumerate_rl_cells(["dst_ee"], ["cartpole"], [0.9], seeds=(0, 1), root_seed=7)
-        b = enumerate_rl_cells(["dst_ee"], ["cartpole"], [0.9], seeds=(5, 6), root_seed=7)
+        a = enumerate_cells(["dst_ee"], ["dqn"], ["cartpole"], [0.9], seeds=(0, 1), root_seed=7)
+        b = enumerate_cells(["dst_ee"], ["dqn"], ["cartpole"], [0.9], seeds=(5, 6), root_seed=7)
         assert [cell.seed for cell in a] == [cell.seed for cell in b]
         assert len({cell.seed for cell in a}) == len(a)
 
 
 class TestRLSweep:
     def test_sweep_aggregates_and_isolates_failures(self):
-        cells = enumerate_rl_cells(["dense", "dst_ee"], ["cartpole"], [0.8], seeds=(0,))
-        report = run_rl_sweep(cells, n_proc=1, **{k: v for k, v in TINY.items() if k != "sparsity"})
+        cells = enumerate_cells(["dense", "dst_ee"], ["dqn"], ["cartpole"], [0.8], seeds=(0,))
+        report = run_sweep(cells, run_rl_cell, n_proc=1, **SWEEP_KWARGS)
         assert not report.failures
         rows = report.aggregate()
         assert len(rows) == 2
@@ -131,23 +144,26 @@ class TestRLSweep:
         assert {row["dataset"] for row in rows} == {"cartpole"}
 
     def test_sweep_resume_serves_cached_cells(self, tmp_path):
-        cells = enumerate_rl_cells(["dst_ee"], ["cartpole"], [0.8], seeds=(0,))
-        kwargs = {k: v for k, v in TINY.items() if k != "sparsity"}
-        first = run_rl_sweep(cells, n_proc=1, checkpoint_dir=tmp_path, **kwargs)
+        cells = enumerate_cells(["dst_ee"], ["dqn"], ["cartpole"], [0.8], seeds=(0,))
+        first = run_sweep(cells, run_rl_cell, n_proc=1, checkpoint_dir=tmp_path, **SWEEP_KWARGS)
         assert not first.failures
-        second = run_rl_sweep(
-            cells, n_proc=1, checkpoint_dir=tmp_path, resume=True, **kwargs
+        second = run_sweep(
+            cells, run_rl_cell, n_proc=1, checkpoint_dir=tmp_path, resume=True, **SWEEP_KWARGS
         )
         assert all(outcome.cached for outcome in second.outcomes)
         assert signature(first.outcomes[0].result) == signature(second.outcomes[0].result)
 
-    def test_sweep_rejects_bad_cells(self):
-        from repro.experiments.registry import SweepCell
-
-        with pytest.raises(KeyError, match="environment"):
-            run_rl_sweep([SweepCell("dst_ee", "dqn", "pong", 0.9, 0)])
-        with pytest.raises(ValueError, match="not RL-capable"):
-            run_rl_sweep([SweepCell("snip", "dqn", "cartpole", 0.9, 0)])
+    def test_sweep_reports_bad_cells_as_failures(self):
+        cells = [
+            SweepCell("dst_ee", "dqn", "pong", 0.8, 0),
+            SweepCell("snip", "dqn", "cartpole", 0.8, 0),
+            SweepCell("dst_ee", "dqn", "cartpole", 0.8, 0),
+        ]
+        report = run_sweep(cells, run_rl_cell, n_proc=1, **SWEEP_KWARGS)
+        assert [outcome.ok for outcome in report.outcomes] == [False, False, True]
+        assert "unknown environment 'pong'" in report.outcomes[0].error
+        assert "not RL-capable" in report.outcomes[1].error
+        assert [row["seeds_failed"] for row in report.aggregate()] == [1, 1, 0]
 
 
 class TestCLI:
@@ -216,3 +232,16 @@ class TestCLI:
             )
         with pytest.raises(SystemExit, match="--out"):
             main(["run-rl", "--seeds", "0", "1", "--out", "x.npz"])
+
+    def test_cli_seeds_with_no_finished_episode_print_na(self, capsys):
+        code = main(
+            [
+                "run-rl", "--method", "dst_ee", "--total-steps", "5",
+                "--warmup-steps", "2", "--hidden", "8", "--batch-size", "2",
+                "--seeds", "0", "1",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "avg return:           n/a ± n/a" in out
+        assert "nan" not in out

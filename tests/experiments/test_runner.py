@@ -1,5 +1,7 @@
 """Cell runner: one run returns a complete table row."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -68,9 +70,20 @@ class TestRunResult:
 class TestMultiSeed:
     def test_mean_std_over_seeds(self, data):
         mean, std, results = run_multi_seed(
-            "set", factory, data, seeds=(0, 1), sparsity=0.8, **KWARGS
+            run_image_classification, "set", factory, data, seeds=(0, 1), sparsity=0.8, **KWARGS
         )
         assert len(results) == 2
         scores = [r.final_accuracy for r in results]
         assert mean == pytest.approx(np.mean(scores))
         assert std == pytest.approx(np.std(scores))
+
+    def test_missing_scores_are_skipped(self):
+        # Any workload's run function works; a seed without a score (an RL
+        # run that finished no episode) is left out of the mean/std.
+        def run(label, *, seed):
+            return SimpleNamespace(label=label, final_accuracy=None if seed == 0 else 150.0)
+
+        mean, std, results = run_multi_seed(run, "cell", seeds=(0, 1), n_proc=1)
+        assert (mean, std) == (150.0, 0.0)
+        assert [r.label for r in results] == ["cell", "cell"]
+        assert run_multi_seed(run, "cell", seeds=(0,), n_proc=1)[:2] == (None, None)

@@ -43,14 +43,25 @@ class _KillAfterSteps(Callback):
 @pytest.fixture
 def sweep_inputs(tiny_data, tiny_mlp_factory):
     cells = enumerate_cells(METHODS, ["mlp"], ["tiny"], [0.8], seeds=[0])
-    factories = {"mlp": lambda num_classes: tiny_mlp_factory}
+    factories = {"mlp": tiny_mlp_factory}
     datasets = {"tiny": tiny_data}
     return cells, factories, datasets
 
 
+def _cell_runner(factories, datasets):
+    # Looks the entrypoint up at call time so monkeypatching it works.
+    def run_cell(cell, **kwargs):
+        return runner_module.run_image_classification(
+            cell.method, factories[cell.model], datasets[cell.dataset],
+            sparsity=cell.sparsity, seed=cell.seed, **kwargs,
+        )
+
+    return run_cell
+
+
 def _run(cells, factories, datasets, **kwargs):
     return run_sweep(
-        cells, factories, datasets, n_proc=1,
+        cells, _cell_runner(factories, datasets), n_proc=1,
         epochs=EPOCHS, batch_size=32, delta_t=3,
         checkpoint_every_steps=1,
         **kwargs,
@@ -155,7 +166,7 @@ class TestSweepResume:
     def test_resume_requires_checkpoint_dir(self, sweep_inputs):
         cells, factories, datasets = sweep_inputs
         with pytest.raises(ValueError, match="checkpoint_dir"):
-            run_sweep(cells, factories, datasets, resume=True)
+            run_sweep(cells, _cell_runner(factories, datasets), resume=True)
 
     def test_corrupt_cell_record_is_rerun(self, sweep_inputs, tmp_path):
         cells, factories, datasets = sweep_inputs
@@ -175,7 +186,7 @@ class TestSweepResume:
         cells, factories, datasets = sweep_inputs
         _run(cells, factories, datasets, checkpoint_dir=tmp_path)
         report = run_sweep(
-            cells, factories, datasets, n_proc=1,
+            cells, _cell_runner(factories, datasets), n_proc=1,
             epochs=EPOCHS + 1, batch_size=32, delta_t=3,  # changed budget
             checkpoint_every_steps=1,
             checkpoint_dir=tmp_path, resume=True,
