@@ -21,16 +21,10 @@ All ops use NCHW layout, matching the rest of the library.
 from __future__ import annotations
 
 import os
+import weakref
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-try:  # pragma: no cover - scipy ships with the pinned environment
-    import scipy.sparse as _sp
-    from scipy.sparse import _sparsetools as _spt
-except ImportError:  # pragma: no cover
-    _sp = None
-    _spt = None
 
 from repro.autograd.tensor import Tensor, ensure_tensor
 
@@ -52,42 +46,56 @@ def workspace_enabled() -> bool:
 
 
 class ConvWorkspace:
-    """Reusable named buffers for one conv layer's im2col pipeline.
+    """Reusable named buffers for one conv layer's forward and backward.
 
     ``get`` returns a cached ``np.empty`` buffer for ``(name, shape,
     dtype)``, reallocating only when the shape or dtype changed since the
-    previous call; ``zeros`` additionally guarantees the buffer was zeroed
-    at allocation time (callers that only ever write a sub-region — the
-    padded-input interior — rely on the border staying zero).
+    previous call.  A ``zeros`` buffer is zero-filled at allocation and
+    also reallocated when its ``key`` changes: the key names the layout of
+    the region callers write (the padded-input interior), so the rest
+    stays zero.
 
-    The returned buffers are overwritten by the layer's next forward or
-    backward pass, so they are valid within one training step only — which
-    is exactly the lifetime of im2col intermediates.  A layer invoked
-    twice before ``backward`` (weight sharing) must not share a workspace;
-    no model in this repository does that.  Set ``REPRO_CONV_WORKSPACE=0``
-    to fall back to per-call allocation.
+    Buffers live for one step: a recorded forward holds them (:meth:`hold`)
+    until its backward calls :meth:`release`, and :meth:`claim` gives a
+    forward run in between (a layer run twice before one backward) a fresh
+    workspace.  A graph dropped without a backward frees them when its
+    output dies.  ``REPRO_CONV_WORKSPACE=0`` allocates on every call.
     """
 
-    __slots__ = ("_buffers",)
+    __slots__ = ("_buffers", "_pending")
 
     def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
+        self._buffers: dict[str, tuple[object, np.ndarray]] = {}
+        self._pending: weakref.ref | None = None
 
-    def _lookup(self, name: str, shape, dtype, alloc) -> np.ndarray:
+    def claim(self) -> "ConvWorkspace":
+        """This workspace, or a fresh one while a held forward is pending."""
+        pending = self._pending
+        if pending is not None and pending() is not None:
+            return ConvWorkspace()
+        return self
+
+    def hold(self, out: Tensor) -> None:
+        """Keep the buffers for ``out``'s backward if ``out`` records one."""
+        self._pending = weakref.ref(out) if out.requires_grad else None
+
+    def release(self) -> None:
+        self._pending = None
+
+    def _lookup(self, name: str, shape, dtype, alloc, key=None) -> np.ndarray:
         if not workspace_enabled():
             return alloc(shape, dtype=dtype)
-        buffer = self._buffers.get(name)
-        if buffer is None or buffer.shape != shape or buffer.dtype != dtype:
-            buffer = alloc(shape, dtype=dtype)
-            self._buffers[name] = buffer
-        return buffer
+        entry = self._buffers.get(name)
+        if entry is None or entry[0] != key or entry[1].shape != shape or entry[1].dtype != dtype:
+            entry = self._buffers[name] = (key, alloc(shape, dtype=dtype))
+        return entry[1]
 
     def get(self, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
         return self._lookup(name, shape, dtype, np.empty)
 
-    def zeros(self, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+    def zeros(self, name: str, shape: tuple[int, ...], dtype=np.float32, key=None) -> np.ndarray:
         """Like :meth:`get`, but the buffer is zero-filled at allocation."""
-        return self._lookup(name, shape, dtype, np.zeros)
+        return self._lookup(name, shape, dtype, np.zeros, key)
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -121,9 +129,7 @@ def _im2col(
     if ph or pw:
         if workspace is not None:
             n_, c_, h_, w_ = x.shape
-            padded = workspace.zeros(
-                "x_padded", (n_, c_, h_ + 2 * ph, w_ + 2 * pw), x.dtype
-            )
+            padded = workspace.zeros("x_padded", (n_, c_, h_ + 2 * ph, w_ + 2 * pw), x.dtype)
             padded[:, :, ph : ph + h_, pw : pw + w_] = x
             x = padded
         else:
@@ -137,9 +143,7 @@ def _im2col(
     return cols, x.shape, out_h, out_w
 
 
-def _contiguous_cols(
-    cols: np.ndarray, workspace: ConvWorkspace | None = None
-) -> np.ndarray:
+def _contiguous_cols(cols: np.ndarray, workspace: ConvWorkspace | None = None) -> np.ndarray:
     """C-contiguous copy of an im2col window view (or the view itself).
 
     An already-contiguous ``cols`` is returned as-is — re-running
@@ -198,112 +202,8 @@ def _col2im(
     return grad_padded
 
 
-# Cached col2im scatter operators, keyed by conv geometry.  Each entry is a
-# CSR matrix (h*w, kh*kw*out_h*out_w) summing window-offset contributions
-# into *interior* (un-padded) image positions — contributions that land in
-# the padding are simply absent, so no work is spent on values the crop
-# would discard.  One entry exists per distinct conv geometry in the model.
-_COL2IM_OPS: dict[tuple, "object"] = {}
-
-
-def _col2im_scatter_op(
-    kh: int, kw: int, sh: int, sw: int, out_h: int, out_w: int,
-    ph: int, pw: int, h: int, w: int,
-):
-    key = (kh, kw, sh, sw, out_h, out_w, ph, pw, h, w)
-    op = _COL2IM_OPS.get(key)
-    if op is None:
-        i = np.arange(kh).reshape(-1, 1, 1, 1)
-        j = np.arange(kw).reshape(1, -1, 1, 1)
-        y = np.arange(out_h).reshape(1, 1, -1, 1)
-        x = np.arange(out_w).reshape(1, 1, 1, -1)
-        py = i + sh * y - ph
-        px = j + sw * x - pw
-        valid = (py >= 0) & (py < h) & (px >= 0) & (px < w)
-        p = np.broadcast_to(py * w + px, valid.shape)[valid]
-        q = np.arange(kh * kw * out_h * out_w).reshape(valid.shape)[valid]
-        op = _sp.csr_matrix(
-            (np.ones(p.size, dtype=np.float32), (p, q)),
-            shape=(h * w, kh * kw * out_h * out_w),
-        )
-        op.sort_indices()
-        _COL2IM_OPS[key] = op
-    return op
-
-
-def _col2im_t(
-    grad_cols_t: np.ndarray,
-    padded_shape: tuple[int, ...],
-    kh: int,
-    kw: int,
-    stride: tuple[int, int],
-    padding: tuple[int, int],
-    out_shape: tuple[int, ...],
-    workspace: ConvWorkspace | None = None,
-) -> np.ndarray:
-    """:func:`_col2im` for channel-major window gradients.
-
-    ``grad_cols_t`` has shape ``(C, kh, kw, N, out_h, out_w)`` — the natural
-    output layout of the BSR input-gradient matmul (``(C*kh*kw, N*H'*W')``
-    reshaped).  Instead of :func:`_col2im`'s ``kh*kw`` strided slice-adds
-    (whose tiny spatial inner loops dominate at this library's image
-    sizes), the scatter is one CSR product with a cached per-geometry
-    operator over a ``(window offsets, C*N)`` staging of the gradient; the
-    per-position accumulation order matches the slice-add loop's ``(i, j)``
-    ascending order bitwise.  Falls back to slice-adds without scipy.
-    """
-    sh, sw = stride
-    ph, pw = padding
-    c, _, _, n, out_h, out_w = grad_cols_t.shape
-    h, w = out_shape[2], out_shape[3]
-    if _spt is not None:
-        op = _col2im_scatter_op(kh, kw, sh, sw, out_h, out_w, ph, pw, h, w)
-        q_dim, v_dim = kh * kw * out_h * out_w, c * n
-        if workspace is not None:
-            staged = workspace.get("col2im_g", (q_dim, v_dim), grad_cols_t.dtype)
-            scattered = workspace.get("col2im_p", (h * w, v_dim), grad_cols_t.dtype)
-        else:
-            staged = np.empty((q_dim, v_dim), dtype=grad_cols_t.dtype)
-            scattered = np.empty((h * w, v_dim), dtype=grad_cols_t.dtype)
-        np.copyto(
-            staged.reshape(kh, kw, out_h, out_w, c, n),
-            grad_cols_t.transpose(1, 2, 4, 5, 0, 3),
-        )
-        scattered.fill(0)
-        _spt.csr_matvecs(
-            h * w, q_dim, v_dim, op.indptr, op.indices, op.data,
-            staged.ravel(), scattered.ravel(),
-        )
-        src = scattered.reshape(h, w, c, n).transpose(3, 2, 0, 1)
-        if workspace is not None:
-            grad_x = workspace.get("grad_x", out_shape, grad_cols_t.dtype)
-            np.copyto(grad_x, src)
-            return grad_x
-        return np.ascontiguousarray(src)
-    padded_t_shape = (c, n, padded_shape[2], padded_shape[3])
-    if workspace is not None:
-        grad_padded = workspace.get(
-            "col2im_scratch_t", padded_t_shape, grad_cols_t.dtype
-        )
-        grad_padded.fill(0)
-    else:
-        grad_padded = np.zeros(padded_t_shape, dtype=grad_cols_t.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            grad_padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += (
-                grad_cols_t[:, i, j]
-            )
-    cropped = grad_padded[:, :, ph : ph + h, pw : pw + w]
-    if workspace is not None:
-        grad_x = workspace.get("grad_x", out_shape, grad_cols_t.dtype)
-        np.copyto(grad_x, cropped.transpose(1, 0, 2, 3))
-        return grad_x
-    return np.ascontiguousarray(cropped.transpose(1, 0, 2, 3))
-
-
 def _stage_grad_mat(
-    grad: np.ndarray, n: int, out_h: int, out_w: int, c_out: int,
-    workspace: ConvWorkspace | None,
+    grad: np.ndarray, n: int, out_h: int, out_w: int, c_out: int, workspace: ConvWorkspace | None
 ) -> np.ndarray:
     """Output gradient ``(N, C_out, H', W')`` as a C-contiguous 2-D matrix.
 
@@ -318,16 +218,14 @@ def _stage_grad_mat(
 
 
 def _accumulate_grad_w(
-    weight, grad_mat: np.ndarray, cols_mat: np.ndarray,
-    workspace: ConvWorkspace | None,
+    weight, grad_mat: np.ndarray, cols_mat: np.ndarray, workspace: ConvWorkspace | None
 ) -> None:
     """Accumulate the dense weight gradient ``grad_matᵀ @ cols_mat``.
 
     The cached grad_w buffer may be adopted as ``weight.grad``; when a
     previous accumulation is still pending (no ``zero_grad`` between
     backwards) overwriting it in place would corrupt the sum, so that rare
-    path falls back to a fresh allocation.  Shared by the dense conv
-    backward and the CSR :class:`~repro.sparse.kernels.Conv2dKernel`.
+    path falls back to a fresh allocation.
     """
     c_out = weight.shape[0]
     if workspace is not None and weight.grad is None:
@@ -340,8 +238,9 @@ def _accumulate_grad_w(
 
 def _input_grad_workspace(x, workspace: ConvWorkspace | None):
     """Workspace for the input gradient, or ``None`` under the same
-    pending-accumulation guard as :func:`_accumulate_grad_w`."""
-    return workspace if x.grad is None else None
+    pending-accumulation guard as :func:`_accumulate_grad_w`.  A leaf input
+    keeps its gradient past the step, so it never gets a cached buffer."""
+    return workspace if x.grad is None and x._parents else None
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0, workspace=None) -> Tensor:
@@ -373,13 +272,11 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, workspace=None) -> Tensor:
     if x.shape[1] != c_in:
         raise ValueError(f"conv2d channel mismatch: input has {x.shape[1]}, weight expects {c_in}")
 
-    cols, padded_shape, out_h, out_w = _im2col(
-        x.data, kh, kw, stride_hw, padding_hw, workspace
-    )
+    if workspace is not None:
+        workspace = workspace.claim()
+    cols, padded_shape, out_h, out_w = _im2col(x.data, kh, kw, stride_hw, padding_hw, workspace)
     n = x.shape[0]
-    cols_mat = _contiguous_cols(cols, workspace).reshape(
-        n * out_h * out_w, c_in * kh * kw
-    )
+    cols_mat = _contiguous_cols(cols, workspace).reshape(n * out_h * out_w, c_in * kh * kw)
     w_mat = weight.data.reshape(c_out, c_in * kh * kw)
     if workspace is not None:
         out_mat = workspace.get("out_mat", (n * out_h * out_w, c_out), cols_mat.dtype)
@@ -400,6 +297,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, workspace=None) -> Tensor:
     parents = (x, weight) if bias_t is None else (x, weight, bias_t)
 
     def backward(grad: np.ndarray) -> None:
+        if workspace is not None:
+            workspace.release()
         grad_mat = _stage_grad_mat(grad, n, out_h, out_w, c_out, workspace)
         if weight.requires_grad:
             _accumulate_grad_w(weight, grad_mat, cols_mat, workspace)
@@ -412,15 +311,16 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, workspace=None) -> Tensor:
                 grad_cols = grad_cols.reshape(n, out_h, out_w, c_in, kh, kw)
             else:
                 grad_cols = (grad_mat @ w_mat).reshape(n, out_h, out_w, c_in, kh, kw)
-            grad_x = _col2im(
-                grad_cols, padded_shape, kh, kw, stride_hw, padding_hw, x.shape,
-                _input_grad_workspace(x, workspace),
-            )
+            ws = _input_grad_workspace(x, workspace)
+            grad_x = _col2im(grad_cols, padded_shape, kh, kw, stride_hw, padding_hw, x.shape, ws)
             x._accumulate(grad_x)
         if bias_t is not None and bias_t.requires_grad:
             bias_t._accumulate(grad.sum(axis=(0, 2, 3)))
 
-    return Tensor._make(out_data, parents, backward)
+    out = Tensor._make(out_data, parents, backward)
+    if workspace is not None:
+        workspace.hold(out)
+    return out
 
 
 def _max_pool2d_tiled(x, kh: int, kw: int) -> Tensor:
@@ -487,9 +387,7 @@ def max_pool2d(x, kernel_size, stride=None) -> Tensor:
         # zeroed scatter target each call.
         # reprolint: disable-next=RPL005
         grad_cols = np.zeros((n, out_h, out_w, c, kh * kw), dtype=grad.dtype)
-        np.put_along_axis(
-            grad_cols, arg[..., None], grad.transpose(0, 2, 3, 1)[..., None], axis=-1
-        )
+        np.put_along_axis(grad_cols, arg[..., None], grad.transpose(0, 2, 3, 1)[..., None], axis=-1)
         grad_cols = grad_cols.reshape(n, out_h, out_w, c, kh, kw)
         grad_x = _col2im(grad_cols, padded_shape, kh, kw, stride_hw, (0, 0), x.shape)
         x._accumulate(grad_x)
@@ -515,7 +413,8 @@ def avg_pool2d(x, kernel_size, stride=None) -> Tensor:
         # _col2im's add.at needs a real (writable, contiguous) array, not the
         # zero-stride broadcast view; this materialization is that copy.
         # reprolint: disable-next=RPL005
-        grad_x = _col2im(np.ascontiguousarray(spread), padded_shape, kh, kw, stride_hw, (0, 0), x.shape)
+        spread = np.ascontiguousarray(spread)
+        grad_x = _col2im(spread, padded_shape, kh, kw, stride_hw, (0, 0), x.shape)
         x._accumulate(grad_x)
 
     return Tensor._make(out_data, (x,), backward)

@@ -103,7 +103,7 @@ class Tensor:
         Optional label used in ``repr`` and error messages.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_backward", "_parents", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         if isinstance(data, Tensor):

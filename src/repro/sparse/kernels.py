@@ -20,10 +20,14 @@ module provides that compute path for **training**:
   on ``module.forward_backend`` (see :mod:`repro.nn.linear` /
   :mod:`repro.nn.conv`).  They run the masked forward through the sparse
   matmuls and register an autograd closure whose input gradient also uses
-  the sparse structure.  The **weight** gradient stays dense — growth rules
-  (RigL, DST-EE, SNFS) score *inactive* weights by dense-gradient
-  magnitude, so the dense GEMM ``gradᵀ @ x`` is part of the algorithm, not
-  overhead.
+  the sparse structure.  The conv kernel is a direct sparse convolution:
+  one CSR product per kernel tap over a shifted view of the input, with no
+  im2col.  The **weight** gradient is dense whenever growth may read it
+  (``SparseParam.dense_grads_required``): growth rules (RigL, DST-EE,
+  SNFS) score *inactive* weights by dense-gradient magnitude, so that GEMM
+  is part of the algorithm.  Between mask updates a block-masked (BSR)
+  layer computes only its active tiles (a block-sampled dense-dense
+  matmul, SDDMM); CSR layers stay dense every step.
 * A dispatch layer: per layer, ``dense`` vs ``csr``/``bsr`` is
   auto-selected from the layer's density, size and mask granularity; the
   mode and thresholds are overridable per call or process-wide via
@@ -51,19 +55,11 @@ import os
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided
 from scipy.sparse import _sparsetools
 
 from repro import nn
-from repro.autograd.conv import (
-    _accumulate_grad_w,
-    _col2im,
-    _col2im_t,
-    _contiguous_cols,
-    _im2col,
-    _input_grad_workspace,
-    _pair,
-    _stage_grad_mat,
-)
+from repro.autograd.conv import ConvWorkspace, _input_grad_workspace, _pair
 from repro.autograd.tensor import Tensor, ensure_tensor
 from repro.hotpath import hot_path
 from repro.sparse.blocks import expand_block_csr
@@ -320,8 +316,8 @@ class BsrMatmul:
     ``Y += A @ X``, so the bias folds into the output initialization for
     free.  Staging and output buffers live in a small per-instance cache
     keyed by name (same step-lifetime contract as
-    :class:`~repro.autograd.conv.ConvWorkspace`); a product whose result
-    becomes a tensor's data asks for a fresh array with ``reuse=False``.
+    :class:`~repro.autograd.conv.ConvWorkspace`), except the output of
+    :meth:`matmul_wx`, which becomes a tensor's data and is fresh per call.
     """
 
     def __init__(self, shape2d: tuple[int, int], block_size: int):
@@ -421,18 +417,11 @@ class BsrMatmul:
     # products (sparse operand on the left; operands C-contiguous)
     # ------------------------------------------------------------------
     @hot_path
-    def matmul_wx(
-        self, x_t: np.ndarray, bias: np.ndarray | None = None, reuse: bool = True
-    ) -> np.ndarray:
+    def matmul_wx(self, x_t: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
         """``W @ x_t`` (+ broadcast bias) for C-contiguous ``x_t`` of shape
-        ``(cols, N)``; returns a C-contiguous ``(rows, N)`` array, a cached
-        buffer unless ``reuse=False`` (for results that become a tensor's
-        data and must survive the next call)."""
-        rows, cols = self.shape2d
-        if reuse:
-            out = self.buffer("wx", (rows, x_t.shape[1]))
-        else:
-            out = np.empty((rows, x_t.shape[1]), dtype=np.float32)  # reprolint: disable=RPL005
+        ``(cols, N)``; returns a fresh C-contiguous ``(rows, N)`` array."""
+        rows = self.shape2d[0]
+        out = np.empty((rows, x_t.shape[1]), dtype=np.float32)  # reprolint: disable=RPL005
         if bias is not None:
             np.copyto(out, bias.reshape(rows, 1))
         else:
@@ -508,18 +497,6 @@ class _KernelBase:
             )
             self._choice_version = target.mask_version
         return self._choice
-
-
-def _zeroed_grad_w(weight, workspace, matmul: BsrMatmul) -> np.ndarray:
-    """Zeroed dense weight-gradient buffer for the sparse scatter path.
-
-    Uses the matmul's zero-once cache unless a previous accumulation is
-    still pending — the cached buffer may already be adopted as
-    ``weight.grad``, and overwriting it in place would corrupt the sum.
-    """
-    if weight.grad is None:
-        return matmul.grad_w_buffer(weight.shape)
-    return np.zeros(weight.shape, dtype=np.float32)
 
 
 class LinearKernel(_KernelBase):
@@ -599,7 +576,7 @@ class LinearKernel(_KernelBase):
         # backward reads x.T, so a second forward before the backward must
         # not overwrite either.
         x_t = np.ascontiguousarray(data.T)  # reprolint: disable=RPL005
-        out = matmul.matmul_wx(x_t, None if bias is None else bias.data, reuse=False).T
+        out = matmul.matmul_wx(x_t, None if bias is None else bias.data).T
 
         parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -611,7 +588,12 @@ class LinearKernel(_KernelBase):
                     # Dense at update steps: growth scores inactive weights.
                     weight._accumulate(grad.T @ data)
                 else:
-                    grad_w = _zeroed_grad_w(weight, None, matmul)
+                    # The zero-once cache, unless a pending accumulation
+                    # may already have adopted it as weight.grad (fresh then).
+                    if weight.grad is None:
+                        grad_w = matmul.grad_w_buffer(weight.shape)
+                    else:  # reprolint: disable-next=RPL005
+                        grad_w = np.zeros(weight.shape, dtype=np.float32)
                     matmul.scatter_grad_w(g_t, x_t, grad_w)
                     weight._accumulate(grad_w)
             if x.requires_grad:
@@ -625,32 +607,182 @@ class LinearKernel(_KernelBase):
         return Tensor._make(out, parents, backward)
 
 
+def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """CSR row pointer of row ids ``rows`` (already grouped by row)."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return indptr
+
+
+def _axis_layout(size: int, kernel: int, stride: int, padding: int):
+    """One axis of a :class:`_TapGrid`: ``(out, pad, cell, taps, lengths)``.
+
+    ``taps`` holds ``(tap, phase, shift)`` for each tap some output reads
+    inside the image (output ``y`` reads ``stride * (y + shift) + phase``).
+    Phase ``a`` has ``lengths[a]`` pixels, ``pad`` into a ``cell``.
+    """
+    out = (size + 2 * padding - kernel) // stride + 1
+    taps = []
+    for i in range(kernel):
+        shift, phase = divmod(i - padding, stride)
+        first = max(0, -shift)  # first output whose read is not before the image
+        if first < out and stride * (first + shift) + phase < size:
+            taps.append((i, phase, shift))
+    pad = max([0] + [-shift for _, _, shift in taps])
+    lengths = {phase: len(range(phase, size, stride)) for _, phase, _ in taps}
+    past_end = max([0] + [shift for _, _, shift in taps])
+    cell = max([out + past_end] + [pad + n for n in lengths.values()])
+    return out, pad, cell, taps, lengths
+
+
+class _TapGrid:
+    """Shared-padding grid of one conv input shape (see :class:`Conv2dKernel`).
+
+    The input is staged as its polyphase components ``x[:, :, a::sh,
+    b::sw]``, channel-major, one ``(rows, cols)`` cell per image with the
+    data at ``(top, left)``.  Cells follow each other without a gap, so
+    the zero rows (columns) after one image (row) are the ones before the
+    next.  Output pixel ``(y, x)`` sits at cell position ``(y, x)`` of a
+    ``(C_out, pitch)`` grid, so each live tap reads its component at one
+    flat offset: a contiguous shifted view.  Only taps that read the image
+    somewhere are live, and the padding covers just those.
+    """
+
+    def __init__(self, x_shape, weight_shape, stride, padding):
+        n, c_in, h, w = self.x_shape = x_shape
+        _, _, kh, kw = weight_shape
+        (sh, sw), (ph, pw) = stride, padding
+        self.out_h, self.top, self.rows, taps_h, height = _axis_layout(h, kh, sh, ph)
+        self.out_w, self.left, self.cols, taps_w, width = _axis_layout(w, kw, sw, pw)
+        self.n = n
+        self.pitch = n * self.rows * self.cols
+        span = c_in * self.pitch
+        phases = sorted({(a, b) for _, a, _ in taps_h for _, b, _ in taps_w})
+        # (base, a, b, rows, cols) of each staged component.
+        self.comps = [(k * span, a, b, height[a], width[b]) for k, (a, b) in enumerate(phases)]
+        # (tap, flat offset of its shifted view) of each live tap.
+        shifts = [
+            (i * kw + j, phases.index((a, b)) * span, (dy + self.top) * self.cols + dx + self.left)
+            for i, a, dy in taps_h
+            for j, b, dx in taps_w
+        ]
+        self.taps = [(t, base + shift) for t, base, shift in shifts]
+        # The tail keeps the last view in bounds; a dead-tap view reads
+        # offset 0 even when no tap is live.
+        tail = max([0] + [shift for _, _, shift in shifts])
+        self.size = max(len(phases) * span + tail, self.pitch)
+        self.covers = len(phases) == sh * sw
+        # Per flattened weight column ``c * K + t``: the offset of channel
+        # ``c``'s view under tap ``t``, and whether ``t`` is dead (offset 0).
+        tap_offsets = np.zeros(kh * kw, dtype=np.int64)
+        dead = np.ones(kh * kw, dtype=bool)
+        for t, off in self.taps:
+            tap_offsets[t], dead[t] = off, False
+        self.has_dead = bool(dead.any())
+        self.dead_cols = np.tile(dead, c_in)
+        self.col_offsets = (np.arange(c_in)[:, None] * self.pitch + tap_offsets).reshape(-1)
+        self.col_offsets[self.dead_cols] = 0
+
+    def shifted(self, flat: np.ndarray, offset: int, channels: int) -> np.ndarray:
+        """``(channels, pitch)`` view of the grid starting at ``offset``."""
+        return flat[offset : offset + channels * self.pitch].reshape(channels, self.pitch)
+
+    def data(self, flat: np.ndarray, comp, channels: int) -> np.ndarray:
+        """The image region of one staged component, ``(C, N, rows, cols)``."""
+        base, _, _, rows, cols = comp
+        cells = self.shifted(flat, base, channels).reshape(channels, self.n, self.rows, self.cols)
+        return cells[:, :, self.top : self.top + rows, self.left : self.left + cols]
+
+    def output(self, grid2d: np.ndarray) -> np.ndarray:
+        """The valid ``(C_out, N, out_h, out_w)`` region of an output grid."""
+        cells = grid2d.reshape(grid2d.shape[0], self.n, self.rows, self.cols)
+        return cells[:, :, : self.out_h, : self.out_w]
+
+
+class _TapCsr:
+    """Per-tap CSR slices of a masked ``(C_out, C_in, kh, kw)`` conv weight.
+
+    Tap ``t``'s ``(C_out, C_in)`` slice is rows ``t*C_out:(t+1)*C_out`` of
+    one stacked ``(K*C_out, C_in)`` CSR matrix (``K = kh*kw``), and its
+    transpose rows ``t*C_in:(t+1)*C_in`` of a stacked ``(K*C_in, C_out)``
+    one.  The structure is rebuilt only when the mask version moves and
+    values are gathered each forward.  Block-masked layers also keep their
+    active tiles for the sampled weight gradient.
+    """
+
+    def __init__(self, shape4d: tuple[int, int, int, int], block_size: int):
+        self.shape4d = tuple(int(v) for v in shape4d)
+        self.block_size = int(block_size)
+        self.version = -1
+
+    @hot_path
+    def sync(self, flat_values: np.ndarray, target: SparseParam) -> None:
+        if target.mask_version != self.version:
+            self._rebuild(target)
+            self.version = target.mask_version
+        np.take(flat_values, self._gather, out=self._data)
+        np.take(flat_values, self._gather_t, out=self._data_t)
+
+    def _rebuild(self, target: SparseParam) -> None:
+        c_out, c_in, kh, kw = self.shape4d
+        k = kh * kw
+        flat = target.active_indices
+        co, rest = np.divmod(flat, c_in * k)
+        c, t = np.divmod(rest, k)
+        order = np.argsort(t, kind="stable")  # by tap, then (c_out, c_in)
+        self._indptr = _indptr(t[order] * c_out + co[order], k * c_out)
+        self._indices = c[order].astype(np.int32)
+        self._gather = flat[order]
+        order = np.lexsort((co, c, t))  # by tap, then (c_in, c_out)
+        self._indptr_t = _indptr(t[order] * c_in + c[order], k * c_in)
+        self._indices_t = co[order].astype(np.int32)
+        self._gather_t = flat[order]
+        self._data = np.empty(flat.size, dtype=np.float32)
+        self._data_t = np.empty(flat.size, dtype=np.float32)
+        self.nnz = np.diff(self._indptr[::c_out])
+        b = self.block_size
+        if b > 1:
+            brow, bcol = np.divmod(target.active_blocks, c_in * k // b)
+            self.brows = brow
+            self.tile_cols = bcol[:, None] * b + np.arange(b)
+            rows = brow[:, None] * b + np.arange(b)
+            self.scatter = (rows[:, :, None] * (c_in * k) + self.tile_cols[:, None, :]).reshape(-1)
+
+    @hot_path
+    def forward(self, t: int, x2d: np.ndarray, out: np.ndarray) -> None:
+        """``out += W_t @ x2d``: ``(C_in, P)`` -> ``(C_out, P)``."""
+        rows = self._indptr[t * out.shape[0] : (t + 1) * out.shape[0] + 1]
+        _csr_matvecs(rows, self._indices, self._data, x2d, out)
+
+    @hot_path
+    def backward(self, t: int, g2d: np.ndarray, out: np.ndarray) -> None:
+        """``out += W_t.T @ g2d``: ``(C_out, P)`` -> ``(C_in, P)``."""
+        rows = self._indptr_t[t * out.shape[0] : (t + 1) * out.shape[0] + 1]
+        _csr_matvecs(rows, self._indices_t, self._data_t, g2d, out)
+
+
 class Conv2dKernel(_KernelBase):
     """Sparse training forward for a masked :class:`~repro.nn.Conv2d`.
 
-    Lowers to im2col exactly like :func:`repro.autograd.conv.conv2d`, but
-    the filter-matrix products (forward and input-gradient) run on the
-    mask-structured CSR or block-sparse matrices.
+    A direct sparse convolution (Park et al., ICLR 2017): the input is
+    staged once on a :class:`_TapGrid`, and each live kernel tap multiplies
+    its ``(C_out, C_in)`` CSR slice into a shifted view of that grid, all
+    taps accumulating into one output grid.  The input gradient runs the
+    transposed products into a gradient grid the same way, so nothing is
+    expanded im2col-style and nothing is scattered back col2im-style.
 
-    Step-lifetime contract: the output and im2col stagings live in the
-    module's ``ConvWorkspace`` (when it has one), and the BSR path's
-    transposed stagings always live in ``BsrMatmul.buffer`` slots.  The next
-    call overwrites them, so a layer must not run a second forward before
-    the first one's backward.  Unlike :class:`LinearKernel`, a conv layer
-    does not support two forwards before one backward.
+    Taps sum in order, each tap's channels in ascending order, so values
+    match the dense conv to rounding, not bitwise.  The weight gradient is
+    one dense GEMM per live tap, except for a ``"bsr"`` layer between mask
+    updates (``dense_grads_required`` cleared): only its active tiles.
+    Every buffer lives in the module's ``ConvWorkspace`` (a layer run twice
+    before one backward gets a fresh one, see ``ConvWorkspace.claim``).
     """
 
     def __init__(self, module, target, mode="auto", density_threshold=None, min_size=None):
         super().__init__(module, target, mode, density_threshold, min_size)
-        c_out, c_in, kh, kw = module.weight.shape
-        self.matmul = CsrMatmul((c_out, c_in * kh * kw))
-        self._bsr_matmul: BsrMatmul | None = None
-
-    def _bsr(self) -> BsrMatmul:
-        if self._bsr_matmul is None:
-            c_out, c_in, kh, kw = self.module.weight.shape
-            self._bsr_matmul = BsrMatmul((c_out, c_in * kh * kw), self.target.block_size)
-        return self._bsr_matmul
+        self.taps = _TapCsr(module.weight.shape, target.block_size)
+        self._grid: _TapGrid | None = None
 
     def __call__(self, x) -> Tensor | None:
         choice = self.backend()
@@ -665,150 +797,118 @@ class Conv2dKernel(_KernelBase):
             raise ValueError(
                 f"conv2d channel mismatch: input has {data.shape[1]}, weight expects {c_in}"
             )
-        if choice == "bsr":
-            return self._forward_bsr(x, data)
-        return self._forward_csr(x, data)
+        return self._forward(x, data, tiles=choice == "bsr")
 
-    def _forward_csr(self, x, data: np.ndarray) -> Tensor:
+    def _forward(self, x, data: np.ndarray, tiles: bool) -> Tensor:
         module = self.module
         weight = module.weight
         bias = module.bias
-        target = self.target
-        matmul = self.matmul
+        taps = self.taps
         c_out, c_in, kh, kw = weight.shape
-        stride = _pair(module.stride)
-        padding = _pair(module.padding)
-        # The module's ConvWorkspace is shared with the dense path: only one
-        # path runs per call and both use the same buffer shapes, so flips
-        # of the density-based dispatch never grow the cache.
+        sh, sw = _pair(module.stride)
         workspace = getattr(module, "workspace", None)
-        matmul.sync(weight.data.reshape(-1), target.active_indices, target.mask_version)
+        ws = workspace.claim() if workspace is not None else ConvWorkspace()
+        taps.sync(weight.data.reshape(-1), self.target)
+        grid = self._grid
+        if grid is None or grid.x_shape != data.shape:
+            stride, padding = (sh, sw), _pair(module.padding)
+            grid = self._grid = _TapGrid(data.shape, weight.shape, stride, padding)
+        pitch = grid.pitch
 
-        cols, padded_shape, out_h, out_w = _im2col(data, kh, kw, stride, padding, workspace)
-        n = data.shape[0]
-        cols_mat = _contiguous_cols(cols, workspace).reshape(n * out_h * out_w, c_in * kh * kw)
-        out_mat = matmul.matmul_xwt(cols_mat)  # (N*oh*ow, c_out), F-ordered
-        # out_mat.T is the product's fresh C-ordered (c_out, N*oh*ow) array,
-        # so this reshape is a view.
-        src = out_mat.T.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
-        if workspace is not None:
-            out_data = workspace.get("out", (n, c_out, out_h, out_w), np.float32)
-            np.copyto(out_data, src)
-            if bias is not None:
-                np.add(out_data, bias.data.reshape(1, c_out, 1, 1), out=out_data)
+        # Stage the input; the padding around it was zeroed at allocation.
+        x_grid = ws.zeros("x_grid", (grid.size,), key=data.shape)
+        for comp in grid.comps:
+            _, a, b, _, _ = comp
+            phase = data[:, :, a::sh, b::sw].transpose(1, 0, 2, 3)
+            np.copyto(grid.data(x_grid, comp, c_in), phase)
+        live = [(t, off) for t, off in grid.taps if taps.nnz[t]]
+
+        y_grid = ws.get("y_grid", (c_out, pitch))
+        if bias is None:
+            y_grid.fill(0.0)
         else:
-            out_data = src
-            if bias is not None:
-                out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
+            np.copyto(y_grid, bias.data.reshape(c_out, 1))
+        for t, off in live:
+            taps.forward(t, grid.shifted(x_grid, off, c_in), y_grid)
+        out_data = ws.get("out", (data.shape[0], c_out, grid.out_h, grid.out_w))
+        np.copyto(out_data, grid.output(y_grid).transpose(1, 0, 2, 3))
 
         parents = (x, weight) if bias is None else (x, weight, bias)
 
         def backward(grad: np.ndarray) -> None:
-            grad_mat = _stage_grad_mat(grad, n, out_h, out_w, c_out, workspace)
+            ws.release()
+            # Positions outside the output stay zero, so the products over
+            # the whole grid add nothing from them.
+            g_grid = ws.zeros("g_grid", (c_out, pitch), key=data.shape)
+            np.copyto(grid.output(g_grid), grad.transpose(1, 0, 2, 3))
             if weight.requires_grad:
-                # Dense by design: growth rules score inactive weights too.
-                _accumulate_grad_w(weight, grad_mat, cols_mat, workspace)
-            if x.requires_grad:
-                # matmul_gw returns the F-ordered .T view of its product;
-                # _col2im needs a C-contiguous 6-D view, so stage the
-                # transpose copy into the workspace instead of allocating it
-                # fresh every step.
-                grad_cols_mat = matmul.matmul_gw(grad_mat)
-                if workspace is not None:
-                    grad_cols = workspace.get(
-                        "csr_grad_cols", grad_cols_mat.shape, np.float32
-                    )
-                    np.copyto(grad_cols, grad_cols_mat)
+                if tiles and not self.target.dense_grads_required:
+                    grad_w = self._tile_grad_w(g_grid, x_grid, grid, ws)
                 else:
-                    # reprolint: disable-next=RPL005
-                    grad_cols = np.ascontiguousarray(grad_cols_mat)
-                grad_cols = grad_cols.reshape(n, out_h, out_w, c_in, kh, kw)
-                x._accumulate(
-                    _col2im(
-                        grad_cols,
-                        padded_shape,
-                        kh,
-                        kw,
-                        stride,
-                        padding,
-                        x.shape,
-                        _input_grad_workspace(x, workspace),
-                    )
-                )
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=(0, 2, 3)))
-
-        return Tensor._make(out_data, parents, backward)
-
-    def _forward_bsr(self, x, data: np.ndarray) -> Tensor:
-        """Block-sparse im2col conv: every filter-matrix product keeps the
-        sparse operand on the left over transposed C-contiguous stagings.
-
-        Only the transposed cols matrix ``(C*kh*kw, N*oh*ow)`` is staged —
-        the weight gradient GEMM consumes its F-contiguous transpose view
-        directly (BLAS handles the flag), so the untransposed copy the CSR
-        path makes is never materialized.
-        """
-        module = self.module
-        weight = module.weight
-        bias = module.bias
-        matmul = self._bsr()
-        c_out, c_in, kh, kw = weight.shape
-        ckk = c_in * kh * kw
-        stride = _pair(module.stride)
-        padding = _pair(module.padding)
-        workspace = getattr(module, "workspace", None)
-        matmul.sync(weight.data.reshape(-1), self.target)
-
-        cols, padded_shape, out_h, out_w = _im2col(data, kh, kw, stride, padding, workspace)
-        n = data.shape[0]
-        m = n * out_h * out_w
-        cols_t = matmul.buffer("colsT", (ckk, m))
-        np.copyto(
-            cols_t.reshape(c_in, kh, kw, n, out_h, out_w),
-            cols.transpose(3, 4, 5, 0, 1, 2),
-        )
-        out_t = matmul.matmul_wx(
-            cols_t, None if bias is None else bias.data
-        )  # (c_out, N*oh*ow) C-contiguous
-        src = out_t.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
-        if workspace is not None:
-            out_data = workspace.get("out", (n, c_out, out_h, out_w), np.float32)
-            np.copyto(out_data, src)
-        else:
-            out_data = np.ascontiguousarray(src)
-
-        parents = (x, weight) if bias is None else (x, weight, bias)
-
-        def backward(grad: np.ndarray) -> None:
-            grad_mat_t = matmul.buffer("gradT", (c_out, m))
-            np.copyto(grad_mat_t.reshape(c_out, n, out_h, out_w), grad.transpose(1, 0, 2, 3))
-            if weight.requires_grad:
-                if self.target.dense_grads_required:
                     # Dense at update steps: growth scores inactive weights.
-                    _accumulate_grad_w(weight, grad_mat_t.T, cols_t.T, workspace)
-                else:
-                    grad_w = _zeroed_grad_w(weight, workspace, matmul)
-                    matmul.scatter_grad_w(grad_mat_t, cols_t, grad_w)
-                    weight._accumulate(grad_w)
+                    grad_w = self._dense_grad_w(g_grid, x_grid, grid, ws)
+                weight._accumulate(grad_w)
             if x.requires_grad:
-                grad_cols_t = matmul.matmul_wtg(grad_mat_t)  # (ckk, N*oh*ow)
-                x._accumulate(
-                    _col2im_t(
-                        grad_cols_t.reshape(c_in, kh, kw, n, out_h, out_w),
-                        padded_shape,
-                        kh,
-                        kw,
-                        stride,
-                        padding,
-                        x.shape,
-                        _input_grad_workspace(x, workspace),
-                    )
-                )
+                gx_grid = ws.get("gx_grid", (grid.size,))
+                gx_grid.fill(0.0)
+                for t, off in live:
+                    taps.backward(t, g_grid, grid.shifted(gx_grid, off, c_in))
+                grad_ws = _input_grad_workspace(x, ws) or ConvWorkspace()
+                grad_x = grad_ws.get("grad_x", data.shape)
+                if not grid.covers:
+                    grad_x.fill(0.0)
+                for comp in grid.comps:
+                    _, a, b, _, _ = comp
+                    phase = grid.data(gx_grid, comp, c_in).transpose(1, 0, 2, 3)
+                    np.copyto(grad_x[:, :, a::sh, b::sw], phase)
+                x._accumulate(grad_x)
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2, 3)))
 
-        return Tensor._make(out_data, parents, backward)
+        out = Tensor._make(out_data, parents, backward)
+        ws.hold(out)
+        return out
+
+    def _dense_grad_w(self, g_grid, x_grid, grid: _TapGrid, ws) -> np.ndarray:
+        """One ``g @ x_tap.T`` GEMM per live tap; dead taps are exactly 0."""
+        weight = self.module.weight
+        c_out, c_in, kh, kw = weight.shape
+        per_tap = ws.get("grad_w_taps", (kh * kw, c_out, c_in))
+        if grid.has_dead:
+            per_tap.fill(0.0)
+        for t, off in grid.taps:
+            np.matmul(g_grid, grid.shifted(x_grid, off, c_in).T, out=per_tap[t])
+        grad_w = (ws if weight.grad is None else ConvWorkspace()).get("grad_w", weight.shape)
+        np.copyto(grad_w.reshape(c_out, c_in, kh * kw), per_tap.transpose(1, 2, 0))
+        return grad_w
+
+    def _tile_grad_w(self, g_grid, x_grid, grid: _TapGrid, ws) -> np.ndarray:
+        """Active-tile weight gradient (a block SDDMM), zero elsewhere.
+
+        Tile ``(r, j)`` is ``g[rB:(r+1)B] @ X[jB:(j+1)B].T`` where row ``f =
+        c * K + t`` of the virtual im2col matrix ``X`` is the shifted view
+        of channel ``c`` under tap ``t``: one batched matmul over the
+        active tiles, gathering only their views.
+        """
+        weight = self.module.weight
+        taps = self.taps
+        b = taps.block_size
+        g3 = g_grid.reshape(weight.shape[0] // b, b, grid.pitch)
+        cols = taps.tile_cols
+        step = x_grid.itemsize  # every view start, without copying
+        starts = as_strided(x_grid, (x_grid.size - grid.pitch + 1, grid.pitch), (step, step))
+        views = starts[grid.col_offsets[cols]]
+        tiles = np.matmul(g3[taps.brows], views.transpose(0, 2, 1))
+        if grid.has_dead:
+            tiles.transpose(0, 2, 1)[grid.dead_cols[cols]] = 0.0
+        # Zeroed when the structure moves; between moves the scatter
+        # overwrites the same positions.
+        if weight.grad is None:
+            grad_w = ws.zeros("grad_w_tiles", weight.shape, key=taps.version)
+        else:
+            grad_w = np.zeros(weight.shape, dtype=np.float32)
+        grad_w.reshape(-1)[taps.scatter] = tiles.reshape(-1)
+        return grad_w
 
 
 def install_training_backends(

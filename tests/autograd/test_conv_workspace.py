@@ -49,6 +49,7 @@ class TestConvWorkspaceParity:
         workspace = ConvWorkspace()
         out1 = conv2d(x, w, bias=b, workspace=workspace, **kwargs)
         buffer_id = id(out1.data)
+        out1.sum().backward()  # the step ends: its buffers are free again
         out2 = conv2d(x, w, bias=b, workspace=workspace, **kwargs)
         assert id(out2.data) == buffer_id  # same cached buffer, overwritten
 
@@ -72,6 +73,17 @@ class TestConvWorkspaceParity:
         out = conv2d(x2, w, bias=b, workspace=workspace, **kwargs)
         reference = conv2d(x2, w, bias=b, **kwargs)
         np.testing.assert_allclose(out.data, reference.data, atol=1e-5)
+
+    def test_pending_backward_gets_fresh_buffers_until_graph_dies(self):
+        x, w, b, kwargs = _case()
+        workspace = ConvWorkspace()
+        out1 = conv2d(x, w, bias=b, workspace=workspace, **kwargs)
+        buffer_id = id(out1.data)
+        out2 = conv2d(x, w, bias=b, workspace=workspace, **kwargs)
+        assert id(out2.data) != buffer_id  # out1's backward is still pending
+        del out1, out2  # abandoned without a backward
+        out3 = conv2d(x, w, bias=b, workspace=workspace, **kwargs)
+        assert id(out3.data) == buffer_id  # reuse is back
 
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_CONV_WORKSPACE", "0")

@@ -18,6 +18,8 @@ from repro.data.loader import DataLoader
 from repro.nn.losses import cross_entropy
 from repro.optim import SGD, Adam, CosineAnnealingLR
 from repro.experiments.registry import build_method
+from repro.models import resnet50_mini
+from repro.sparse.kernels import Conv2dKernel
 from repro.train import (
     CheckpointCallback,
     Trainer,
@@ -35,7 +37,7 @@ TRACKED_SERIES = (
 
 
 def _build(tiny_data, tiny_mlp_factory, method, *, optimizer_cls=SGD,
-           callbacks=(), n_workers=0, seed=0, block_size=None):
+           callbacks=(), n_workers=0, seed=0, block_size=None, sparse_backend=None):
     model = tiny_mlp_factory(seed)
     train_loader = DataLoader(
         tiny_data.train, batch_size=BATCH_SIZE, shuffle=True,
@@ -56,7 +58,7 @@ def _build(tiny_data, tiny_mlp_factory, method, *, optimizer_cls=SGD,
     trainer = Trainer(
         model, optimizer, cross_entropy, train_loader, test_loader,
         scheduler=scheduler, controller=setup.controller,
-        callbacks=list(callbacks), n_workers=n_workers,
+        callbacks=list(callbacks), n_workers=n_workers, sparse_backend=sparse_backend,
     )
     return trainer, setup
 
@@ -206,6 +208,40 @@ class TestKillAndResume:
             tiny_data, tiny_mlp_factory, "dst_ee", tmp_path, step,
             block_size=4, n_workers=2,
         )
+        _assert_identical(reference, resumed, ref_setup, res_setup)
+
+    @pytest.mark.parametrize("n_workers", [0, 2])
+    def test_block_sparse_conv_resume_is_bitwise_identical(
+        self, n_workers, tiny_data, tmp_path
+    ):
+        """A BSR-kernel ResNet (strided 3x3 and 1x1 convs) resumes bit-for-bit
+        across a drop-and-grow round."""
+        from repro.parallel import fork_available
+
+        if n_workers and not fork_available():
+            pytest.skip("fork not available")
+
+        def factory(seed):
+            return resnet50_mini(num_classes=4, seed=seed)
+
+        kwargs = dict(block_size=4, sparse_backend="bsr", n_workers=n_workers)
+        step = 7  # mid-epoch, one step before a drop-and-grow round
+        assert (step + 1) % DELTA_T == 0
+        # Checkpoint only at the kill step: ResNet checkpoints are slow to write.
+        callback = CheckpointCallback(tmp_path, every_n_epochs=None, every_n_steps=step)
+        reference, ref_setup = _build(
+            tiny_data, factory, "dst_ee", callbacks=[callback], **kwargs
+        )
+        reference.fit(EPOCHS)
+        bsr = [
+            m for m in reference.model.modules()
+            if isinstance(getattr(m, "forward_backend", None), Conv2dKernel)
+            and m.forward_backend.backend() == "bsr"
+        ]
+        assert {m.stride for m in bsr} == {1, 2}
+        assert {m.kernel_size for m in bsr} == {(1, 1), (3, 3)}
+        resumed, res_setup = _resume_at(tiny_data, factory, "dst_ee", tmp_path, step, **kwargs)
+        assert any(r.step > step for r in ref_setup.controller.history)
         _assert_identical(reference, resumed, ref_setup, res_setup)
 
     def test_resume_with_gradient_workers(

@@ -1,0 +1,104 @@
+"""Differential test: the sparse conv kernel against dense ``conv2d``.
+
+Random layer shapes, strides, paddings, block sizes, densities and bias,
+with the conv workspace on or off and dense weight gradients required or
+not.
+Each draw runs two steps (the second through warm buffers, at a new batch
+size half the time) and compares every result with the dense conv of the
+masked weight.
+"""
+
+import os
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro import nn
+from repro.autograd import Tensor, conv2d, ops
+from repro.sparse.kernels import Conv2dKernel
+from repro.sparse.masked import SparseParam
+
+
+@st.composite
+def conv_cases(draw):
+    block = draw(st.sampled_from([1, 4]))
+    kernel = draw(st.sampled_from([1, 3]))
+    padding = draw(st.sampled_from([0, 1]))
+    lo = max(1, kernel - 2 * padding)
+    return {
+        "block": block,
+        "c_in": block * draw(st.integers(1, 3)),
+        "c_out": block * draw(st.integers(1, 3)),
+        "h": draw(st.integers(lo, 9)),
+        "w": draw(st.integers(lo, 9)),
+        "kernel": kernel,
+        "stride": draw(st.sampled_from([1, 2])),
+        "padding": padding,
+        "density": draw(st.floats(0.05, 1.0)),
+        "workspace": draw(st.sampled_from(["1", "0"])),
+        "dense_grads": draw(st.booleans()),
+        "bias": draw(st.booleans()),
+        "batches": draw(st.sampled_from([(2, 2), (2, 3)])),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def _block_mask(rng, shape, block, density):
+    rows, cols = shape[0], int(np.prod(shape[1:]))
+    tiles = rng.random((rows // block, cols // block)) < density
+    return np.kron(tiles, np.ones((block, block), dtype=bool)).reshape(shape)
+
+
+class TestConv2dKernelDifferential:
+    @given(case=conv_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_dense_conv_on_masked_weight(self, case):
+        rng = np.random.default_rng(case["seed"])
+        k, stride, padding = case["kernel"], case["stride"], case["padding"]
+        layer = nn.Conv2d(
+            case["c_in"], case["c_out"], k, stride=stride, padding=padding, bias=case["bias"], rng=rng
+        )
+        block = case["block"]
+        mask = _block_mask(rng, layer.weight.shape, block, case["density"])
+        layer.weight.data *= mask
+        target = SparseParam("weight", layer.weight, mask, case["density"], block_size=block)
+        target.dense_grads_required = case["dense_grads"]
+        mode = "bsr" if block > 1 else "csr"
+        layer.forward_backend = Conv2dKernel(layer, target, mode, min_size=1)
+
+        with mock.patch.dict(os.environ, {"REPRO_CONV_WORKSPACE": case["workspace"]}):
+            for n in case["batches"]:
+                x = rng.standard_normal((n, case["c_in"], case["h"], case["w"]))
+                x = x.astype(np.float32)
+                want = self._step(
+                    lambda t: conv2d(t, layer.weight, layer.bias, stride, padding), layer, x, rng
+                )
+                got = self._step(layer, layer, x, want[-1])
+                self._compare(got, want, mask, tiles=block > 1 and not case["dense_grads"])
+
+    @staticmethod
+    def _step(forward, layer, x, upstream):
+        """One step; ``upstream`` is the output gradient or an rng to draw it."""
+        layer.zero_grad()
+        inp = Tensor(x, requires_grad=True)
+        out = forward(inp)
+        if isinstance(upstream, np.random.Generator):
+            upstream = upstream.standard_normal(out.shape).astype(np.float32)
+        ops.sum(ops.mul(out, upstream)).backward()
+        bias_grad = None if layer.bias is None else layer.bias.grad.copy()
+        grads = (inp.grad.copy(), layer.weight.grad.copy(), bias_grad)
+        return (out.data.copy(),) + grads + (upstream,)
+
+    @staticmethod
+    def _compare(got, want, mask, tiles):
+        tol = {"rtol": 1e-4, "atol": 1e-4}
+        np.testing.assert_allclose(got[0], want[0], **tol)
+        np.testing.assert_allclose(got[1], want[1], **tol)
+        if want[3] is not None:
+            np.testing.assert_allclose(got[3], want[3], **tol)
+        if tiles:
+            np.testing.assert_allclose(got[2][mask], want[2][mask], **tol)
+            assert not got[2][~mask].any()
+        else:
+            np.testing.assert_allclose(got[2], want[2], **tol)

@@ -155,6 +155,59 @@ class TestTwoForwardsOneBackward:
         np.testing.assert_allclose(sparse[3], dense[3], atol=1e-5)
 
 
+class TestConvTwoForwardsOneBackward:
+    """A conv layer run on a, then on b, then one backward must give what
+    two separate steps give, on every path and with or without the
+    workspace (the second forward used to overwrite the first's buffers)."""
+
+    @staticmethod
+    def _layer(path):
+        layer = nn.Conv2d(8, 8, 3, stride=1, padding=1, rng=np.random.default_rng(0))
+        masked = MaskedModel(
+            layer, 0.8, distribution="uniform", rng=np.random.default_rng(1),
+            block_size=4 if path == "bsr" else 1,
+        )
+        if path != "dense":
+            report = install_training_backends(masked, mode=path, min_size=1)
+            assert set(report.values()) == {path}
+        # Tile-mode weight gradients on the BSR path (no growth this step).
+        masked.targets[0].dense_grads_required = path != "bsr"
+        return layer
+
+    @staticmethod
+    def _grads(layer, inputs):
+        return [inp.grad.copy() for inp in inputs] + [
+            layer.weight.grad.copy(), layer.bias.grad.copy()
+        ]
+
+    @pytest.mark.parametrize("workspace", ["1", "0"])
+    @pytest.mark.parametrize("path", ["dense", "csr", "bsr"])
+    def test_matches_two_separate_steps(self, path, workspace, monkeypatch):
+        monkeypatch.setenv("REPRO_CONV_WORKSPACE", workspace)
+        rng = np.random.default_rng(2)
+        xs = [rng.standard_normal((2, 8, 5, 5)).astype(np.float32) for _ in range(2)]
+        ups = [rng.standard_normal((2, 8, 5, 5)).astype(np.float32) for _ in range(2)]
+
+        layer = self._layer(path)
+        inputs = [Tensor(x, requires_grad=True) for x in xs]
+        separate = []
+        for inp, up in zip(inputs, ups):
+            out = layer(inp)
+            separate.append(out.data.copy())
+            ops.sum(ops.mul(out, up)).backward()
+        expected = self._grads(layer, inputs)
+
+        layer = self._layer(path)
+        inputs = [Tensor(x, requires_grad=True) for x in xs]
+        outs = [layer(inp) for inp in inputs]
+        for out, want in zip(outs, separate):
+            np.testing.assert_array_equal(out.data, want)
+        terms = [ops.sum(ops.mul(out, up)) for out, up in zip(outs, ups)]
+        ops.add(*terms).backward()
+        for got, want in zip(self._grads(layer, inputs), expected):
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+
+
 class TestConvParity:
     def test_train_mode_forward_and_grad_parity(self):
         model, masked = conv_setup()
