@@ -10,7 +10,10 @@ Exercises the full deployment pipeline at toy scale:
    requests, checking every response against the in-process path,
 5. round-trips a batch through a 2-worker :class:`ServingPool` (skipped
    where fork is unavailable),
-6. runs the CLI ``serve``-parser plumbing far enough to prove the
+6. repeats the export → load → pool checks for a 4x4-block DST-EE
+   ``resnet50_mini`` (strided 3x3 and 1x1 convs through the compiled
+   direct sparse convolution),
+7. runs the CLI ``serve``-parser plumbing far enough to prove the
    subcommand wiring imports.
 
 Exits non-zero on the first violated check.  Run from the repo root::
@@ -36,7 +39,7 @@ from repro.autograd import no_grad  # noqa: E402
 from repro.autograd.tensor import Tensor  # noqa: E402
 from repro.data import cifar10_like  # noqa: E402
 from repro.experiments.runner import run_image_classification  # noqa: E402
-from repro.models import MLP  # noqa: E402
+from repro.models import MLP, resnet50_mini  # noqa: E402
 from repro.parallel import fork_available  # noqa: E402
 from repro.serve import (  # noqa: E402
     Server,
@@ -45,7 +48,7 @@ from repro.serve import (  # noqa: E402
     load_model,
     make_http_server,
 )
-from repro.sparse.inference import compile_sparse_model  # noqa: E402
+from repro.sparse.inference import SparseConv2d, compile_sparse_model  # noqa: E402
 
 
 def check(condition: bool, message: str) -> None:
@@ -53,6 +56,54 @@ def check(condition: bool, message: str) -> None:
         print(f"FAIL: {message}")
         sys.exit(1)
     print(f"ok: {message}")
+
+
+def check_pool(path: pathlib.Path, x: np.ndarray, reference: np.ndarray, label: str) -> None:
+    """One 2-worker :class:`ServingPool` round trip, bitwise against ``reference``."""
+    if not fork_available():
+        print(f"skip: fork unavailable, {label} ServingPool smoke not run")
+        return
+    with ServingPool(path, n_workers=2) as pool:
+        check(
+            np.array_equal(pool.predict(x, timeout=60), reference),
+            f"{label}: 2-worker ServingPool matches in-process predictions",
+        )
+        check(
+            pool.arena is not None and pool.arena.nbytes > 0,
+            f"{label}: workers share a read-only weight arena",
+        )
+
+
+def block_conv_smoke(data, tmp: str) -> None:
+    """A 4x4-block resnet50_mini through compile -> export -> load -> pool."""
+    kwargs = {"num_classes": 10, "width_mult": 0.25, "seed": 0}
+    result = run_image_classification(
+        "dst_ee",
+        lambda seed: resnet50_mini(**dict(kwargs, seed=seed)),
+        data,
+        sparsity=0.9,
+        epochs=1,
+        batch_size=64,
+        lr=0.05,
+        delta_t=2,
+        seed=0,
+        block_size=4,
+        sparse_backend="bsr",
+        keep_model=True,
+    )
+    compiled = compile_sparse_model(result.masked)
+    block_sizes = {m.block_size for m in compiled.modules() if isinstance(m, SparseConv2d)}
+    check(4 in block_sizes, f"resnet50_mini compiled 4x4-block convs (block sizes {block_sizes})")
+    x = np.random.default_rng(4).standard_normal((8, 3, 8, 8)).astype(np.float32)
+    with no_grad():
+        reference = np.asarray(compiled(Tensor(x)).data)
+    path = pathlib.Path(tmp) / "resnet.npz"
+    export_model(compiled, path, model_config={"builder": "resnet50_mini", "kwargs": kwargs})
+    check(
+        np.array_equal(load_model(path).predict(x), reference),
+        "resnet50_mini: artifact round-trip is bitwise identical",
+    )
+    check_pool(path, x, reference, "resnet50_mini")
 
 
 def main() -> None:
@@ -144,18 +195,8 @@ def main() -> None:
             httpd.server_close()
             server.close()
 
-        if fork_available():
-            with ServingPool(path, n_workers=2) as pool:
-                check(
-                    np.array_equal(pool.predict(x, timeout=60), reference),
-                    "2-worker ServingPool matches in-process predictions",
-                )
-                check(
-                    pool.arena is not None and pool.arena.nbytes > 0,
-                    "workers share a read-only weight arena",
-                )
-        else:
-            print("skip: fork unavailable, ServingPool smoke not run")
+        check_pool(path, x, reference, "mlp")
+        block_conv_smoke(data, tmp)
 
     from repro.experiments.cli import build_parser
 

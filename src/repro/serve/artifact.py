@@ -3,10 +3,11 @@
 An artifact is the unit that leaves the training side and enters the
 serving side.  It stores, in a single compressed ``.npz``:
 
-* the CSR components (``data``/``indices``/``indptr`` + bias) of every
-  compiled :class:`~repro.sparse.inference.SparseLinear` /
-  :class:`~repro.sparse.inference.SparseConv2d` layer — at the paper's
-  90–98% sparsities this is a fraction of the dense weight bytes;
+* one record per compiled :class:`~repro.sparse.inference.SparseLinear` /
+  :class:`~repro.sparse.inference.SparseConv2d` layer: the CSR arrays its
+  forward reads (``data``/``indices``/``indptr``), its ``block_size``, its
+  geometry and its bias — at the paper's 90–98% sparsities this is a
+  fraction of the dense weight bytes;
 * the dense state of everything that stayed dense (biases were folded into
   the layer records; batch-norm parameters and running stats, unmasked
   layers);
@@ -21,6 +22,10 @@ rename) and carries a ``format_version`` that loaders refuse to guess
 about, plus a SHA-256 *fingerprint* over the manifest and every weight
 array — :func:`load_model` recomputes it by default, so a corrupted or
 tampered artifact fails loudly instead of serving garbage predictions.
+Each layer record is also checked against the rebuilt architecture before
+use (geometry, CSR bounds, bias length), so even an artifact whose
+fingerprint was recomputed after editing cannot drive the sparse kernels
+out of bounds.
 """
 
 from __future__ import annotations
@@ -33,16 +38,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import nn
 from repro.models import build_model
 from repro.nn.module import Module
 from repro.serve.preprocess import Preprocessor
-from repro.sparse.inference import (
-    BlockSparseConv2d,
-    BlockSparseLinear,
-    SparseConv2d,
-    SparseLinear,
-    compile_sparse_model,
-)
+from repro.sparse.inference import SparseConv2d, SparseLinear, compile_sparse_model
 from repro.sparse.masked import MaskedModel
 from repro.train.checkpoint import (
     atomic_write_bytes,
@@ -59,7 +59,7 @@ __all__ = [
     "read_manifest",
 ]
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 _META_KEY = "__artifact__"
 _KIND = "repro-sparse-model"
@@ -69,77 +69,50 @@ class ArtifactError(RuntimeError):
     """Raised for malformed, incompatible, or corrupted artifacts."""
 
 
+# Record type -> (architecture layer, compiled layer, geometry attributes).
+_LAYER_TYPES = {
+    "linear": (nn.Linear, SparseLinear, ("in_features", "out_features")),
+    "conv2d": (
+        nn.Conv2d,
+        SparseConv2d,
+        ("in_channels", "out_channels", "kernel_size", "stride", "padding"),
+    ),
+}
+_PAIRS = ("kernel_size", "stride", "padding")
+
+
 def _pair(value) -> list[int]:
     if isinstance(value, (tuple, list)):
         return [int(value[0]), int(value[1])]
     return [int(value), int(value)]
 
 
+def _geometry(module, keys) -> dict:
+    """JSON form of a layer's geometry: ints, and ``[h, w]`` for conv pairs."""
+    return {
+        key: _pair(getattr(module, key)) if key in _PAIRS else int(getattr(module, key))
+        for key in keys
+    }
+
+
 def _layer_records(model: Module) -> list[dict]:
     records: list[dict] = []
     for name, module in model.named_modules():
-        if isinstance(module, BlockSparseLinear):
-            matrix = module.weight_bsr
-            records.append(
-                {
-                    "name": name,
-                    "type": "linear",
-                    "block_size": module.block_size,
-                    "in_features": module.in_features,
-                    "out_features": module.out_features,
-                    "data": matrix.data,
-                    "indices": matrix.indices,
-                    "indptr": matrix.indptr,
-                    "bias": module.bias_data,
-                }
-            )
-        elif isinstance(module, BlockSparseConv2d):
-            matrix = module.weight_bsr
-            records.append(
-                {
-                    "name": name,
-                    "type": "conv2d",
-                    "block_size": module.block_size,
-                    "in_channels": module.in_channels,
-                    "out_channels": module.out_channels,
-                    "kernel_size": list(module.kernel_size),
-                    "stride": _pair(module.stride),
-                    "padding": _pair(module.padding),
-                    "data": matrix.data,
-                    "indices": matrix.indices,
-                    "indptr": matrix.indptr,
-                    "bias": module.bias_data,
-                }
-            )
-        elif isinstance(module, SparseLinear):
-            records.append(
-                {
-                    "name": name,
-                    "type": "linear",
-                    "in_features": module.in_features,
-                    "out_features": module.out_features,
-                    "data": module.weight_csr.data,
-                    "indices": module.weight_csr.indices,
-                    "indptr": module.weight_csr.indptr,
-                    "bias": module.bias_data,
-                }
-            )
-        elif isinstance(module, SparseConv2d):
-            records.append(
-                {
-                    "name": name,
-                    "type": "conv2d",
-                    "in_channels": module.in_channels,
-                    "out_channels": module.out_channels,
-                    "kernel_size": list(module.kernel_size),
-                    "stride": _pair(module.stride),
-                    "padding": _pair(module.padding),
-                    "data": module.weight_csr.data,
-                    "indices": module.weight_csr.indices,
-                    "indptr": module.weight_csr.indptr,
-                    "bias": module.bias_data,
-                }
-            )
+        for kind, (_, compiled_cls, keys) in _LAYER_TYPES.items():
+            if isinstance(module, compiled_cls):
+                matrix = module.weight_csr
+                records.append(
+                    {
+                        "name": name,
+                        "type": kind,
+                        "block_size": module.block_size,
+                        **_geometry(module, keys),
+                        "data": matrix.data,
+                        "indices": matrix.indices,
+                        "indptr": matrix.indptr,
+                        "bias": module.bias_data,
+                    }
+                )
     return records
 
 
@@ -256,19 +229,66 @@ def read_manifest(path) -> dict:
     return _validate_manifest(manifest, path)
 
 
-def _replace_module(root: Module, dotted: str, replacement: Module) -> None:
-    parts = dotted.split(".")
+def _locate(root: Module, dotted: str) -> tuple[Module, str]:
+    """(parent module, child name) of the layer at ``dotted`` in ``root``."""
     parent = root
-    for part in parts[:-1]:
-        try:
-            parent = parent._modules[part]
-        except KeyError:
-            raise ArtifactError(
-                f"artifact layer {dotted!r} not found in rebuilt architecture"
-            ) from None
-    if parts[-1] not in parent._modules:
+    *path, leaf = dotted.split(".")
+    for part in path:
+        parent = parent._modules.get(part)
+        if parent is None:
+            break
+    if parent is None or leaf not in parent._modules:
         raise ArtifactError(f"artifact layer {dotted!r} not found in rebuilt architecture")
-    parent.add_module(parts[-1], replacement)
+    return parent, leaf
+
+
+def _check_record(record: dict, dense, keys) -> None:
+    """Refuse a layer record that does not fit the rebuilt layer ``dense``.
+
+    ``csr_matvecs`` checks no bounds, so a bad ``indptr`` or index would
+    read or write outside the operands instead of raising.
+    """
+    name = record["name"]
+    stored = {key: record.get(key) for key in keys}
+    if stored != _geometry(dense, keys):
+        raise ArtifactError(
+            f"artifact layer {name!r} has geometry {stored}, "
+            f"but the architecture's layer has {_geometry(dense, keys)}"
+        )
+    block_size = record.get("block_size")
+    if type(block_size) is not int or block_size < 1:
+        raise ArtifactError(f"artifact layer {name!r}: block_size must be a positive int")
+    # The compiled layer's matrix: (out, in) for a linear, the tap-stacked
+    # (kh*kw*C_out, C_in) for a conv.
+    cols = dense.weight.shape[1]
+    rows = dense.weight.size // cols
+    data, indices, indptr = (record.get(key) for key in ("data", "indices", "indptr"))
+    typed = (data, np.float32), (indices, np.int32), (indptr, np.int32)
+    if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == t for a, t in typed):
+        raise ArtifactError(
+            f"artifact layer {name!r}: CSR arrays must be 1-D float32 data "
+            "and int32 indices/indptr"
+        )
+    if indptr.size != rows + 1 or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+        raise ArtifactError(
+            f"artifact layer {name!r}: indptr must hold {rows + 1} non-decreasing "
+            "entries starting at 0"
+        )
+    nnz = int(indptr[-1])
+    if indices.size != nnz or data.size != nnz:
+        raise ArtifactError(
+            f"artifact layer {name!r}: indptr ends at {nnz}, but there are "
+            f"{indices.size} indices and {data.size} values"
+        )
+    if nnz and (indices.min() < 0 or indices.max() >= cols):
+        raise ArtifactError(f"artifact layer {name!r}: column index outside [0, {cols})")
+    bias = record.get("bias")
+    out = dense.weight.shape[0]
+    if dense.bias is None:
+        if bias is not None:
+            raise ArtifactError(f"artifact layer {name!r} has a bias; the architecture's has none")
+    elif not (isinstance(bias, np.ndarray) and bias.dtype == np.float32 and bias.shape == (out,)):
+        raise ArtifactError(f"artifact layer {name!r}: bias must be float32 of shape ({out},)")
 
 
 def load_model(path, verify: bool = True) -> LoadedModel:
@@ -302,60 +322,21 @@ def load_model(path, verify: bool = True) -> LoadedModel:
     model = build_model(config["builder"], **dict(config.get("kwargs", {})))
 
     for record in state["layers"]:
-        block_size = int(record.get("block_size", 1))
-        if record["type"] == "linear":
-            if block_size > 1:
-                replacement = BlockSparseLinear.from_bsr(
-                    record["in_features"],
-                    record["out_features"],
-                    block_size,
-                    record["data"],
-                    record["indices"],
-                    record["indptr"],
-                    bias=record["bias"],
-                    copy=False,
-                )
-            else:
-                replacement = SparseLinear.from_csr(
-                    record["in_features"],
-                    record["out_features"],
-                    record["data"],
-                    record["indices"],
-                    record["indptr"],
-                    bias=record["bias"],
-                    copy=False,
-                )
-        elif record["type"] == "conv2d":
-            if block_size > 1:
-                replacement = BlockSparseConv2d.from_bsr(
-                    record["in_channels"],
-                    record["out_channels"],
-                    tuple(record["kernel_size"]),
-                    tuple(record["stride"]),
-                    tuple(record["padding"]),
-                    block_size,
-                    record["data"],
-                    record["indices"],
-                    record["indptr"],
-                    bias=record["bias"],
-                    copy=False,
-                )
-            else:
-                replacement = SparseConv2d.from_csr(
-                    record["in_channels"],
-                    record["out_channels"],
-                    tuple(record["kernel_size"]),
-                    tuple(record["stride"]),
-                    tuple(record["padding"]),
-                    record["data"],
-                    record["indices"],
-                    record["indptr"],
-                    bias=record["bias"],
-                    copy=False,
-                )
-        else:
-            raise ArtifactError(f"unknown artifact layer type {record['type']!r}")
-        _replace_module(model, record["name"], replacement)
+        kind = record.get("type") if isinstance(record, dict) else None
+        if kind not in _LAYER_TYPES:
+            raise ArtifactError(f"unknown artifact layer type {kind!r}")
+        dense_cls, compiled_cls, keys = _LAYER_TYPES[kind]
+        parent, leaf = _locate(model, str(record.get("name")))
+        dense = parent._modules[leaf]
+        if not isinstance(dense, dense_cls):
+            raise ArtifactError(
+                f"artifact layer {record['name']!r} is a {kind}, "
+                f"but the architecture has a {type(dense).__name__} there"
+            )
+        _check_record(record, dense, keys)
+        csr = (record["data"], record["indices"], record["indptr"])
+        layer = compiled_cls.from_csr(dense, *csr, record["bias"], record["block_size"])
+        parent.add_module(leaf, layer)
 
     model.load_state_dict(state["dense_state"])
     model.eval()

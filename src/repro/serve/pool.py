@@ -3,7 +3,7 @@
 One Python process can only push one core's worth of CSR matmuls.  The pool
 forks ``n_workers`` serving processes that all read the *same* physical
 copy of the compiled weights: the parent packs every sparse layer's CSR
-components (both orientations) and bias into a single
+components (the one matrix its forward reads) and bias into a single
 :class:`~repro.parallel.shm.SharedArena`, re-points the layer matrices at
 read-only views of it, and forks.  At the paper's 90–98% sparsities the
 arena is a fraction of the dense weight bytes, and the workers add no

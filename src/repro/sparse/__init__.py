@@ -62,11 +62,8 @@ from repro.sparse.static import global_topk_masks, grasp_masks, snip_masks, synf
 from repro.sparse.gmp import GMPController, cubic_sparsity
 from repro.sparse.str_prune import STRController
 from repro.sparse.admm import ADMMPruner, project_topk
-from repro.sparse.io import load_sparse_checkpoint, save_sparse_checkpoint
 from repro.sparse.gap import GaPController
 from repro.sparse.inference import (
-    BlockSparseConv2d,
-    BlockSparseLinear,
     SparseConv2d,
     SparseLinear,
     compile_sparse_model,
@@ -126,13 +123,9 @@ __all__ = [
     "STRController",
     "ADMMPruner",
     "project_topk",
-    "save_sparse_checkpoint",
-    "load_sparse_checkpoint",
     "GaPController",
     "SparseLinear",
     "SparseConv2d",
-    "BlockSparseLinear",
-    "BlockSparseConv2d",
     "compile_sparse_model",
     "sparse_storage_bytes",
     "CsrMatmul",

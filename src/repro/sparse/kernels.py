@@ -22,7 +22,9 @@ module provides that compute path for **training**:
   matmuls and register an autograd closure whose input gradient also uses
   the sparse structure.  The conv kernel is a direct sparse convolution:
   one CSR product per kernel tap over a shifted view of the input, with no
-  im2col.  The **weight** gradient is dense whenever growth may read it
+  im2col.  The compiled serving layers (:mod:`repro.sparse.inference`)
+  run the same forwards, ``_csr_product`` and ``_tap_conv``.  The
+  **weight** gradient is dense whenever growth may read it
   (``SparseParam.dense_grads_required``): growth rules (RigL, DST-EE,
   SNFS) score *inactive* weights by dense-gradient magnitude, so that GEMM
   is part of the algorithm.  Between mask updates a block-masked (BSR)
@@ -172,6 +174,13 @@ def _csr_product(indptr, indices, data, shape: tuple[int, int], a2d: np.ndarray)
     return out.T
 
 
+def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """CSR row pointer of entries with row ids ``rows`` (grouped by row)."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return indptr
+
+
 class CsrMatmul:
     """CSR (and transposed CSR) form of a 2-D weight view, mask-structured.
 
@@ -185,9 +194,8 @@ class CsrMatmul:
     ``dense @ sparse`` operator uses, so the values are bitwise identical to
     it.  The result is the Fortran-ordered ``.T`` view of a fresh
     C-contiguous array.  Nothing is cached across calls: the output goes to
-    autograd (and to the frozen serving layers of
-    :mod:`repro.sparse.inference`), where a reused buffer would be
-    overwritten under a live tensor.
+    autograd, where a reused buffer would be overwritten under a live
+    tensor.
     """
 
     def __init__(self, shape2d: tuple[int, int]):
@@ -202,47 +210,6 @@ class CsrMatmul:
     def structure_version(self) -> int:
         """Mask version the current index structure was built from."""
         return self._version
-
-    @classmethod
-    def from_parts(
-        cls,
-        shape2d: tuple[int, int],
-        data: np.ndarray,
-        indices: np.ndarray,
-        indptr: np.ndarray,
-        copy: bool = False,
-    ) -> "CsrMatmul":
-        """Frozen matmul pair rebuilt from stored CSR components.
-
-        Serving-artifact round-trip hook (:mod:`repro.serve.artifact`): the
-        exported ``(data, indices, indptr)`` of ``W`` come back as a ready
-        :class:`CsrMatmul` whose transposed structure is derived once at
-        load time.  With ``copy=False`` the forward matrix aliases the
-        caller's arrays (e.g. views into a shared-memory weight arena), so
-        N serving workers can share one read-only copy of the weights.
-
-        The result is inference-frozen: :meth:`sync` would rebuild the
-        structure from a mask and must not be called on it.
-        """
-        matmul = cls(shape2d)
-        data = np.asarray(data, dtype=np.float32)
-        indices = np.asarray(indices, dtype=np.int32)
-        indptr = np.asarray(indptr, dtype=np.int32)
-        if copy:
-            data, indices, indptr = data.copy(), indices.copy(), indptr.copy()
-        # Build an empty matrix and attach the arrays by attribute: the
-        # component-triplet constructor canonicalizes (and therefore copies),
-        # which would break aliasing into a shared-memory arena.
-        matmul.csr = sp.csr_matrix(matmul.shape2d, dtype=np.float32)
-        matmul.csr.data = data
-        matmul.csr.indices = indices
-        matmul.csr.indptr = indptr
-        matmul.csr_t = matmul.csr.T.tocsr()
-        for matrix in (matmul.csr, matmul.csr_t):
-            matrix.has_sorted_indices = True
-            matrix.has_canonical_format = True
-        matmul._version = 0
-        return matmul
 
     @hot_path
     def sync(self, flat_values: np.ndarray, active_idx: np.ndarray, version: int) -> None:
@@ -260,20 +227,16 @@ class CsrMatmul:
         rows, cols = np.divmod(active_idx, n_cols)
         nnz = int(active_idx.size)
 
-        indptr = np.zeros(n_rows + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
         self.csr = sp.csr_matrix(
-            (np.empty(nnz, dtype=np.float32), cols.astype(np.int32), indptr),
+            (np.empty(nnz, dtype=np.float32), cols.astype(np.int32), _indptr(rows, n_rows)),
             shape=self.shape2d,
         )
         self._gather = active_idx
 
         # Transposed structure: the same nnz set ordered by (col, row).
         order = np.lexsort((rows, cols))
-        t_indptr = np.zeros(n_cols + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n_cols), out=t_indptr[1:])
         self.csr_t = sp.csr_matrix(
-            (np.empty(nnz, dtype=np.float32), rows[order].astype(np.int32), t_indptr),
+            (np.empty(nnz, dtype=np.float32), rows[order].astype(np.int32), _indptr(cols, n_cols)),
             shape=(n_cols, n_rows),
         )
         self._perm_t = order
@@ -607,13 +570,6 @@ class LinearKernel(_KernelBase):
         return Tensor._make(out, parents, backward)
 
 
-def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
-    """CSR row pointer of row ids ``rows`` (already grouped by row)."""
-    indptr = np.zeros(n_rows + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    return indptr
-
-
 def _axis_layout(size: int, kernel: int, stride: int, padding: int):
     """One axis of a :class:`_TapGrid`: ``(out, pad, cell, taps, lengths)``.
 
@@ -652,6 +608,7 @@ class _TapGrid:
         n, c_in, h, w = self.x_shape = x_shape
         _, _, kh, kw = weight_shape
         (sh, sw), (ph, pw) = stride, padding
+        self.stride = stride
         self.out_h, self.top, self.rows, taps_h, height = _axis_layout(h, kh, sh, ph)
         self.out_w, self.left, self.cols, taps_w, width = _axis_layout(w, kw, sw, pw)
         self.n = n
@@ -699,13 +656,59 @@ class _TapGrid:
         return cells[:, :, : self.out_h, : self.out_w]
 
 
+def _tap_csr(flat: np.ndarray, shape4d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tap-stacked ``(K*C_out, C_in)`` CSR of a conv weight's active set.
+
+    ``flat`` holds the sorted flat indices of the active weights of a
+    ``(C_out, C_in, kh, kw)`` weight.  Returns ``(indptr, indices, gather)``:
+    row ``t*C_out + o`` is tap ``t``'s filter ``o``, and
+    ``weight.reshape(-1)[gather]`` are the values in CSR order.
+    """
+    c_out, c_in, kh, kw = shape4d
+    k = kh * kw
+    co, rest = np.divmod(flat, c_in * k)
+    c, t = np.divmod(rest, k)
+    order = np.argsort(t, kind="stable")  # by tap, then (c_out, c_in)
+    indptr = _indptr(t[order] * c_out + co[order], k * c_out)
+    return indptr, c[order].astype(np.int32), flat[order]
+
+
+@hot_path
+def _tap_conv(data, grid: "_TapGrid", csr, bias, x_grid, y_grid, out) -> list:
+    """Direct sparse convolution ``out = conv2d(data, W) + bias``.
+
+    ``csr`` is ``(indptr, indices, values)`` of the tap-stacked matrix
+    (:func:`_tap_csr`).  ``x_grid`` must be zero outside the image region
+    of the grid; ``y_grid`` is ``(C_out, pitch)``.  Each live tap runs one
+    ``csr_matvecs`` into the output grid.  Returns the live ``(tap, offset)``
+    pairs.
+    """
+    indptr, indices, values = csr
+    c_in, c_out = data.shape[1], y_grid.shape[0]
+    sh, sw = grid.stride
+    for comp in grid.comps:
+        _, a, b, _, _ = comp
+        phase = data[:, :, a::sh, b::sw].transpose(1, 0, 2, 3)
+        np.copyto(grid.data(x_grid, comp, c_in), phase)
+    live = [(t, off) for t, off in grid.taps if indptr[t * c_out] != indptr[(t + 1) * c_out]]
+    if bias is None:
+        y_grid.fill(0.0)
+    else:
+        np.copyto(y_grid, bias.reshape(c_out, 1))
+    for t, off in live:
+        rows = indptr[t * c_out : (t + 1) * c_out + 1]
+        _csr_matvecs(rows, indices, values, grid.shifted(x_grid, off, c_in), y_grid)
+    np.copyto(out, grid.output(y_grid).transpose(1, 0, 2, 3))
+    return live
+
+
 class _TapCsr:
     """Per-tap CSR slices of a masked ``(C_out, C_in, kh, kw)`` conv weight.
 
     Tap ``t``'s ``(C_out, C_in)`` slice is rows ``t*C_out:(t+1)*C_out`` of
-    one stacked ``(K*C_out, C_in)`` CSR matrix (``K = kh*kw``), and its
-    transpose rows ``t*C_in:(t+1)*C_in`` of a stacked ``(K*C_in, C_out)``
-    one.  The structure is rebuilt only when the mask version moves and
+    one stacked ``(K*C_out, C_in)`` CSR matrix (``K = kh*kw``; see
+    :func:`_tap_csr`, ``csr`` holds its arrays), and its transpose rows
+    ``t*C_in:(t+1)*C_in`` of a stacked ``(K*C_in, C_out)`` one.  The structure is rebuilt only when the mask version moves and
     values are gathered each forward.  Block-masked layers also keep their
     active tiles for the sampled weight gradient.
     """
@@ -727,19 +730,16 @@ class _TapCsr:
         c_out, c_in, kh, kw = self.shape4d
         k = kh * kw
         flat = target.active_indices
+        indptr, indices, self._gather = _tap_csr(flat, self.shape4d)
+        self._data = np.empty(flat.size, dtype=np.float32)
+        self.csr = (indptr, indices, self._data)
         co, rest = np.divmod(flat, c_in * k)
         c, t = np.divmod(rest, k)
-        order = np.argsort(t, kind="stable")  # by tap, then (c_out, c_in)
-        self._indptr = _indptr(t[order] * c_out + co[order], k * c_out)
-        self._indices = c[order].astype(np.int32)
-        self._gather = flat[order]
         order = np.lexsort((co, c, t))  # by tap, then (c_in, c_out)
         self._indptr_t = _indptr(t[order] * c_in + c[order], k * c_in)
         self._indices_t = co[order].astype(np.int32)
         self._gather_t = flat[order]
-        self._data = np.empty(flat.size, dtype=np.float32)
         self._data_t = np.empty(flat.size, dtype=np.float32)
-        self.nnz = np.diff(self._indptr[::c_out])
         b = self.block_size
         if b > 1:
             brow, bcol = np.divmod(target.active_blocks, c_in * k // b)
@@ -747,12 +747,6 @@ class _TapCsr:
             self.tile_cols = bcol[:, None] * b + np.arange(b)
             rows = brow[:, None] * b + np.arange(b)
             self.scatter = (rows[:, :, None] * (c_in * k) + self.tile_cols[:, None, :]).reshape(-1)
-
-    @hot_path
-    def forward(self, t: int, x2d: np.ndarray, out: np.ndarray) -> None:
-        """``out += W_t @ x2d``: ``(C_in, P)`` -> ``(C_out, P)``."""
-        rows = self._indptr[t * out.shape[0] : (t + 1) * out.shape[0] + 1]
-        _csr_matvecs(rows, self._indices, self._data, x2d, out)
 
     @hot_path
     def backward(self, t: int, g2d: np.ndarray, out: np.ndarray) -> None:
@@ -815,23 +809,13 @@ class Conv2dKernel(_KernelBase):
             grid = self._grid = _TapGrid(data.shape, weight.shape, stride, padding)
         pitch = grid.pitch
 
-        # Stage the input; the padding around it was zeroed at allocation.
+        # The padding around the staged input was zeroed at allocation.
         x_grid = ws.zeros("x_grid", (grid.size,), key=data.shape)
-        for comp in grid.comps:
-            _, a, b, _, _ = comp
-            phase = data[:, :, a::sh, b::sw].transpose(1, 0, 2, 3)
-            np.copyto(grid.data(x_grid, comp, c_in), phase)
-        live = [(t, off) for t, off in grid.taps if taps.nnz[t]]
-
         y_grid = ws.get("y_grid", (c_out, pitch))
-        if bias is None:
-            y_grid.fill(0.0)
-        else:
-            np.copyto(y_grid, bias.data.reshape(c_out, 1))
-        for t, off in live:
-            taps.forward(t, grid.shifted(x_grid, off, c_in), y_grid)
         out_data = ws.get("out", (data.shape[0], c_out, grid.out_h, grid.out_w))
-        np.copyto(out_data, grid.output(y_grid).transpose(1, 0, 2, 3))
+        live = _tap_conv(
+            data, grid, taps.csr, None if bias is None else bias.data, x_grid, y_grid, out_data
+        )
 
         parents = (x, weight) if bias is None else (x, weight, bias)
 

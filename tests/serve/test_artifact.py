@@ -1,6 +1,10 @@
 """Serving artifacts: round-trip fidelity, fingerprinting, failure modes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -195,7 +199,7 @@ class TestManifest:
         _, path = _mlp_artifact(tmp_path, metadata={"k": 1})
         manifest = read_manifest(path)
         json.dumps(manifest)  # fully JSON-serializable
-        assert manifest["format_version"] == 1
+        assert manifest["format_version"] == 2
         assert manifest["kind"] == "repro-sparse-model"
         assert manifest["fingerprint"].startswith("sha256:")
 
@@ -238,16 +242,10 @@ class TestBlockArtifacts:
         assert block_sizes == [1, 4, 4]
 
     def test_loaded_layers_use_bsr_structure(self, tmp_path):
-        from repro.sparse.inference import BlockSparseLinear
-
         _, path = self._block_artifact(tmp_path)
         loaded = load_model(path)
-        kinds = [type(m).__name__ for m in loaded.model.modules()
-                 if isinstance(m, SparseLinear)]
-        assert kinds.count("BlockSparseLinear") == 2
-        block_layers = [m for m in loaded.model.modules()
-                       if isinstance(m, BlockSparseLinear)]
-        assert all(m.block_size == 4 for m in block_layers)
+        layers = [m for m in loaded.model.modules() if isinstance(m, SparseLinear)]
+        assert sorted(m.block_size for m in layers) == [1, 4, 4]
 
     def test_fingerprint_detects_tampering_in_block_payload(self, tmp_path):
         _, path = self._block_artifact(tmp_path)
@@ -282,3 +280,68 @@ class TestBlockArtifacts:
         with no_grad():
             expected = compiled(Tensor(x)).data
         assert np.array_equal(loaded.predict(x), expected)
+
+
+# Loads an artifact and runs one prediction.  Exit 3 means load_model
+# refused it with ArtifactError; a crash in the sparse kernels shows up as
+# a negative (signal) exit code without taking pytest down with it.
+_LOAD_AND_PREDICT = """
+import sys
+import numpy as np
+from repro.serve import ArtifactError, load_model
+try:
+    loaded = load_model(sys.argv[1])
+except ArtifactError as exc:
+    print(exc)
+    sys.exit(3)
+loaded.predict(np.ones((4, 48), np.float32))
+"""
+
+
+def _recraft(path, edit):
+    """Apply ``edit(first_layer_record, arrays)`` and re-sign the artifact,
+    so that only the load-time record checks can catch the change."""
+    import repro.serve.artifact as artifact_mod
+
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {key: archive[key].copy() for key in archive.files if key != "__artifact__"}
+        manifest = json.loads(str(archive["__artifact__"].item()))
+    record = manifest["state"]["layers"][0]
+    edit(record, {key: arrays[ref["__ndarray__"]] for key, ref in record.items()
+                  if isinstance(ref, dict) and "__ndarray__" in ref})
+    manifest.pop("fingerprint")
+    manifest["fingerprint"] = artifact_mod._fingerprint(manifest, arrays)
+    np.savez(path, __artifact__=np.array(json.dumps(manifest)), **arrays)
+
+
+def _set_index(record, arrays):
+    arrays["indices"][0] = 10_000_000
+
+
+def _set_indptr(record, arrays):
+    arrays["indptr"][1] = arrays["indptr"][-1] + 1
+
+
+def _set_shape(record, arrays):
+    record["out_features"] += 1
+
+
+def _set_bias(record, arrays):
+    record["bias"] = record["indices"]  # int32, wrong length
+
+
+class TestCraftedArtifacts:
+    """Edited and re-signed artifacts must raise, never crash the process."""
+
+    @pytest.mark.parametrize("edit", [_set_index, _set_indptr, _set_shape, _set_bias])
+    def test_crafted_record_raises_artifact_error(self, tmp_path, edit):
+        _, path = _mlp_artifact(tmp_path)
+        _recraft(path, edit)
+        src = str(pathlib.Path(__import__("repro").__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _LOAD_AND_PREDICT, str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 3, (result.returncode, result.stdout, result.stderr)
+        assert "artifact layer" in result.stdout

@@ -5,19 +5,34 @@ with the conv workspace on or off and dense weight gradients required or
 not.
 Each draw runs two steps (the second through warm buffers, at a new batch
 size half the time) and compares every result with the dense conv of the
-masked weight.
+masked weight.  The compiled serving layer built from the same mask must
+match the training kernel's forward bitwise, before and after an artifact
+round-trip.
 """
 
 import os
+import pathlib
+import tempfile
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro import nn
-from repro.autograd import Tensor, conv2d, ops
+from repro.autograd import Tensor, conv2d, no_grad, ops
+from repro.models import register_model
+from repro.serve import export_model, load_model
+from repro.sparse.inference import SparseConv2d, SparseLinear
 from repro.sparse.kernels import Conv2dKernel
 from repro.sparse.masked import SparseParam
+
+# Architecture of the artifact round-trip: one conv layer, as drawn.
+register_model(
+    "differential_conv",
+    lambda c_in, c_out, kernel, stride, padding, bias: nn.Sequential(
+        nn.Conv2d(c_in, c_out, kernel, stride=stride, padding=padding, bias=bias)
+    ),
+)
 
 
 @st.composite
@@ -66,6 +81,9 @@ class TestConv2dKernelDifferential:
         target.dense_grads_required = case["dense_grads"]
         mode = "bsr" if block > 1 else "csr"
         layer.forward_backend = Conv2dKernel(layer, target, mode, min_size=1)
+        compiled = SparseConv2d(layer, target)
+        geometry = {key: case[key] for key in ("c_in", "c_out", "kernel", "stride", "padding")}
+        loaded = self._round_trip(compiled, dict(geometry, bias=case["bias"]))
 
         with mock.patch.dict(os.environ, {"REPRO_CONV_WORKSPACE": case["workspace"]}):
             for n in case["batches"]:
@@ -76,6 +94,45 @@ class TestConv2dKernelDifferential:
                 )
                 got = self._step(layer, layer, x, want[-1])
                 self._compare(got, want, mask, tiles=block > 1 and not case["dense_grads"])
+                with no_grad():
+                    served = compiled(Tensor(x)).data
+                assert np.array_equal(served, got[0])
+                assert np.array_equal(loaded.predict(x), got[0])
+                np.testing.assert_allclose(served, want[0], rtol=1e-4, atol=1e-4)
+
+    @staticmethod
+    def _round_trip(compiled, kwargs):
+        """``compiled`` exported and loaded back as a one-layer model."""
+        config = {"builder": "differential_conv", "kwargs": kwargs}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "layer.npz"
+            export_model(nn.Sequential(compiled), path, model_config=config)
+            return load_model(path)
+
+    @given(
+        block=st.sampled_from([1, 4]),
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        density=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_compiled_linear_matches_dense(self, block, rows, cols, density, seed):
+        rng = np.random.default_rng(seed)
+        layer = nn.Linear(block * cols, block * rows, rng=rng)
+        mask = _block_mask(rng, layer.weight.shape, block, density)
+        layer.weight.data *= mask
+        # An active weight that is exactly zero (regrown at the last update)
+        # stays in the structure: the mask, not the values, decides.
+        layer.weight.data.reshape(-1)[np.flatnonzero(mask)[:1]] = 0.0
+        target = SparseParam("weight", layer.weight, mask, density, block_size=block)
+        x = rng.standard_normal((3, block * cols)).astype(np.float32)
+        compiled = SparseLinear(layer, target)
+        with no_grad():
+            want = layer(Tensor(x)).data
+            got = compiled(Tensor(x)).data
+        assert compiled.nnz == int(mask.sum())
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     @staticmethod
     def _step(forward, layer, x, upstream):

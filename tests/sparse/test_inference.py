@@ -189,11 +189,11 @@ class TestFromCsr:
         original = SparseLinear(dense)
         original.eval()
         rebuilt = SparseLinear.from_csr(
-            14, 9,
+            nn.Linear(14, 9),
             original.weight_csr.data,
             original.weight_csr.indices,
             original.weight_csr.indptr,
-            bias=original.bias_data,
+            original.bias_data,
         )
         x = Tensor(RNG.standard_normal((5, 14)).astype(np.float32))
         assert np.array_equal(rebuilt(x).data, original(x).data)
@@ -206,11 +206,11 @@ class TestFromCsr:
         original = SparseConv2d(dense)
         original.eval()
         rebuilt = SparseConv2d.from_csr(
-            2, 5, (3, 3), (2, 2), (1, 1),
+            nn.Conv2d(2, 5, 3, stride=2, padding=1),
             original.weight_csr.data,
             original.weight_csr.indices,
             original.weight_csr.indptr,
-            bias=original.bias_data,
+            original.bias_data,
         )
         x = Tensor(RNG.standard_normal((2, 2, 8, 8)).astype(np.float32))
         assert np.array_equal(rebuilt(x).data, original(x).data)
@@ -220,21 +220,9 @@ class TestFromCsr:
         original = SparseLinear(dense)
         data = original.weight_csr.data.copy()
         rebuilt = SparseLinear.from_csr(
-            8, 4, data,
+            dense, data,
             original.weight_csr.indices.copy(),
             original.weight_csr.indptr.copy(),
-            copy=False,
+            None,
         )
         assert rebuilt.weight_csr.data is data
-
-    def test_from_csr_copy_detaches_from_caller_arrays(self):
-        dense = nn.Linear(8, 4, bias=False, rng=np.random.default_rng(2))
-        original = SparseLinear(dense)
-        data = original.weight_csr.data.copy()
-        rebuilt = SparseLinear.from_csr(
-            8, 4, data,
-            original.weight_csr.indices.copy(),
-            original.weight_csr.indptr.copy(),
-            copy=True,
-        )
-        assert rebuilt.weight_csr.data is not data
