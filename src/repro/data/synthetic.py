@@ -63,10 +63,12 @@ def _render_split(
     # Random spatial shift (cheap stand-in for crop augmentation variation).
     if max_shift > 0:
         shifts = rng.integers(-max_shift, max_shift + 1, size=(n_samples, 2))
-        for i in range(n_samples):
-            dy, dx = shifts[i]
+        # One roll per distinct (dy, dx): the same pixels as rolling each
+        # image on its own.
+        for dy, dx in np.unique(shifts, axis=0):
             if dy or dx:
-                images[i] = np.roll(images[i], (dy, dx), axis=(1, 2))
+                group = np.flatnonzero((shifts[:, 0] == dy) & (shifts[:, 1] == dx))
+                images[group] = np.roll(images[group], (dy, dx), axis=(2, 3))
     images += noise * rng.standard_normal(images.shape).astype(np.float32)
     # Standardize globally so models start from a well-conditioned input.
     images -= images.mean()

@@ -95,6 +95,11 @@ def generate_corpus(n_chars: int = 65536, seed: int = 0) -> str:
         order = rng.permutation(n_words)
         transition[i, order] = weights
     transition /= transition.sum(axis=1, keepdims=True)
+    # Each row's CDF as ``Generator.choice(n, p=row)`` builds it, so one
+    # uniform draw and a right-sided search pick the same successor from
+    # the same random stream, without choice's per-call overhead.
+    cdf = transition.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
 
     pieces: list[str] = []
     total = 0
@@ -112,7 +117,7 @@ def generate_corpus(n_chars: int = 65536, seed: int = 0) -> str:
             token += " "
         pieces.append(token)
         total += len(token)
-        word = int(rng.choice(n_words, p=transition[word]))
+        word = int(cdf[word].searchsorted(rng.random(), side="right"))
     return "".join(pieces)[:n_chars]
 
 
@@ -122,9 +127,9 @@ def _windows(ids: np.ndarray, block_len: int) -> ArrayDataset:
         raise ValueError(
             f"segment of {ids.size} chars yields no window of length {block_len}"
         )
-    x = np.stack([ids[i * block_len : i * block_len + block_len] for i in range(n)])
-    y = np.stack([ids[i * block_len + 1 : i * block_len + block_len + 1] for i in range(n)])
-    return ArrayDataset(np.ascontiguousarray(x), np.ascontiguousarray(y))
+    x = ids[: n * block_len].reshape(n, block_len).copy()
+    y = ids[1 : n * block_len + 1].reshape(n, block_len).copy()
+    return ArrayDataset(x, y)
 
 
 def make_char_lm_data(

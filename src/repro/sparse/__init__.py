@@ -22,7 +22,7 @@ Quick start::
 and pass ``engine`` to :class:`repro.train.Trainer`.
 """
 
-from repro.sparse.blocks import BlockMask, MatrixBlockIndexer, expand_block_csr
+from repro.sparse.blocks import BlockMask, MatrixBlockIndexer
 from repro.sparse.budget import DensityBudget, assign_target_density
 from repro.sparse.masked import MaskedModel, SparseParam, collect_sparsifiable
 from repro.sparse.distribution import (
@@ -70,7 +70,6 @@ from repro.sparse.inference import (
     sparse_storage_bytes,
 )
 from repro.sparse.kernels import (
-    BsrMatmul,
     CsrMatmul,
     install_training_backends,
     remove_training_backends,
@@ -80,7 +79,6 @@ from repro.sparse.kernels import (
 __all__ = [
     "BlockMask",
     "MatrixBlockIndexer",
-    "expand_block_csr",
     "MaskedModel",
     "SparseParam",
     "collect_sparsifiable",
@@ -129,7 +127,6 @@ __all__ = [
     "compile_sparse_model",
     "sparse_storage_bytes",
     "CsrMatmul",
-    "BsrMatmul",
     "install_training_backends",
     "remove_training_backends",
     "select_backend",

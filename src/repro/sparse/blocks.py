@@ -1,31 +1,30 @@
-"""Block-structured masks: tile indexing, triplet (COO) form, CSR expansion.
+"""Block-structured masks: tile indexing and the triplet (COO) form.
 
 Unstructured CSR is BLAS-hostile at the paper's conv shapes (the committed
 BENCH_engine.json shows the csr backend *losing* to dense on vgg_small at
 every sparsity), so the block path constrains masks to ``B×B`` tiles of the
-2-D weight view — the idiom of Graphcore's dynamic-sparsity stack.  Three
-pieces live here:
+2-D weight view — the idiom of Graphcore's dynamic-sparsity stack.  Every
+sparse layer has a block size; ``B = 1`` is the smallest tile, i.e. an
+unstructured mask.  Two pieces live here:
 
 * :class:`MatrixBlockIndexer` — the tiling geometry of one 2-D weight view:
-  tile↔flat mappings and vectorized score pooling, so every existing drop
-  and growth rule works unchanged at block granularity.  Shapes that are
-  not divisible by the block size are rejected loudly (callers that want a
+  tile↔flat mappings and vectorized score pooling, so every drop and
+  growth rule works unchanged at any block size.  Shapes that are not
+  divisible by the block size are rejected loudly (callers that want a
   fallback catch this and use ``block_size=1``, i.e. unstructured).
 * :class:`BlockMask` — a mask as a sorted set of active block ids with COO
   ``(row, col)`` triplet views.  Drop-and-grow edits manipulate
   ``O(nnz_blocks)`` indices instead of scanning dense boolean masks.
-* :func:`expand_block_csr` — vectorized ``O(nnz)`` expansion of an active
-  block set into element-level CSR structure (``indptr``/``indices`` plus
-  the element rows), used by the BSR training kernel and the serving
-  loaders.  No per-row Python loop: ragged per-row tiling is done with
-  ``repeat``/``cumsum`` index arithmetic.
+
+The kernels need no block-specific structure: a tiled mask's CSR is the
+element CSR of its active set (:class:`repro.sparse.kernels.CsrMatmul`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MatrixBlockIndexer", "BlockMask", "expand_block_csr"]
+__all__ = ["MatrixBlockIndexer", "BlockMask"]
 
 
 class MatrixBlockIndexer:
@@ -77,7 +76,7 @@ class MatrixBlockIndexer:
         b = self.block_size
         values2d = np.asarray(values2d)
         if b == 1:
-            return values2d.reshape(-1).copy()
+            return values2d.reshape(-1)
         # Two contiguous reductions instead of a mean over the strided 4-d
         # block view: same result, ~2x less memory-traffic time per round.
         row_sum = values2d.reshape(self.block_rows, b, self.cols).sum(axis=1)
@@ -223,50 +222,3 @@ class BlockMask:
             f"block_size={self.indexer.block_size})"
         )
 
-
-def expand_block_csr(
-    active_blocks: np.ndarray, block_rows: int, block_cols: int, block_size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Element-level CSR structure of an active block set.
-
-    Returns ``(indptr, indices, rows)`` for the ``(block_rows * B,
-    block_cols * B)`` matrix whose non-zeros are exactly the active tiles:
-    ``indptr`` is the per-element-row CSR pointer array, ``indices`` the
-    element column of every nnz slot in CSR order, and ``rows`` the element
-    row of the same slots (so ``rows * n_cols + indices`` gathers values
-    from the flat dense weight).  Column indices come out sorted within
-    each row.
-
-    Fully vectorized: the ragged per-row repetition of each block-row's
-    column pattern is computed with ``repeat``/``cumsum`` arithmetic in
-    ``O(nnz)``, with no Python loop over rows or blocks.
-    """
-    b = int(block_size)
-    active = np.asarray(active_blocks, dtype=np.int64).reshape(-1)
-    n_rows = block_rows * b
-    indptr = np.zeros(n_rows + 1, dtype=np.int32)
-    if active.size == 0:
-        return indptr, np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)
-
-    brow, bcol = np.divmod(np.sort(active), block_cols)
-    counts = np.bincount(brow, minlength=block_rows)  # blocks per block-row
-
-    # Column pattern of each block-row group, laid out back to back:
-    # for every active block, its B element columns (ascending).
-    base = (bcol[:, None] * b + np.arange(b)[None, :]).reshape(-1)
-    seg_len = counts * b  # pattern length per block-row
-    seg_start = np.concatenate(([0], np.cumsum(seg_len[:-1])))
-
-    # Each block-row's pattern repeats for its B element rows.
-    out_per_group = seg_len * b
-    total = int(out_per_group.sum())
-    group_id = np.repeat(np.arange(block_rows), out_per_group)
-    out_start = np.concatenate(([0], np.cumsum(out_per_group[:-1])))
-    within = np.arange(total) - np.repeat(out_start, out_per_group)
-    lengths = seg_len[group_id]
-    indices = base[seg_start[group_id] + within % lengths]
-    rows = group_id * b + within // lengths
-
-    row_nnz = np.repeat(counts, b) * b
-    np.cumsum(row_nnz, out=indptr[1:])
-    return indptr, indices.astype(np.int32), rows

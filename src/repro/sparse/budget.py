@@ -78,15 +78,7 @@ class DensityBudget:
     @classmethod
     def from_targets(cls, targets: Sequence) -> "DensityBudget":
         """Budget mirroring the *current* masks of ``SparseParam`` targets."""
-        return cls(
-            (
-                t.name,
-                t.size,
-                t.block_size * t.block_size if t.indexer is not None else 1,
-                t.active_count,
-            )
-            for t in targets
-        )
+        return cls((t.name, t.size, t.block_size * t.block_size, t.active_count) for t in targets)
 
     @classmethod
     def from_masked(cls, masked) -> "DensityBudget":

@@ -356,20 +356,17 @@ class DynamicSparseEngine(SparsityController):
 
     @staticmethod
     def _unit_size(target: SparseParam) -> int:
-        """Elements per drop/grow unit: ``B*B`` for block layers, else 1."""
-        return target.block_size * target.block_size if target.indexer is not None else 1
+        """Elements per drop/grow unit: one ``B×B`` tile."""
+        return target.block_size * target.block_size
 
     @staticmethod
     def _unit_counts(target: SparseParam) -> tuple[int, int]:
         """``(active, inactive)`` unit counts at the layer's granularity."""
-        if target.indexer is not None:
-            active = target.active_block_count
-            return active, target.indexer.n_blocks - active
-        active = target.active_count
-        return active, target.size - active
+        active = target.active_block_count
+        return active, target.indexer.n_blocks - active
 
     def _drop_counts(self, fraction: float) -> list[int]:
-        """Per-layer number of *units* (blocks or weights) to move this round."""
+        """Per-layer number of *units* (tiles) to move this round."""
         counts = []
         for target in self.masked.targets:
             active, inactive = self._unit_counts(target)
@@ -380,34 +377,25 @@ class DynamicSparseEngine(SparsityController):
             counts.append(max(k, 0))
         return counts
 
-    def _active_drop_scores(self, target: SparseParam, step: int) -> np.ndarray:
-        """Drop-rule scores gathered at the (cached) active indices.
+    def _active_unit_drop_scores(self, target: SparseParam, step: int) -> np.ndarray:
+        """Drop scores per active unit, aligned with ``active_blocks``.
 
-        Uses the rule's subset scorer when it has one, so ranking cost
-        scales with the number of active weights rather than layer size.
+        Element scores are gathered at the active indices (through the
+        rule's subset scorer when it has one, so ranking cost scales with
+        the number of active weights rather than layer size) and pooled to
+        a tile mean: the same scale as element scores, so global rankings
+        mix block sizes cleanly.  At ``B = 1`` the pooling is the identity.
         """
         ctx = self._context(target, step)
         active_idx = target.active_indices
         scores_at = getattr(self.drop_rule, "scores_at", None)
         if scores_at is not None:
-            return np.asarray(scores_at(target, ctx, active_idx), dtype=np.float64)
-        scores = np.asarray(self.drop_rule.scores(target, ctx), dtype=np.float64)
-        return scores.reshape(-1)[active_idx]
-
-    def _active_unit_drop_scores(self, target: SparseParam, step: int) -> np.ndarray:
-        """Drop scores per active *unit*, aligned with the active unit order.
-
-        Unstructured layers return element scores at ``active_indices``;
-        block layers pool element scores to a tile mean (same scale as
-        element scores, so global rankings mix granularities cleanly),
-        aligned with ``active_blocks``.
-        """
-        scores = self._active_drop_scores(target, step)
-        if target.indexer is None:
-            return scores
+            scores = np.asarray(scores_at(target, ctx, active_idx), dtype=np.float64)
+        else:
+            scores = np.asarray(self.drop_rule.scores(target, ctx), dtype=np.float64)
+            scores = scores.reshape(-1)[active_idx]
         blocks = target.active_blocks
-        block_ids = target.indexer.blocks_of_flat(target.active_indices)
-        pos = np.searchsorted(blocks, block_ids)
+        pos = np.searchsorted(blocks, target.indexer.blocks_of_flat(active_idx))
         pooled = np.bincount(pos, weights=scores, minlength=blocks.size)
         return pooled / self._unit_size(target)
 
@@ -491,9 +479,9 @@ class DynamicSparseEngine(SparsityController):
     def mask_update(self, step: int) -> MaskUpdateRecord:
         """One drop-and-grow round.  Requires fresh (dense) gradients.
 
-        Block layers drop and grow whole ``B×B`` tiles (unit counts from the
-        allocators, tile-pooled scores for the rankings); unstructured
-        layers keep the original element-granular path.
+        Every layer drops and grows whole ``B×B`` tiles (unit counts from
+        the allocators, tile-pooled scores for the rankings); at ``B = 1``
+        a tile is one weight.
 
         Rebalancing phase: the round starts by letting the attached
         ``rebalancer`` (if any) move allocation between layers in
@@ -539,55 +527,33 @@ class DynamicSparseEngine(SparsityController):
 
         total_dropped = 0
         total_grown = 0
-        dropped_indices: list[np.ndarray] = []  # element indices (all layers)
-        dropped_blocks: list[np.ndarray | None] = []  # block ids (block layers)
+        dropped_units: list[np.ndarray] = []
 
         # ---------------- drop phase ----------------
         for target, k_drop in zip(self.masked.targets, drop_counts):
             if k_drop <= 0:
-                dropped_indices.append(np.empty(0, dtype=np.int64))
-                dropped_blocks.append(
-                    np.empty(0, dtype=np.int64) if target.indexer is not None else None
-                )
+                dropped_units.append(np.empty(0, dtype=np.int64))
                 continue
-            if target.indexer is not None:
-                active_blocks = target.active_blocks
-                block_scores = self._active_unit_drop_scores(target, step)
-                order = np.argpartition(block_scores, k_drop - 1)[:k_drop]
-                drop_blk = active_blocks[order]
-                drop_idx = target.drop_blocks(drop_blk)
-                dropped_blocks.append(drop_blk)
-            else:
-                active_idx = target.active_indices
-                active_scores = self._active_drop_scores(target, step)
-                order = np.argpartition(active_scores, k_drop - 1)[:k_drop]
-                drop_idx = active_idx[order]
-                target.mask.reshape(-1)[drop_idx] = False
-                target.mark_mask_dirty()
-                dropped_blocks.append(None)
-            dropped_indices.append(drop_idx)
-            total_dropped += int(drop_idx.size)
+            unit_scores = self._active_unit_drop_scores(target, step)
+            order = np.argpartition(unit_scores, k_drop - 1)[:k_drop]
+            drop_units = target.active_blocks[order]
+            total_dropped += int(target.drop_blocks(drop_units).size)
+            dropped_units.append(drop_units)
 
         # ---------------- grow phase ----------------
-        for target, k_grow, drop_idx, drop_blk in zip(
-            self.masked.targets, grow_counts, dropped_indices, dropped_blocks
-        ):
-            if k_grow <= 0:
-                continue
-            if target.indexer is not None:
-                total_grown += self._grow_layer_blocks(target, k_grow, drop_blk, step)
-            else:
-                total_grown += self._grow_layer(target, k_grow, drop_idx, step)
+        for target, k_grow, drop_units in zip(self.masked.targets, grow_counts, dropped_units):
+            if k_grow > 0:
+                total_grown += self._grow_units(target, k_grow, drop_units, step)
 
         # Keep the global non-zero count exact: the round must land on
         # ``budget.total`` (== the pre-round active count plus any net
         # budget change), so if allocation clamping or a shortage of
         # inactive slots left a deficit, re-activate the best just-dropped
-        # weights anywhere.
+        # units anywhere.
         net = self.budget.total - active_before
         deficit = total_dropped + net - total_grown
         if deficit > 0:
-            total_grown += self._fill_deficit(deficit, dropped_indices, dropped_blocks)
+            total_grown += self._fill_deficit(deficit, dropped_units)
 
         # ---------------- bookkeeping ----------------
         self.masked.apply_masks()
@@ -606,68 +572,38 @@ class DynamicSparseEngine(SparsityController):
         self.history.append(record)
         return record
 
-    def _grow_layer(self, target: SparseParam, k_grow: int, drop_idx: np.ndarray, step: int) -> int:
-        """Activate up to ``k_grow`` inactive weights in one layer."""
-        candidate_idx = target.inactive_indices
-        if not self.allow_regrow and drop_idx.size:
+    def _grow_units(
+        self, target: SparseParam, k_grow: int, drop_units: np.ndarray, step: int
+    ) -> int:
+        """Activate up to ``k_grow`` inactive units (tiles) in one layer.
+
+        Growth scores are tile-pooled (mean), so every growth rule works
+        unchanged at any block size; grown weights start at zero with fresh
+        optimizer state.
+        """
+        candidates = target.inactive_blocks
+        if not self.allow_regrow and drop_units.size:
             # O(candidates) membership test via a reused scratch table (a
             # sort-based set difference is ~50x slower at these sizes).
             exclude = self._exclude_scratch
-            exclude[drop_idx] = True
-            candidate_idx = candidate_idx[~exclude[candidate_idx]]
-            exclude[drop_idx] = False
-        if candidate_idx.size == 0:
+            exclude[drop_units] = True
+            candidates = candidates[~exclude[candidates]]
+            exclude[drop_units] = False
+        if candidates.size == 0:
             return 0
-        k = min(k_grow, candidate_idx.size)
+        k = min(k_grow, candidates.size)
         ctx = self._context(target, step)
         # Native dtype throughout: growth ranking is the dominant cost of a
         # round, and an f64 upcast of a full-size score array doubles its
         # memory traffic for no ranking benefit.
-        scores = np.asarray(self.growth_rule.scores(target, ctx)).reshape(-1)
-        candidate_scores = scores[candidate_idx]
-        if k < candidate_idx.size:
-            top = np.argpartition(candidate_scores, candidate_scores.size - k)[
-                candidate_scores.size - k:
-            ]
-        else:
-            top = np.arange(candidate_idx.size)
-        grow_idx = candidate_idx[top]
-        target.mask.reshape(-1)[grow_idx] = True
-        target.mark_mask_dirty()
-        self._init_grown(target, grow_idx)
-        return int(grow_idx.size)
-
-    def _grow_layer_blocks(
-        self, target: SparseParam, k_grow: int, drop_blk: np.ndarray, step: int
-    ) -> int:
-        """Activate up to ``k_grow`` inactive *tiles* in a block layer.
-
-        Growth scores are tile-pooled (mean), so every existing growth rule
-        works unchanged; grown tiles start at zero with fresh optimizer
-        state, exactly like element growth.
-        """
-        candidate_blk = target.inactive_blocks
-        if not self.allow_regrow and drop_blk is not None and drop_blk.size:
-            # Scratch-table membership test, same trick as the element path:
-            # hash-based setdiff1d shows up as the top mask-update cost.
-            exclude = np.zeros(target.indexer.n_blocks, dtype=bool)
-            exclude[drop_blk] = True
-            candidate_blk = candidate_blk[~exclude[candidate_blk]]
-        if candidate_blk.size == 0:
-            return 0
-        k = min(k_grow, candidate_blk.size)
-        ctx = self._context(target, step)
         scores = np.asarray(self.growth_rule.scores(target, ctx))
-        rows, cols = target.shape2d
-        pooled = target.indexer.pool(scores.reshape(rows, cols))
-        candidate_scores = pooled[candidate_blk]
-        if k < candidate_blk.size:
-            top = np.argpartition(candidate_scores, candidate_scores.size - k)[
-                candidate_scores.size - k:
-            ]
+        pooled = target.indexer.pool(scores.reshape(target.shape2d))
+        candidate_scores = pooled[candidates]
+        if k < candidates.size:
+            top = np.argpartition(candidate_scores, candidates.size - k)[candidates.size - k :]
         else:
-            top = np.arange(candidate_blk.size)
-        grow_idx = target.grow_blocks(candidate_blk[top])
+            top = np.arange(candidates.size)
+        grow_idx = target.grow_blocks(candidates[top])
         self._init_grown(target, grow_idx)
         return int(grow_idx.size)
 
@@ -681,51 +617,33 @@ class DynamicSparseEngine(SparsityController):
             signs = self._sign_refs[target.name].reshape(-1)
             signs[grow_idx] = self.rng.choice([-1.0, 1.0], size=grow_idx.size)
 
-    def _fill_deficit(
-        self,
-        deficit: int,
-        dropped_indices: list[np.ndarray],
-        dropped_blocks: list[np.ndarray | None] | None = None,
-    ) -> int:
-        """Re-activate the highest-|w| just-dropped weights to keep k fixed.
+    def _fill_deficit(self, deficit: int, dropped_units: list[np.ndarray]) -> int:
+        """Re-activate the highest-|w| just-dropped units to keep k fixed.
 
-        Candidates are whole units: just-dropped elements (unstructured
-        layers) or just-dropped tiles (block layers, scored by tile-mean
-        magnitude, weighted by their ``B*B`` element count).  Units are
-        revived greedily in descending magnitude while they fit the
-        remaining element deficit, so a block layer can undershoot by at
-        most ``B*B - 1`` elements when granularities mix — the density
-        error is transient (the next round re-balances from the mask).
+        Candidates are the units (tiles) each layer dropped this round and
+        did not re-grow, scored by tile-mean magnitude and weighted by
+        their ``B*B`` element count.  Units are revived greedily in
+        descending magnitude while they fit the remaining element deficit,
+        so a block layer can undershoot by at most ``B*B - 1`` elements
+        when block sizes mix — the density error is transient (the next
+        round re-balances from the mask).
         """
-        if dropped_blocks is None:
-            dropped_blocks = [None] * len(dropped_indices)
         magnitudes: list[np.ndarray] = []
         owners: list[np.ndarray] = []
         positions: list[np.ndarray] = []
         weights: list[np.ndarray] = []
-        for index, (target, drop_idx, drop_blk) in enumerate(
-            zip(self.masked.targets, dropped_indices, dropped_blocks)
-        ):
-            if drop_idx.size == 0:
+        for index, (target, drop_units) in enumerate(zip(self.masked.targets, dropped_units)):
+            if drop_units.size == 0:
                 continue
-            if target.indexer is not None:
-                # Tiles dropped this round and not re-grown.
-                scratch = np.zeros(target.indexer.n_blocks, dtype=bool)
-                scratch[drop_blk] = True
-                scratch[target.active_blocks] = False
-                candidates = np.flatnonzero(scratch)
-                if candidates.size == 0:
-                    continue
-                tiles = target.param.data.reshape(-1)[target.indexer.expand_blocks(candidates)]
-                magnitudes.append(np.abs(tiles).mean(axis=1))
-                weights.append(np.full(candidates.size, self._unit_size(target), dtype=np.int64))
-            else:
-                flat_mask = target.mask.reshape(-1)
-                candidates = drop_idx[~flat_mask[drop_idx]]  # not re-grown this round
-                if candidates.size == 0:
-                    continue
-                magnitudes.append(np.abs(target.param.data.reshape(-1)[candidates]))
-                weights.append(np.ones(candidates.size, dtype=np.int64))
+            scratch = np.zeros(target.indexer.n_blocks, dtype=bool)
+            scratch[drop_units] = True
+            scratch[target.active_blocks] = False
+            candidates = np.flatnonzero(scratch)
+            if candidates.size == 0:
+                continue
+            tiles = target.param.data.reshape(-1)[target.indexer.expand_blocks(candidates)]
+            magnitudes.append(np.abs(tiles).mean(axis=1))
+            weights.append(np.full(candidates.size, self._unit_size(target), dtype=np.int64))
             owners.append(np.full(candidates.size, index))
             positions.append(candidates)
         if not magnitudes:
@@ -747,14 +665,8 @@ class DynamicSparseEngine(SparsityController):
         revived = 0
         for index, target in enumerate(self.masked.targets):
             revive = flat_pos[take & (flat_owner == index)]
-            if revive.size == 0:
-                continue
-            if target.indexer is not None:
+            if revive.size:
                 revived += int(target.grow_blocks(revive).size)
-            else:
-                target.mask.reshape(-1)[revive] = True
-                target.mark_mask_dirty()
-                revived += int(revive.size)
         return revived
 
     def _reset_optimizer_state(self, target: SparseParam, grow_idx: np.ndarray) -> None:

@@ -14,11 +14,12 @@ stays stored, so the trained pattern survives the export/load round-trip.
 ``block_size`` is recorded on the layer, not a separate class.
 
 The products are the training kernels' own: :class:`SparseLinear` runs the
-``csr_matvecs`` product of :class:`~repro.sparse.kernels.LinearKernel`, and
-:class:`SparseConv2d` runs the direct sparse convolution of
-:class:`~repro.sparse.kernels.Conv2dKernel` (one CSR product per kernel
-tap over a shifted view of the staged input, no im2col) through the same
-function, so a compiled conv matches the training forward bitwise.
+``csr_matvecs`` product of :class:`~repro.sparse.kernels.LinearKernel`
+(bias in the output's initial value), and :class:`SparseConv2d` runs the
+direct sparse convolution of :class:`~repro.sparse.kernels.Conv2dKernel`
+(one CSR product per kernel tap over a shifted view of the staged input,
+no im2col) through the same function, so a compiled layer matches the
+training forward bitwise at every block size.
 Staging and outputs are allocated per call: one compiled model may serve
 several threads at once.
 
@@ -121,9 +122,7 @@ class SparseLinear(_SparseLayer):
     def forward(self, x: Tensor) -> Tensor:
         data = self._input(x)
         w = self.weight_csr
-        out = _csr_product(w.indptr, w.indices, w.data, self.csr_shape, data)
-        if self.bias_data is not None:
-            np.add(out, self.bias_data, out=out)
+        out = _csr_product(w.indptr, w.indices, w.data, self.csr_shape, data, self.bias_data)
         return Tensor(out)
 
     def __repr__(self) -> str:

@@ -5,21 +5,19 @@ The drop-and-grow engine keeps masks as dense booleans, but at the paper's
 (RigL and the Graphcore dynamic-sparsity stack both make this point).  This
 module provides that compute path for **training**:
 
-* :class:`CsrMatmul` — a mask-structured CSR form of one 2-D weight view.
-  The structure (``indices``/``indptr`` plus the value-gather permutations)
-  is rebuilt only when the owning layer's ``mask_version`` changes, i.e.
-  only for layers whose masks actually moved in a drop-and-grow round;
-  values are refreshed from the dense parameter by a single ``np.take``
-  into the preallocated CSR ``data`` arrays — no per-step allocation.
-* :class:`BsrMatmul` — the block-structured counterpart for layers with
-  ``block_size > 1`` masks: structure rebuilds expand the engine's sorted
-  active-block set in ``O(nnz)`` and the products run through direct
-  ``csr_matvecs`` calls (sparse operand on the left, preallocated outputs)
-  that sidestep scipy's per-call operator dispatch.
+* :class:`CsrMatmul` — a mask-structured CSR form of one 2-D weight view,
+  at every block size: a ``B×B``-tiled mask is simply a mask whose active
+  set comes in whole tiles, so its CSR holds the expanded tiles in flat
+  index order.  The structure (``indices``/``indptr`` plus the
+  value-gather permutations) is rebuilt only when the owning layer's
+  ``mask_version`` changes, i.e. only for layers whose masks actually
+  moved in a drop-and-grow round; values are refreshed from the dense
+  parameter by a single ``np.take`` into the preallocated CSR ``data``
+  arrays — no per-step allocation.
 * :class:`LinearKernel` / :class:`Conv2dKernel` — backend objects installed
   on ``module.forward_backend`` (see :mod:`repro.nn.linear` /
   :mod:`repro.nn.conv`).  They run the masked forward through the sparse
-  matmuls and register an autograd closure whose input gradient also uses
+  products and register an autograd closure whose input gradient also uses
   the sparse structure.  The conv kernel is a direct sparse convolution:
   one CSR product per kernel tap over a shifted view of the input, with no
   im2col.  The compiled serving layers (:mod:`repro.sparse.inference`)
@@ -27,28 +25,26 @@ module provides that compute path for **training**:
   **weight** gradient is dense whenever growth may read it
   (``SparseParam.dense_grads_required``): growth rules (RigL, DST-EE,
   SNFS) score *inactive* weights by dense-gradient magnitude, so that GEMM
-  is part of the algorithm.  Between mask updates a block-masked (BSR)
-  layer computes only its active tiles (a block-sampled dense-dense
-  matmul, SDDMM); CSR layers stay dense every step.
+  is part of the algorithm.  Between mask updates a layer dispatched to
+  ``"bsr"`` (a block-masked layer) computes only its active tiles (a
+  block-sampled dense-dense matmul, SDDMM); ``"csr"`` layers stay dense
+  every step (an element SDDMM is slower than the GEMM in numpy).
 * A dispatch layer: per layer, ``dense`` vs ``csr``/``bsr`` is
-  auto-selected from the layer's density, size and mask granularity; the
-  mode and thresholds are overridable per call or process-wide via
-  environment variables.
+  auto-selected from the layer's density, size and block size; the mode
+  is overridable per call or process-wide by the ``REPRO_SPARSE_BACKEND``
+  environment variable (``auto``, ``dense``, ``csr`` or ``bsr``), the
+  thresholds per call.
 
 Every product calls scipy's ``csr_matvecs`` kernel directly with the
 sparse operand on the left (``Y += A @ X`` over C-contiguous operands),
 which skips the per-call wrapper objects, transposes and ravel copies of
 scipy's ``dense @ sparse`` operator.  Each orientation reads its own stored
 structure (``W`` and ``W.T`` share their nnz values through cached gather
-permutations).  The CSR products return the Fortran-ordered ``.T`` view of
-a C-contiguous ``(rows, N)`` result, so a chained sparse layer receives an
-input whose transpose is already C-contiguous and needs no staging copy.
-
-Environment overrides
----------------------
-``REPRO_SPARSE_BACKEND``            ``auto`` (default) / ``dense`` / ``csr`` / ``bsr``
-``REPRO_SPARSE_DENSITY_THRESHOLD``  density at/below which ``auto`` picks CSR
-``REPRO_SPARSE_MIN_SIZE``           minimum weight size for the CSR backend
+permutations).  A bias goes into the output's initial value, so ``Y = b +
+A @ X`` costs no extra pass.  The products return the Fortran-ordered
+``.T`` view of a C-contiguous ``(rows, N)`` result, so a chained sparse
+layer receives an input whose transpose is already C-contiguous and needs
+no staging copy.
 """
 
 from __future__ import annotations
@@ -64,18 +60,14 @@ from repro import nn
 from repro.autograd.conv import ConvWorkspace, _input_grad_workspace, _pair
 from repro.autograd.tensor import Tensor, ensure_tensor
 from repro.hotpath import hot_path
-from repro.sparse.blocks import expand_block_csr
 from repro.sparse.masked import MaskedModel, SparseParam
 
 __all__ = [
     "BACKEND_ENV",
-    "DENSITY_THRESHOLD_ENV",
-    "MIN_SIZE_ENV",
     "DEFAULT_DENSITY_THRESHOLD",
     "DEFAULT_MIN_SIZE",
     "MODES",
     "CsrMatmul",
-    "BsrMatmul",
     "LinearKernel",
     "Conv2dKernel",
     "resolve_mode",
@@ -86,8 +78,6 @@ __all__ = [
 ]
 
 BACKEND_ENV = "REPRO_SPARSE_BACKEND"
-DENSITY_THRESHOLD_ENV = "REPRO_SPARSE_DENSITY_THRESHOLD"
-MIN_SIZE_ENV = "REPRO_SPARSE_MIN_SIZE"
 
 # On this CPU the scipy CSR kernels run ~7x fewer effective FLOP/s than the
 # dense BLAS GEMM, so CSR wins once it does ~7x less work; 0.12 leaves some
@@ -106,11 +96,6 @@ def resolve_mode(mode: str | None = None) -> str:
     if resolved not in MODES:
         raise ValueError(f"unknown sparse backend {resolved!r}; choose from {MODES}")
     return resolved
-
-
-def _float_env(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    return default if raw is None else float(raw)
 
 
 def select_backend(
@@ -134,9 +119,9 @@ def select_backend(
     if mode == "bsr" and block_size > 1:
         return "bsr"
     if density_threshold is None:
-        density_threshold = _float_env(DENSITY_THRESHOLD_ENV, DEFAULT_DENSITY_THRESHOLD)
+        density_threshold = DEFAULT_DENSITY_THRESHOLD
     if min_size is None:
-        min_size = int(_float_env(MIN_SIZE_ENV, DEFAULT_MIN_SIZE))
+        min_size = DEFAULT_MIN_SIZE
     if size >= min_size and density <= density_threshold:
         return "bsr" if block_size > 1 else "csr"
     return "dense"
@@ -152,26 +137,46 @@ def _csr_matvecs(indptr, indices, data, x2d: np.ndarray, out: np.ndarray) -> Non
 
 
 @hot_path
-def _csr_product(indptr, indices, data, shape: tuple[int, int], a2d: np.ndarray) -> np.ndarray:
-    """``(A @ a2d.T).T`` for the CSR matrix ``A`` of shape ``shape``.
+def _staged(a2d: np.ndarray, n_col: int) -> np.ndarray:
+    """``a2d.T`` as a C-contiguous ``(n_col, N)`` operand.
 
     ``csr_matvecs`` indexes the operand with the stored column indices and
-    checks no bounds, so the operand's width is checked here.
+    checks no bounds, so the operand's width is checked here.  A
+    Fortran-ordered ``a2d`` (the output of a previous sparse product) is
+    already C-contiguous when transposed and is not copied.
     """
-    n_out, n_col = shape
     if a2d.ndim != 2 or a2d.shape[1] != n_col:
         raise ValueError(
             f"dimension mismatch: sparse product expects a 2-D operand with "
             f"{n_col} columns, got shape {a2d.shape}"
         )
-    # One staging copy; a Fortran-ordered operand (the output of a previous
-    # sparse product) is already C-contiguous when transposed and skips it.
-    a_t = np.ascontiguousarray(a2d.T)  # reprolint: disable=RPL005
-    # Fresh per call: the result is handed to autograd or to a serving caller.
+    # Never a reused buffer: a backward closure may hold the staged operand.
+    return np.ascontiguousarray(a2d.T)  # reprolint: disable=RPL005
+
+
+@hot_path
+def _csr_product_t(indptr, indices, data, n_out: int, a_t: np.ndarray, bias=None) -> np.ndarray:
+    """``A @ a_t`` (+ ``bias`` down each row) as a C-contiguous ``(n_out, N)``.
+
+    The bias is the output's initial value; each row then sums its terms
+    in ascending column order.
+    """
     dtype = np.promote_types(data.dtype, a_t.dtype)
-    out = np.zeros((n_out, a_t.shape[1]), dtype=dtype)  # reprolint: disable=RPL005
+    # Fresh per call: the result is handed to autograd or to a serving caller.
+    out = np.empty((n_out, a_t.shape[1]), dtype=dtype)  # reprolint: disable=RPL005
+    if bias is None:
+        out.fill(0.0)
+    else:
+        np.copyto(out, bias.reshape(n_out, 1))
     _csr_matvecs(indptr, indices, data, a_t, out)
-    return out.T
+    return out
+
+
+@hot_path
+def _csr_product(indptr, indices, data, shape: tuple[int, int], a2d, bias=None) -> np.ndarray:
+    """``(A @ a2d.T).T + bias`` for the CSR matrix ``A`` of shape ``shape``."""
+    a_t = _staged(a2d, shape[1])
+    return _csr_product_t(indptr, indices, data, shape[0], a_t, bias).T
 
 
 def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -181,30 +186,54 @@ def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
     return indptr
 
 
+def _tiles(active_idx: np.ndarray, n_cols: int, b: int):
+    """Active ``B×B`` tiles of a tiled ``(rows, n_cols)`` mask, in block-id order.
+
+    ``active_idx`` holds the sorted flat indices of the active weights; a
+    tile's top-left element marks it.  Returns ``(block_rows, tile_cols,
+    scatter)``: each tile's block row, its ``B`` element columns, and the
+    flat indices of its elements, row-major within each tile.
+    """
+    rows, cols = np.divmod(active_idx, n_cols)
+    corner = (rows % b == 0) & (cols % b == 0)
+    block_rows = rows[corner] // b
+    tile_cols = cols[corner][:, None] + np.arange(b)
+    tile_rows = block_rows[:, None] * b + np.arange(b)
+    scatter = (tile_rows[:, :, None] * n_cols + tile_cols[:, None, :]).reshape(-1)
+    return block_rows, tile_cols, scatter
+
+
 class CsrMatmul:
     """CSR (and transposed CSR) form of a 2-D weight view, mask-structured.
 
     ``sync`` refreshes the nnz values from the flat dense weight on every
     call (one cached gather per orientation) and rebuilds the index
-    structure only when ``version`` changed since the last sync.
+    structure only when ``version`` changed since the last sync.  A
+    ``block_size`` of ``B`` declares the mask tiled in ``B×B`` blocks; it
+    only matters to the active-tile weight gradient
+    (:meth:`scatter_grad_w`).
 
     Both products run ``csr_matvecs`` on the stored arrays: ``x @ W.T`` as
     ``W @ x.T`` and ``g @ W`` as ``W.T @ g.T``.  Each row of the result sums
-    its terms in ascending column order from zero, the order scipy's
-    ``dense @ sparse`` operator uses, so the values are bitwise identical to
-    it.  The result is the Fortran-ordered ``.T`` view of a fresh
-    C-contiguous array.  Nothing is cached across calls: the output goes to
-    autograd, where a reused buffer would be overwritten under a live
-    tensor.
+    its terms in ascending column order from its initial value (zero, or
+    the bias), the order scipy's ``dense @ sparse`` operator uses, so
+    without a bias the values are bitwise identical to it.  Results are
+    fresh per call: they go to autograd, where a reused buffer would be
+    overwritten under a live tensor.
     """
 
-    def __init__(self, shape2d: tuple[int, int]):
+    def __init__(self, shape2d: tuple[int, int], block_size: int = 1):
         self.shape2d = (int(shape2d[0]), int(shape2d[1]))
+        self.block_size = int(block_size)
         self._version = -1
         self.csr: sp.csr_matrix | None = None  # W      (rows, cols)
         self.csr_t: sp.csr_matrix | None = None  # W.T  (cols, rows)
         self._gather: np.ndarray | None = None
         self._perm_t: np.ndarray | None = None
+        self._tile_set = None
+        self._tile_set_version = -1
+        self._grad_w: np.ndarray | None = None
+        self._grad_w_version = -1
 
     @property
     def structure_version(self) -> int:
@@ -246,186 +275,61 @@ class CsrMatmul:
             matrix.has_canonical_format = True
 
     @hot_path
+    def wx(self, x_t: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+        """``W @ x_t`` (+ bias) for a staged ``(cols, N)`` operand -> ``(rows, N)``."""
+        csr = self.csr
+        return _csr_product_t(csr.indptr, csr.indices, csr.data, self.shape2d[0], x_t, bias)
+
+    @hot_path
+    def wtg(self, g_t: np.ndarray) -> np.ndarray:
+        """``W.T @ g_t`` for a staged ``(rows, N)`` operand -> ``(cols, N)``."""
+        csr_t = self.csr_t
+        return _csr_product_t(csr_t.indptr, csr_t.indices, csr_t.data, self.shape2d[1], g_t)
+
+    @hot_path
     def matmul_xwt(self, x2d: np.ndarray) -> np.ndarray:
         """``x @ W.T`` for ``x`` of shape (N, cols) -> (N, rows), F-ordered."""
-        csr = self.csr
-        return _csr_product(csr.indptr, csr.indices, csr.data, self.shape2d, x2d)
+        return self.wx(_staged(x2d, self.shape2d[1])).T
 
     @hot_path
     def matmul_gw(self, g2d: np.ndarray) -> np.ndarray:
         """``g @ W`` for ``g`` of shape (N, rows) -> (N, cols), F-ordered."""
-        csr_t = self.csr_t
-        rows, cols = self.shape2d
-        return _csr_product(csr_t.indptr, csr_t.indices, csr_t.data, (cols, rows), g2d)
-
-
-class BsrMatmul:
-    """Block-sparse matmuls for a block-masked 2-D weight view.
-
-    The *bookkeeping* is block-granular: structure rebuilds read the layer's
-    sorted active-block set (``O(nnz_blocks)`` triplets maintained by the
-    drop-and-grow engine) and expand it to element-level CSR in ``O(nnz)``
-    via :func:`repro.sparse.blocks.expand_block_csr` — never a scan of the
-    dense mask.  *Execution* calls scipy's ``csr_matvecs`` kernel directly
-    on the expanded structure with preallocated C-contiguous operands and
-    the sparse operand on the left; on this CPU that direct call beats the
-    dense GEMM, the ``dense @ sparse`` operator dispatch (which pays ~0.26
-    ms/call in wrapper objects) *and* scipy's own ``bsr_matvecs`` at the
-    paper's shapes — see docs/performance.md.
-
-    Both orientations are stored: ``W`` (rows×cols) and ``W.T``, each with a
-    cached flat-element gather so a sync refreshes values with two
-    ``np.take`` calls and no per-step allocation.  ``csr_matvecs`` computes
-    ``Y += A @ X``, so the bias folds into the output initialization for
-    free.  Staging and output buffers live in a small per-instance cache
-    keyed by name (same step-lifetime contract as
-    :class:`~repro.autograd.conv.ConvWorkspace`), except the output of
-    :meth:`matmul_wx`, which becomes a tensor's data and is fresh per call.
-    """
-
-    def __init__(self, shape2d: tuple[int, int], block_size: int):
-        self.shape2d = (int(shape2d[0]), int(shape2d[1]))
-        self.block_size = int(block_size)
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
-        rows, cols = self.shape2d
-        if rows % self.block_size or cols % self.block_size:
-            raise ValueError(
-                f"matrix shape {self.shape2d} is not divisible by "
-                f"block_size {self.block_size}"
-            )
-        self._version = -1
-        self._buffers: dict[str, np.ndarray] = {}
-        self._indptr: np.ndarray | None = None
-        self._indices: np.ndarray | None = None
-        self._data: np.ndarray | None = None
-        self._gather: np.ndarray | None = None
-        self._indptr_t: np.ndarray | None = None
-        self._indices_t: np.ndarray | None = None
-        self._data_t: np.ndarray | None = None
-        self._gather_t: np.ndarray | None = None
-        self._brows: np.ndarray | None = None
-        self._bcols: np.ndarray | None = None
-        self._scatter: np.ndarray | None = None
-        self._grad_w_stale = False
-
-    @property
-    def structure_version(self) -> int:
-        """Mask version the current index structure was built from."""
-        return self._version
-
-    def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """Cached float32 buffer, reallocated only on shape change."""
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape, dtype=np.float32)
-            self._buffers[name] = buf
-        return buf
-
-    @hot_path
-    def sync(self, flat_values: np.ndarray, target: SparseParam) -> None:
-        """Refresh values (and structure, iff the mask moved) from ``target``."""
-        if target.mask_version != self._version:
-            self._rebuild(target.active_blocks)
-            self._version = target.mask_version
-        np.take(flat_values, self._gather, out=self._data)
-        np.take(flat_values, self._gather_t, out=self._data_t)
-
-    def _rebuild(self, active_blocks: np.ndarray) -> None:
-        rows, cols = self.shape2d
-        b = self.block_size
-        block_rows, block_cols = rows // b, cols // b
-        indptr, indices, erows = expand_block_csr(active_blocks, block_rows, block_cols, b)
-        self._indptr, self._indices = indptr, indices
-        self._gather = erows * cols + indices
-        self._data = np.empty(indices.size, dtype=np.float32)
-
-        # Transposed structure: the same blocks in the (cols, rows) matrix.
-        blocks = np.asarray(active_blocks, dtype=np.int64)
-        brow, bcol = np.divmod(blocks, block_cols)
-        indptr_t, indices_t, erows_t = expand_block_csr(
-            bcol * block_rows + brow, block_cols, block_rows, b
-        )
-        self._indptr_t, self._indices_t = indptr_t, indices_t
-        # W.T[r', c'] = W[c', r']: gather from flat W at c' * cols + r'.
-        self._gather_t = indices_t.astype(np.int64) * cols + erows_t
-        self._data_t = np.empty(indices_t.size, dtype=np.float32)
-
-        # Per-block coordinates and flat element scatter for the sparse
-        # weight-gradient path (active tiles only, sorted block-id order).
-        self._brows, self._bcols = brow, bcol
-        offsets = (np.arange(b)[:, None] * cols + np.arange(b)[None, :]).reshape(-1)
-        top_left = brow * b * cols + bcol * b
-        self._scatter = (top_left[:, None] + offsets[None, :]).reshape(-1)
-        self._grad_w_stale = True
+        return self.wtg(_staged(g2d, self.shape2d[0])).T
 
     def grad_w_buffer(self, shape: tuple[int, ...]) -> np.ndarray:
         """Dense weight-gradient buffer whose inactive coordinates are zero.
 
-        :meth:`scatter_grad_w` overwrites the same ``_scatter`` positions
-        every step, so between mask rebuilds the buffer only needs zeroing
-        once — stale active-tile values are assigned over, everything else
-        was zeroed when the structure last changed.
+        :meth:`scatter_grad_w` overwrites the same active-tile positions
+        every step, so between structure rebuilds the buffer only needs
+        zeroing once.
         """
-        buf = self._buffers.get("grad_w_sparse")
+        buf = self._grad_w
         if buf is None or buf.shape != shape:
-            buf = np.zeros(shape, dtype=np.float32)
-            self._buffers["grad_w_sparse"] = buf
-        elif self._grad_w_stale:
+            buf = self._grad_w = np.zeros(shape, dtype=np.float32)
+        elif self._grad_w_version != self._version:
             buf.fill(0.0)
-        self._grad_w_stale = False
+        self._grad_w_version = self._version
         return buf
 
-    # ------------------------------------------------------------------
-    # products (sparse operand on the left; operands C-contiguous)
-    # ------------------------------------------------------------------
     @hot_path
-    def matmul_wx(self, x_t: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-        """``W @ x_t`` (+ broadcast bias) for C-contiguous ``x_t`` of shape
-        ``(cols, N)``; returns a fresh C-contiguous ``(rows, N)`` array."""
-        rows = self.shape2d[0]
-        out = np.empty((rows, x_t.shape[1]), dtype=np.float32)  # reprolint: disable=RPL005
-        if bias is not None:
-            np.copyto(out, bias.reshape(rows, 1))
-        else:
-            out.fill(0.0)
-        _csr_matvecs(self._indptr, self._indices, self._data, x_t, out)
-        return out
-
-    @hot_path
-    def matmul_wtg(self, g_t: np.ndarray, reuse: bool = True) -> np.ndarray:
-        """``W.T @ g_t`` for C-contiguous ``g_t`` of shape ``(rows, N)``;
-        returns ``(cols, N)``.  ``reuse=False`` allocates a fresh output
-        (for results the caller may hand to gradient accumulation while an
-        earlier accumulation is still pending)."""
-        rows, cols = self.shape2d
-        if reuse:
-            out = self.buffer("wtg", (cols, g_t.shape[1]))
-            out.fill(0.0)
-        else:
-            # Fresh by contract: the caller hands this array to gradient
-            # accumulation, so the cached buffer would alias across steps.
-            # reprolint: disable-next=RPL005
-            out = np.zeros((cols, g_t.shape[1]), dtype=np.float32)
-        _csr_matvecs(self._indptr_t, self._indices_t, self._data_t, g_t, out)
-        return out
-
     def scatter_grad_w(self, g_t: np.ndarray, x_t: np.ndarray, grad_w: np.ndarray) -> None:
         """Active-tile weight gradient, scattered into zeroed dense ``grad_w``.
 
         A sampled dense-dense matmul (SDDMM) at block granularity: tile
         ``(r, c)`` of the gradient is ``g_t[rB:(r+1)B] @ x_t[cB:(c+1)B].T``,
         batched over the active tiles only — ~``density``× the FLOPs of the
-        full ``g_tᵀ``-style GEMM.  Only valid when the consumer never reads
+        full GEMM.  Only valid when the consumer never reads
         inactive-coordinate gradients (bound sparse optimizer, no growth
         scoring this step); callers gate on ``dense_grads_required``.
         """
         b = self.block_size
-        rows, cols = self.shape2d
-        g3 = g_t.reshape(rows // b, b, g_t.shape[1])
-        x3 = x_t.reshape(cols // b, b, x_t.shape[1])
-        tiles = np.matmul(g3[self._brows], x3[self._bcols].transpose(0, 2, 1))
-        grad_w.reshape(-1)[self._scatter] = tiles.reshape(-1)
+        if self._tile_set_version != self._version:
+            self._tile_set = _tiles(self._gather, self.shape2d[1], b)
+            self._tile_set_version = self._version
+        block_rows, tile_cols, scatter = self._tile_set
+        g3 = g_t.reshape(self.shape2d[0] // b, b, g_t.shape[1])
+        tiles = np.matmul(g3[block_rows], x_t[tile_cols].transpose(0, 2, 1))
+        grad_w.reshape(-1)[scatter] = tiles.reshape(-1)
 
 
 class _KernelBase:
@@ -465,23 +369,21 @@ class _KernelBase:
 class LinearKernel(_KernelBase):
     """Sparse training forward for a masked :class:`~repro.nn.Linear`.
 
-    Dispatches per call to the CSR or BSR matmul pair; returns ``None``
-    (declining the call, so the module falls back to its dense path) when
-    dispatch picks dense or the input is unsupported.  Every output and
-    every array a backward closure reads is fresh per call, so the layer
-    may run several forwards before one backward (a GAN discriminator
-    scoring real and fake batches).
+    One forward at every block size: stage ``x.T`` once, then one
+    :class:`CsrMatmul` product with the bias in the output's initial value.
+    The input gradient is the transposed product.  The weight gradient is
+    the dense ``grad.T @ x`` unless the layer dispatched to ``"bsr"`` and
+    ``dense_grads_required`` is clear; then it is the active-tile SDDMM.
+    Returns ``None`` (declining the call, so the module falls back to its
+    dense path) when dispatch picks dense or the input is unsupported.
+    Every output and every array a backward closure reads is fresh per
+    call, so the layer may run several forwards before one backward (a GAN
+    discriminator scoring real and fake batches).
     """
 
     def __init__(self, module, target, mode="auto", density_threshold=None, min_size=None):
         super().__init__(module, target, mode, density_threshold, min_size)
-        self.matmul = CsrMatmul(module.weight.shape)
-        self._bsr_matmul: BsrMatmul | None = None
-
-    def _bsr(self) -> BsrMatmul:
-        if self._bsr_matmul is None:
-            self._bsr_matmul = BsrMatmul(self.module.weight.shape, self.target.block_size)
-        return self._bsr_matmul
+        self.matmul = CsrMatmul(module.weight.shape, target.block_size)
 
     def __call__(self, x) -> Tensor | None:
         choice = self.backend()
@@ -491,81 +393,45 @@ class LinearKernel(_KernelBase):
         data = x.data
         if data.ndim != 2 or data.dtype != np.float32:
             return None
-        if choice == "bsr":
-            return self._forward_bsr(x, data)
-        return self._forward_csr(x, data)
+        return self._forward(x, data, tiles=choice == "bsr")
 
-    def _forward_csr(self, x, data: np.ndarray) -> Tensor:
+    @hot_path
+    def _forward(self, x, data: np.ndarray, tiles: bool) -> Tensor:
         weight = self.module.weight
         bias = self.module.bias
         target = self.target
         matmul = self.matmul
+        rows, cols = matmul.shape2d
         matmul.sync(weight.data.reshape(-1), target.active_indices, target.mask_version)
-
-        out = matmul.matmul_xwt(data)
-        if bias is not None:
-            np.add(out, bias.data, out=out)
-
-        parents = (x, weight) if bias is None else (x, weight, bias)
-
-        def backward(grad: np.ndarray) -> None:
-            if weight.requires_grad:
-                # Dense by design: growth rules score inactive weights too.
-                weight._accumulate(grad.T @ data)
-            if x.requires_grad:
-                x._accumulate(matmul.matmul_gw(grad))
-            if bias is not None and bias.requires_grad:
-                # numpy sums a C-ordered array row by row but an F-ordered
-                # one's columns pairwise.  A CSR layer whose output reaches
-                # another sparse layer through elementwise ops (the
-                # char-GPT's fc -> GELU -> proj) gets its gradient
-                # F-ordered, so sum in C order: the rounding then does not
-                # depend on the layout.
-                # reprolint: disable-next=RPL005
-                bias._accumulate(np.ascontiguousarray(grad).sum(axis=0))
-
-        return Tensor._make(out, parents, backward)
-
-    def _forward_bsr(self, x, data: np.ndarray) -> Tensor:
-        weight = self.module.weight
-        bias = self.module.bias
-        matmul = self._bsr()
-        matmul.sync(weight.data.reshape(-1), self.target)
-        n = data.shape[0]
-
-        # Sparse-left orientation: stage x.T C-contiguous, then
-        # out.T = W @ x.T lands C-contiguous and out is its free F view.
-        # Both are fresh per call: the output becomes a tensor and the
-        # backward reads x.T, so a second forward before the backward must
-        # not overwrite either.
-        x_t = np.ascontiguousarray(data.T)  # reprolint: disable=RPL005
-        out = matmul.matmul_wx(x_t, None if bias is None else bias.data).T
+        x_t = _staged(data, cols)
+        out = matmul.wx(x_t, None if bias is None else bias.data).T
+        # Only the tile gradient reads the staged input; drop it otherwise
+        # instead of holding a copy until the backward.
+        tile_x = x_t if tiles else None
 
         parents = (x, weight) if bias is None else (x, weight, bias)
 
         def backward(grad: np.ndarray) -> None:
-            g_t = matmul.buffer("gT", (grad.shape[1], n))
-            np.copyto(g_t, grad.T)
+            g_t = _staged(grad, rows)
             if weight.requires_grad:
-                if self.target.dense_grads_required:
-                    # Dense at update steps: growth scores inactive weights.
-                    weight._accumulate(grad.T @ data)
-                else:
+                if tiles and not target.dense_grads_required:
                     # The zero-once cache, unless a pending accumulation
                     # may already have adopted it as weight.grad (fresh then).
                     if weight.grad is None:
                         grad_w = matmul.grad_w_buffer(weight.shape)
                     else:  # reprolint: disable-next=RPL005
                         grad_w = np.zeros(weight.shape, dtype=np.float32)
-                    matmul.scatter_grad_w(g_t, x_t, grad_w)
+                    matmul.scatter_grad_w(g_t, tile_x, grad_w)
                     weight._accumulate(grad_w)
+                else:
+                    # Dense at update steps: growth scores inactive weights.
+                    weight._accumulate(grad.T @ data)
             if x.requires_grad:
-                # Fresh output when an accumulation is pending (the cached
-                # buffer may already be adopted as x.grad).
-                gx_t = matmul.matmul_wtg(g_t, reuse=x.grad is None)
-                x._accumulate(gx_t.T)
+                x._accumulate(matmul.wtg(g_t).T)
             if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=0))
+                # Summed over the staged C-contiguous copy: the rounding
+                # does not depend on the layout ``grad`` arrived in.
+                bias._accumulate(g_t.sum(axis=1))
 
         return Tensor._make(out, parents, backward)
 
@@ -708,9 +574,10 @@ class _TapCsr:
     Tap ``t``'s ``(C_out, C_in)`` slice is rows ``t*C_out:(t+1)*C_out`` of
     one stacked ``(K*C_out, C_in)`` CSR matrix (``K = kh*kw``; see
     :func:`_tap_csr`, ``csr`` holds its arrays), and its transpose rows
-    ``t*C_in:(t+1)*C_in`` of a stacked ``(K*C_in, C_out)`` one.  The structure is rebuilt only when the mask version moves and
-    values are gathered each forward.  Block-masked layers also keep their
-    active tiles for the sampled weight gradient.
+    ``t*C_in:(t+1)*C_in`` of a stacked ``(K*C_in, C_out)`` one.  The
+    structure is rebuilt only when the mask version moves, together with
+    the active ``B×B`` tiles (:func:`_tiles`) of the sampled weight
+    gradient; values are gathered each forward.
     """
 
     def __init__(self, shape4d: tuple[int, int, int, int], block_size: int):
@@ -740,13 +607,7 @@ class _TapCsr:
         self._indices_t = co[order].astype(np.int32)
         self._gather_t = flat[order]
         self._data_t = np.empty(flat.size, dtype=np.float32)
-        b = self.block_size
-        if b > 1:
-            brow, bcol = np.divmod(target.active_blocks, c_in * k // b)
-            self.brows = brow
-            self.tile_cols = bcol[:, None] * b + np.arange(b)
-            rows = brow[:, None] * b + np.arange(b)
-            self.scatter = (rows[:, :, None] * (c_in * k) + self.tile_cols[:, None, :]).reshape(-1)
+        self.tiles = _tiles(flat, c_in * k, self.block_size)
 
     @hot_path
     def backward(self, t: int, g2d: np.ndarray, out: np.ndarray) -> None:
@@ -777,6 +638,7 @@ class Conv2dKernel(_KernelBase):
         super().__init__(module, target, mode, density_threshold, min_size)
         self.taps = _TapCsr(module.weight.shape, target.block_size)
         self._grid: _TapGrid | None = None
+        self._live = None
 
     def __call__(self, x) -> Tensor | None:
         choice = self.backend()
@@ -866,32 +728,48 @@ class Conv2dKernel(_KernelBase):
         np.copyto(grad_w.reshape(c_out, c_in, kh * kw), per_tap.transpose(1, 2, 0))
         return grad_w
 
+    def _live_tiles(self, grid: _TapGrid):
+        """Active tiles with a live column, cached per (structure, H×W).
+
+        A tile whose columns all belong to dead taps has an exactly-zero
+        gradient, so it is skipped.  Returns ``(key, block_rows,
+        tile_cols, scatter, dead)`` with ``dead`` the dead columns of each
+        kept tile.
+        """
+        key = (self.taps.version, grid.x_shape[2:])
+        if self._live is None or self._live[0] != key:
+            block_rows, tile_cols, scatter = self.taps.tiles
+            dead = grid.dead_cols[tile_cols]
+            keep = ~dead.all(axis=1)
+            scatter = scatter.reshape(keep.size, tile_cols.shape[1] ** 2)[keep].reshape(-1)
+            self._live = (key, block_rows[keep], tile_cols[keep], scatter, dead[keep])
+        return self._live
+
     def _tile_grad_w(self, g_grid, x_grid, grid: _TapGrid, ws) -> np.ndarray:
         """Active-tile weight gradient (a block SDDMM), zero elsewhere.
 
         Tile ``(r, j)`` is ``g[rB:(r+1)B] @ X[jB:(j+1)B].T`` where row ``f =
         c * K + t`` of the virtual im2col matrix ``X`` is the shifted view
         of channel ``c`` under tap ``t``: one batched matmul over the
-        active tiles, gathering only their views.
+        active tiles that read the image, gathering only their views.
         """
         weight = self.module.weight
-        taps = self.taps
-        b = taps.block_size
+        b = self.taps.block_size
+        key, block_rows, cols, scatter, dead = self._live_tiles(grid)
         g3 = g_grid.reshape(weight.shape[0] // b, b, grid.pitch)
-        cols = taps.tile_cols
         step = x_grid.itemsize  # every view start, without copying
         starts = as_strided(x_grid, (x_grid.size - grid.pitch + 1, grid.pitch), (step, step))
         views = starts[grid.col_offsets[cols]]
-        tiles = np.matmul(g3[taps.brows], views.transpose(0, 2, 1))
+        tiles = np.matmul(g3[block_rows], views.transpose(0, 2, 1))
         if grid.has_dead:
-            tiles.transpose(0, 2, 1)[grid.dead_cols[cols]] = 0.0
-        # Zeroed when the structure moves; between moves the scatter
-        # overwrites the same positions.
+            tiles.transpose(0, 2, 1)[dead] = 0.0
+        # Zeroed when the tile set moves (structure or input size); in
+        # between, the scatter overwrites the same positions.
         if weight.grad is None:
-            grad_w = ws.zeros("grad_w_tiles", weight.shape, key=taps.version)
+            grad_w = ws.zeros("grad_w_tiles", weight.shape, key=key)
         else:
             grad_w = np.zeros(weight.shape, dtype=np.float32)
-        grad_w.reshape(-1)[taps.scatter] = tiles.reshape(-1)
+        grad_w.reshape(-1)[scatter] = tiles.reshape(-1)
         return grad_w
 
 

@@ -15,14 +15,15 @@ changed, and index lookups between mask edits are O(1).  Code that mutates
 a mask in place (the drop-and-grow engine, GMP) must report the edit via
 :meth:`SparseParam.mark_mask_dirty`.
 
-With ``block_size > 1`` a layer's mask is constrained to ``B×B`` tiles of
-its 2-D weight view (:mod:`repro.sparse.blocks`); the dense boolean mask
-stays the canonical representation (checkpoints, coverage counters and
-worker resyncs are unchanged), while drop-and-grow edits go through
+Every layer's mask is made of ``B×B`` tiles of its 2-D weight view
+(:mod:`repro.sparse.blocks`); ``B = 1`` tiles are single weights, i.e. an
+unstructured mask.  The dense boolean mask stays the canonical
+representation (checkpoints, coverage counters and worker resyncs are
+unchanged), while drop-and-grow edits go through
 :meth:`SparseParam.drop_blocks` / :meth:`SparseParam.grow_blocks`, which
-maintain the sorted active-block set in ``O(nnz_blocks)``.  Layers whose
+maintain the sorted active-tile set in ``O(nnz_blocks)``.  Layers whose
 2-D view is not divisible by the block size (e.g. the first conv with 3
-input channels) fall back to ``block_size=1``, i.e. unstructured.
+input channels) fall back to ``block_size=1``.
 """
 
 from __future__ import annotations
@@ -89,12 +90,7 @@ class SparseParam:
         self.param = param
         self._target_density = float(target_density)
         self.block_size = int(block_size)
-        rows, cols = self.shape2d
-        self.indexer = (
-            MatrixBlockIndexer(rows, cols, self.block_size)
-            if self.block_size > 1
-            else None
-        )
+        self.indexer = MatrixBlockIndexer(*self.shape2d, self.block_size)
         self._mask = np.ascontiguousarray(mask, dtype=bool)
         self._mask_version = 0
         self._active_idx: np.ndarray | None = None
@@ -106,9 +102,8 @@ class SparseParam:
         # the in-between steps (see DynamicSparseEngine.before_backward),
         # letting block kernels compute active-tile gradients only.
         self.dense_grads_required = True
-        if self.indexer is not None:
-            # Fail at construction, not first use, if the mask isn't tiled.
-            self.active_blocks  # noqa: B018 - validates block structure
+        # Fail at construction, not first use, if the mask isn't tiled.
+        self.active_blocks  # noqa: B018 - validates block structure
 
     def __repr__(self) -> str:
         return (
@@ -171,7 +166,7 @@ class SparseParam:
         return self._inactive_idx
 
     # ------------------------------------------------------------------
-    # block granularity (block_size > 1 only)
+    # unit granularity (B×B tiles; B = 1 is a single weight)
     # ------------------------------------------------------------------
     @property
     def active_blocks(self) -> np.ndarray:
@@ -180,18 +175,22 @@ class SparseParam:
         Derived from the canonical dense mask, validating along the way
         that every tile is all-active or all-inactive — a partially active
         tile means element-granular code edited a block-structured mask.
+        At ``B = 1`` the tiles are the weights: the cached element set.
         """
-        if self.indexer is None:
-            raise ValueError(f"{self.name!r} is unstructured (block_size=1)")
         if self._active_blocks is None:
-            rows, cols = self.shape2d
-            block = BlockMask.from_dense(self.indexer, self._mask.reshape(rows, cols))
-            self._active_blocks = block.active_blocks
+            if self.block_size == 1:
+                self._active_blocks = self.active_indices
+            else:
+                rows, cols = self.shape2d
+                block = BlockMask.from_dense(self.indexer, self._mask.reshape(rows, cols))
+                self._active_blocks = block.active_blocks
         return self._active_blocks
 
     @property
     def inactive_blocks(self) -> np.ndarray:
-        """Sorted flat ids of inactive tiles (recomputed per mask edit)."""
+        """Sorted flat ids of inactive tiles (at ``B = 1``, the cached set)."""
+        if self.block_size == 1:
+            return self.inactive_indices
         scratch = np.ones(self.indexer.n_blocks, dtype=bool)
         scratch[self.active_blocks] = False
         return np.flatnonzero(scratch)

@@ -4,9 +4,41 @@ import numpy as np
 import pytest
 
 from repro.data import cifar10_like, cifar100_like, imagenet_like, make_image_classification
+from repro.data.synthetic import _render_split
+
+
+def _render_oracle(rng, prototypes, n_samples, noise, max_shift):
+    """The per-image roll loop the renderer must reproduce."""
+    n_classes = prototypes.shape[0]
+    labels = rng.integers(0, n_classes, size=n_samples).astype(np.int64)
+    images = prototypes[labels].copy()
+    contrast = rng.uniform(0.7, 1.3, size=(n_samples, 1, 1, 1)).astype(np.float32)
+    brightness = rng.uniform(-0.1, 0.1, size=(n_samples, 1, 1, 1)).astype(np.float32)
+    images = images * contrast + brightness
+    if max_shift > 0:
+        shifts = rng.integers(-max_shift, max_shift + 1, size=(n_samples, 2))
+        for i in range(n_samples):
+            dy, dx = shifts[i]
+            if dy or dx:
+                images[i] = np.roll(images[i], (dy, dx), axis=(1, 2))
+    images += noise * rng.standard_normal(images.shape).astype(np.float32)
+    images -= images.mean()
+    images /= images.std() + 1e-8
+    return images.astype(np.float32), labels
 
 
 class TestGenerator:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("size,n_samples,max_shift", [(12, 257, 1), (9, 64, 2), (5, 3, 0)])
+    def test_render_matches_per_image_loop(self, seed, size, n_samples, max_shift):
+        protos = np.random.default_rng(99).standard_normal((7, 3, size, size))
+        protos = protos.astype(np.float32)
+        got = _render_split(np.random.default_rng(seed), protos, n_samples, 1.0, max_shift)
+        want = _render_oracle(np.random.default_rng(seed), protos, n_samples, 1.0, max_shift)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
     def test_shapes_and_dtypes(self):
         data = make_image_classification(5, 100, 40, image_size=10, seed=0)
         assert data.train.inputs.shape == (100, 3, 10, 10)

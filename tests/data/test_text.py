@@ -4,11 +4,41 @@ import numpy as np
 import pytest
 
 from repro.data.text import (
+    _WORDS,
     ALPHABET,
     CharVocab,
+    _windows,
     generate_corpus,
     make_char_lm_data,
 )
+
+
+def _corpus_oracle(n_chars, seed):
+    """The per-word ``Generator.choice`` loop the generator must reproduce."""
+    rng = np.random.default_rng(seed)
+    n_words = len(_WORDS)
+    weights = 1.0 / (np.arange(n_words) + 1.0)
+    transition = np.empty((n_words, n_words))
+    for i in range(n_words):
+        transition[i, rng.permutation(n_words)] = weights
+    transition /= transition.sum(axis=1, keepdims=True)
+    pieces, total = [], 0
+    word = int(rng.integers(n_words))
+    sentence_left = int(rng.integers(4, 10))
+    while total < n_chars:
+        token = _WORDS[word]
+        sentence_left -= 1
+        if sentence_left == 0:
+            token += "." + ("\n" if rng.random() < 0.25 else " ")
+            sentence_left = int(rng.integers(4, 10))
+        elif rng.random() < 0.08:
+            token += ", "
+        else:
+            token += " "
+        pieces.append(token)
+        total += len(token)
+        word = int(rng.choice(n_words, p=transition[word]))
+    return "".join(pieces)[:n_chars]
 
 
 class TestCorpusDeterminism:
@@ -27,6 +57,11 @@ class TestCorpusDeterminism:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError, match="positive"):
             generate_corpus(0)
+
+    @pytest.mark.parametrize("n_chars", [1, 777, 8192])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 13])
+    def test_matches_per_word_choice_loop(self, n_chars, seed):
+        assert generate_corpus(n_chars, seed=seed) == _corpus_oracle(n_chars, seed)
 
 
 class TestCharVocab:
@@ -79,6 +114,17 @@ class TestWindows:
     def test_bad_val_fraction_rejected(self):
         with pytest.raises(ValueError, match="val_fraction"):
             make_char_lm_data(n_chars=1024, val_fraction=0.0)
+
+    @pytest.mark.parametrize("size,block_len", [(33, 32), (100, 7), (1000, 16), (64, 1)])
+    def test_matches_window_loop(self, size, block_len):
+        ids = np.random.default_rng(size).integers(0, 32, size=size)
+        n = (size - 1) // block_len
+        x = np.stack([ids[i * block_len : (i + 1) * block_len] for i in range(n)])
+        y = np.stack([ids[i * block_len + 1 : (i + 1) * block_len + 1] for i in range(n)])
+        windows = _windows(ids, block_len)
+        np.testing.assert_array_equal(windows.inputs, x)
+        np.testing.assert_array_equal(windows.targets, y)
+        assert windows.inputs.flags.owndata and windows.targets.flags.owndata
 
     def test_too_short_segment_is_loud(self):
         with pytest.raises(ValueError, match="no window"):

@@ -1,11 +1,11 @@
-"""Block-structured sparsity: indexer geometry, COO masks, BSR kernels.
+"""Block-structured sparsity: indexer geometry, COO masks, block kernels.
 
 Covers the contracts the block path is built on: tile↔flat index round
-trips, triplet (COO) edits that never scan the dense mask, element-level
-CSR expansion against a scipy reference, ``block_size=1`` collapsing to
-the unstructured trajectory bit-for-bit, BSR forward/input-grad parity
-against the masked-dense path, and the non-divisible-shape fallback
-semantics.
+trips, triplet (COO) edits that never scan the dense mask, the element CSR
+of a tile set against a scipy reference, ``block_size=1`` collapsing to
+the unstructured trajectory bit-for-bit, block-kernel forward/input-grad
+parity against the masked-dense path, and the non-divisible-shape
+fallback semantics.
 """
 
 import numpy as np
@@ -18,13 +18,12 @@ from repro.models import MLP
 from repro.optim import SGD
 from repro.sparse import (
     BlockMask,
-    BsrMatmul,
+    CsrMatmul,
     DSTEEGrowth,
     DynamicSparseEngine,
     MaskedModel,
     MatrixBlockIndexer,
     TrainingSchedule,
-    expand_block_csr,
     install_training_backends,
     remove_training_backends,
     select_backend,
@@ -115,7 +114,19 @@ class TestBlockMask:
         np.testing.assert_array_equal(mask.active_blocks, [1, 3, 9])
 
 
+def _block_csr(active_blocks, shape, b, flat_values=None):
+    """``CsrMatmul`` of the mask whose active tiles are ``active_blocks``."""
+    mask = BlockMask(MatrixBlockIndexer(*shape, b), active_blocks).to_dense()
+    if flat_values is None:
+        flat_values = np.zeros(mask.size, np.float32)
+    matmul = CsrMatmul(shape, b)
+    matmul.sync(flat_values, np.flatnonzero(mask), version=0)
+    return matmul
+
+
 class TestExpandBlockCsr:
+    """A tile set expands to the element CSR of its active weights."""
+
     @pytest.mark.parametrize("shape,b", [((8, 8), 2), ((12, 8), 4), ((6, 9), 3)])
     def test_matches_scipy_bsr_structure(self, shape, b):
         rows, cols = shape
@@ -124,28 +135,26 @@ class TestExpandBlockCsr:
         active = np.sort(
             RNG.choice(n_blocks, size=max(1, n_blocks // 3), replace=False)
         )
-        indptr, indices, erows = expand_block_csr(active, block_rows, block_cols, b)
-
         dense = np.zeros((rows, cols), dtype=np.float32)
         brow, bcol = np.divmod(active, block_cols)
         values = RNG.standard_normal((active.size, b, b)).astype(np.float32)
         for k, (r, c) in enumerate(zip(brow, bcol)):
             dense[r * b:(r + 1) * b, c * b:(c + 1) * b] = values[k]
         reference = sp.csr_matrix(dense)
-        np.testing.assert_array_equal(indptr, reference.indptr)
-        np.testing.assert_array_equal(indices, reference.indices)
-        # (rows, indices) gathers CSR-ordered values from the flat dense.
-        np.testing.assert_array_equal(
-            dense.reshape(-1)[erows * cols + indices], reference.data
-        )
+
+        matmul = _block_csr(active, shape, b, dense.reshape(-1))
+        np.testing.assert_array_equal(matmul.csr.indptr, reference.indptr)
+        np.testing.assert_array_equal(matmul.csr.indices, reference.indices)
+        np.testing.assert_array_equal(matmul.csr.data, reference.data)
+        np.testing.assert_array_equal(matmul.csr_t.indices, reference.T.tocsr().indices)
 
     def test_empty_active_set(self):
-        indptr, indices, erows = expand_block_csr(np.empty(0, dtype=np.int64), 3, 2, 4)
-        assert indices.size == 0 and erows.size == 0
-        np.testing.assert_array_equal(indptr, np.zeros(13, dtype=np.int32))
+        matmul = _block_csr(np.empty(0, dtype=np.int64), (12, 8), 4)
+        assert matmul.csr.indices.size == 0 and matmul.csr_t.indices.size == 0
+        np.testing.assert_array_equal(matmul.csr.indptr, np.zeros(13, dtype=np.int32))
 
 
-class TestBsrMatmul:
+class TestBlockCsrMatmul:
     def _target(self, sparsity=0.75, b=4, shape=(16, 24)):
         model = nn.Linear(shape[1], shape[0], rng=np.random.default_rng(0))
         masked = MaskedModel(
@@ -154,30 +163,28 @@ class TestBsrMatmul:
         )
         return model, masked.targets[0]
 
+    def _matmul(self, model, target):
+        matmul = CsrMatmul(target.shape2d, target.block_size)
+        flat = model.weight.data.reshape(-1) * target.mask.reshape(-1)
+        matmul.sync(flat, target.active_indices, target.mask_version)
+        return matmul, flat.reshape(target.shape2d)
+
     def test_products_bitwise_match_scipy_csr(self):
         model, target = self._target()
-        matmul = BsrMatmul(target.shape2d, target.block_size)
-        flat = model.weight.data.reshape(-1) * target.mask.reshape(-1)
-        matmul.sync(flat, target)
-
-        weight2d = flat.reshape(target.shape2d)
+        matmul, weight2d = self._matmul(model, target)
         reference = sp.csr_matrix(weight2d)
         x_t = np.ascontiguousarray(
             RNG.standard_normal((target.shape2d[1], 8)).astype(np.float32)
         )
-        np.testing.assert_array_equal(matmul.matmul_wx(x_t), reference @ x_t)
+        np.testing.assert_array_equal(matmul.wx(x_t), reference @ x_t)
         g_t = np.ascontiguousarray(
             RNG.standard_normal((target.shape2d[0], 8)).astype(np.float32)
         )
-        np.testing.assert_array_equal(
-            matmul.matmul_wtg(g_t), sp.csr_matrix(weight2d.T) @ g_t
-        )
+        np.testing.assert_array_equal(matmul.wtg(g_t), sp.csr_matrix(weight2d.T) @ g_t)
 
     def test_scatter_grad_w_matches_masked_dense_gradient(self):
         model, target = self._target()
-        matmul = BsrMatmul(target.shape2d, target.block_size)
-        flat = model.weight.data.reshape(-1) * target.mask.reshape(-1)
-        matmul.sync(flat, target)
+        matmul, _ = self._matmul(model, target)
         rows, cols = target.shape2d
         g_t = np.ascontiguousarray(RNG.standard_normal((rows, 8)).astype(np.float32))
         x_t = np.ascontiguousarray(RNG.standard_normal((cols, 8)).astype(np.float32))
@@ -353,8 +360,8 @@ class TestFallbackSemantics:
         fallback = [t for t in masked.targets if t.block_size == 1]
         assert len(fallback) == 1
         assert masked.block_fallbacks == [fallback[0].name]
-        with pytest.raises(ValueError, match="unstructured"):
-            fallback[0].active_blocks  # noqa: B018 - block view must refuse
+        # A fallback layer's tiles are its single weights.
+        np.testing.assert_array_equal(fallback[0].active_blocks, fallback[0].active_indices)
 
     def test_underflow_density_raises_by_default(self):
         # 8x8 layer = 4 blocks of 4x4; density 0.1 rounds to zero blocks,

@@ -1,13 +1,17 @@
-"""Differential test: the sparse conv kernel against dense ``conv2d``.
+"""Differential test: the sparse kernels against the dense layers.
 
-Random layer shapes, strides, paddings, block sizes, densities and bias,
-with the conv workspace on or off and dense weight gradients required or
-not.
-Each draw runs two steps (the second through warm buffers, at a new batch
-size half the time) and compares every result with the dense conv of the
-masked weight.  The compiled serving layer built from the same mask must
-match the training kernel's forward bitwise, before and after an artifact
-round-trip.
+Conv: random layer shapes, strides, paddings, block sizes, densities and
+bias, with the conv workspace on or off and dense weight gradients
+required or not.  Each draw runs two steps (the second through warm
+buffers, at a new batch size half the time) and compares every result with
+the dense conv of the masked weight.  The compiled serving layer built
+from the same mask must match the training kernel's forward bitwise,
+before and after an artifact round-trip.
+
+Linear: block size 1 or 4, ``csr`` or ``bsr`` dispatch, dense weight
+gradients required or not, and two forwards before one backward, against
+the dense linear of the masked weight; the compiled layer must match the
+training kernel's forward bitwise.
 """
 
 import os
@@ -23,7 +27,7 @@ from repro.autograd import Tensor, conv2d, no_grad, ops
 from repro.models import register_model
 from repro.serve import export_model, load_model
 from repro.sparse.inference import SparseConv2d, SparseLinear
-from repro.sparse.kernels import Conv2dKernel
+from repro.sparse.kernels import Conv2dKernel, LinearKernel
 from repro.sparse.masked import SparseParam
 
 # Architecture of the artifact round-trip: one conv layer, as drawn.
@@ -120,6 +124,7 @@ class TestConv2dKernelDifferential:
     def test_compiled_linear_matches_dense(self, block, rows, cols, density, seed):
         rng = np.random.default_rng(seed)
         layer = nn.Linear(block * cols, block * rows, rng=rng)
+        layer.bias.data[:] = rng.standard_normal(block * rows)  # zero at init
         mask = _block_mask(rng, layer.weight.shape, block, density)
         layer.weight.data *= mask
         # An active weight that is exactly zero (regrown at the last update)
@@ -128,11 +133,14 @@ class TestConv2dKernelDifferential:
         target = SparseParam("weight", layer.weight, mask, density, block_size=block)
         x = rng.standard_normal((3, block * cols)).astype(np.float32)
         compiled = SparseLinear(layer, target)
+        kernel = LinearKernel(layer, target, "bsr" if block > 1 else "csr", min_size=1)
         with no_grad():
             want = layer(Tensor(x)).data
             got = compiled(Tensor(x)).data
+            trained = kernel(Tensor(x)).data
         assert compiled.nnz == int(mask.sum())
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+        assert np.array_equal(got, trained)
 
     @staticmethod
     def _step(forward, layer, x, upstream):
@@ -159,3 +167,70 @@ class TestConv2dKernelDifferential:
             assert not got[2][~mask].any()
         else:
             np.testing.assert_allclose(got[2], want[2], **tol)
+
+
+@st.composite
+def linear_cases(draw):
+    block = draw(st.sampled_from([1, 4]))
+    return {
+        "block": block,
+        "rows": block * draw(st.integers(1, 6)),
+        "cols": block * draw(st.integers(1, 6)),
+        "mode": draw(st.sampled_from(["csr", "bsr"])),
+        "density": draw(st.floats(0.05, 1.0)),
+        "dense_grads": draw(st.booleans()),
+        "bias": draw(st.booleans()),
+        "batches": draw(st.sampled_from([(3, 3), (2, 5)])),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+class TestLinearKernelDifferential:
+    @given(case=linear_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_dense_linear_on_masked_weight(self, case):
+        rng = np.random.default_rng(case["seed"])
+        block = case["block"]
+        layer = nn.Linear(case["cols"], case["rows"], bias=case["bias"], rng=rng)
+        if case["bias"]:
+            layer.bias.data[:] = rng.standard_normal(case["rows"])  # zero at init
+        mask = _block_mask(rng, layer.weight.shape, block, case["density"])
+        layer.weight.data *= mask
+        target = SparseParam("weight", layer.weight, mask, case["density"], block_size=block)
+        target.dense_grads_required = case["dense_grads"]
+        # A density threshold of 1 keeps every draw on a sparse path; "bsr"
+        # at B = 1 dispatches to "csr".
+        kernel = LinearKernel(layer, target, case["mode"], density_threshold=1.0, min_size=1)
+        assert kernel.backend() == ("bsr" if case["mode"] == "bsr" and block > 1 else "csr")
+        xs = [rng.standard_normal((n, case["cols"])).astype(np.float32) for n in case["batches"]]
+        upstreams = [rng.standard_normal((n, case["rows"])).astype(np.float32) for n in case["batches"]]
+
+        want = self._step(layer, xs, upstreams)
+        layer.forward_backend = kernel
+        got = self._step(layer, xs, upstreams)
+        tol = {"rtol": 1e-4, "atol": 1e-4}
+        for name in ("outs", "input_grads"):
+            for g, w in zip(got[name], want[name]):
+                np.testing.assert_allclose(g, w, **tol)
+        if case["bias"]:
+            np.testing.assert_allclose(got["bias_grad"], want["bias_grad"], **tol)
+        if kernel.backend() == "bsr" and not case["dense_grads"]:
+            np.testing.assert_allclose(got["weight_grad"][mask], want["weight_grad"][mask], **tol)
+            assert not got["weight_grad"][~mask].any()
+        else:
+            np.testing.assert_allclose(got["weight_grad"], want["weight_grad"], **tol)
+
+    @staticmethod
+    def _step(layer, xs, upstreams):
+        """Two forwards, then one backward of both outputs."""
+        layer.zero_grad()
+        inputs = [Tensor(x, requires_grad=True) for x in xs]
+        outs = [layer(inp) for inp in inputs]
+        first, second = (ops.sum(ops.mul(out, u)) for out, u in zip(outs, upstreams))
+        ops.add(first, second).backward()
+        return {
+            "outs": [out.data.copy() for out in outs],
+            "input_grads": [inp.grad.copy() for inp in inputs],
+            "weight_grad": layer.weight.grad.copy(),
+            "bias_grad": None if layer.bias is None else layer.bias.grad.copy(),
+        }

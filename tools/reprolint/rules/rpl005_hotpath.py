@@ -2,8 +2,8 @@
 
 The sparse kernels win because the per-step path allocates nothing: CSR
 values refresh by ``np.take(..., out=)`` into preallocated buffers, conv
-lowering reuses ``ConvWorkspace``, BSR products write into
-``BsrMatmul.buffer`` slots.  One stray ``np.zeros`` in a kernel forward
+lowering reuses ``ConvWorkspace``, the active-tile weight gradient writes
+into ``CsrMatmul.grad_w_buffer``.  One stray ``np.zeros`` in a kernel forward
 erases a measurable slice of the 2.27×/1.5× bench wins — and nothing
 catches it until the nightly bench gate, long after the commit.
 
@@ -15,7 +15,7 @@ autograd backward closures that run once per training step.
 Flagged: ``np.zeros/empty/ones/full`` (+ ``_like`` forms), ``np.copy``,
 ``np.concatenate/stack/vstack/hstack``, ``np.ascontiguousarray``/
 ``asfortranarray``, ``np.array``, ``np.arange``.  Fix by reusing a
-workspace (``ConvWorkspace.get`` / ``BsrMatmul.buffer`` /
+workspace (``ConvWorkspace.get`` / ``CsrMatmul.grad_w_buffer`` /
 ``Optimizer.scratch_for``) or hoisting the allocation to structure-rebuild
 time; a deliberate allocation (aliasing hazard, cold branch) gets an
 inline ``# reprolint: disable=RPL005`` with the reason.
@@ -105,7 +105,7 @@ class HotPathAllocation(Rule):
                         module,
                         child,
                         f"'{allocation}(...)' allocates inside a hot path; reuse "
-                        "a workspace buffer (ConvWorkspace.get / BsrMatmul.buffer "
+                        "a workspace buffer (ConvWorkspace.get / CsrMatmul.grad_w_buffer "
                         "/ Optimizer.scratch_for) or hoist to structure-rebuild "
                         "time",
                     )
