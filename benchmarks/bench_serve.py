@@ -13,16 +13,12 @@ numbers include the real deployment path, not an in-memory shortcut):
 * **direct_batch** — whole-batch ``predict`` at several batch sizes: the
   upper bound batching converges to as batches fill.
 * **artifact** — export/load wall time and on-disk size.
-* **pool** — multi-process :class:`~repro.serve.ServingPool` A/B against
-  in-process serving (honest numbers: on a single-core container the pool
-  adds IPC overhead without adding cores; set ``REPRO_SERVE_POOL=0`` to
-  skip).
 * **trace** — a heavy-tailed request trace against the resilient fleet
-  (:class:`~repro.serve.ModelRouter` + admission control + supervised
-  pool): seeded Poisson arrivals with hot-key skew, replayed at 1× and 2×
-  the measured saturation rate, with a mid-run hot-swap and one worker
-  SIGKILL injected.  Reports availability (served / (served + failed),
-  clean sheds excluded) and the served p50/p99 — the gate asserts
+  (:class:`~repro.serve.ModelRouter` + admission control): seeded Poisson
+  arrivals with hot-key skew, replayed at 1× and 2× the measured
+  saturation rate, with a hot-swap injected mid-run.  Reports
+  availability (served / (served + failed), clean sheds excluded) and the
+  served p50/p99 — the gate asserts
   availability stays ≥ 99.9% under the fault schedule and that admission
   control keeps served p99 at 2× saturation within 1.5× of p99 at
   saturation (bounded queue ⇒ flat tail past the knee).  Set
@@ -43,7 +39,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import signal
 import tempfile
 import threading
 import time
@@ -53,13 +48,11 @@ import numpy as np
 
 from repro.experiments.configs import get_scale
 from repro.models import MLP
-from repro.parallel import fork_available
 from repro.serve import (
     AdmissionController,
     AdmissionRejected,
     ModelRouter,
     Server,
-    ServingPool,
     export_model,
     load_model,
 )
@@ -271,37 +264,6 @@ def bench_direct_batches(loaded, config: dict) -> dict:
     return section
 
 
-def bench_pool(path, config: dict) -> dict | None:
-    """ServingPool(2 workers) vs in-process, batch-32 request stream."""
-    if os.environ.get("REPRO_SERVE_POOL", "1") == "0" or not fork_available():
-        return None
-    rng = np.random.default_rng(5)
-    batch = rng.standard_normal((32, config["in_features"])).astype(np.float32)
-    requests = 12
-
-    def timed(pool: ServingPool) -> float:
-        pool.predict(batch)  # warmup + worker spin-up
-        start = time.perf_counter()
-        futures = [pool.submit(batch) for _ in range(requests)]
-        for future in futures:
-            future.result(timeout=60)
-        return time.perf_counter() - start
-
-    with ServingPool(path, n_workers=0) as inproc:
-        serial_seconds = timed(inproc)
-    with ServingPool(path, n_workers=2) as pool:
-        pool_seconds = timed(pool)
-        arena_kib = pool.arena.nbytes / 1024 if pool.arena is not None else 0.0
-    return {
-        "n_workers": 2,
-        "inprocess_seconds": round(serial_seconds, 4),
-        "pool_seconds": round(pool_seconds, 4),
-        "speedup": round(serial_seconds / pool_seconds, 3),
-        "arena_kib": round(arena_kib, 1),
-        "cores": os.cpu_count(),
-    }
-
-
 def _trace_examples(config: dict, seed: int = 6) -> tuple[np.ndarray, np.ndarray]:
     """(hot, cold) request payload pools for the skewed trace."""
     rng = np.random.default_rng(seed)
@@ -336,13 +298,11 @@ def _replay_trace(
     rate: float,
     seed: int,
     swap_to: pathlib.Path | None,
-    kill_worker: bool,
 ) -> dict:
     """Replay one seeded Poisson/hot-key trace at ``rate`` requests/sec.
 
-    A hot-swap is started 40% through the trace and one pool worker is
-    SIGKILLed 60% through (where forked workers exist) — the faults land
-    while the arrival process keeps running, exactly like production.
+    A hot-swap is started 40% through the trace — the rollout lands while
+    the arrival process keeps running, exactly like production.
     """
     n = config["trace_requests"]
     rng = np.random.default_rng(seed)
@@ -352,7 +312,6 @@ def _replay_trace(
     hot_index = rng.integers(0, len(hot), size=n)
     cold_index = rng.integers(0, len(cold), size=n)
     swap_at = int(n * 0.4) if swap_to is not None else -1
-    kill_at = int(n * 0.6) if kill_worker else -1
 
     lock = threading.Lock()
     served_latencies: list[float] = []
@@ -360,7 +319,6 @@ def _replay_trace(
     shed = 0
     futures = []
     swap_thread = None
-    killed = False
 
     start = time.perf_counter()
     target = start
@@ -372,12 +330,6 @@ def _replay_trace(
         if i == swap_at:
             swap_thread = threading.Thread(target=router.hot_swap, args=("trace", swap_to))
             swap_thread.start()
-        if i == kill_at:
-            pool = router.resolve("trace").pool
-            pids = pool.worker_pids() if pool is not None else []
-            if pids:
-                os.kill(pids[0], signal.SIGKILL)
-                killed = True
         if hot_draw[i] < TRACE_HOT_FRACTION:
             example = hot[hot_index[i]]
         else:
@@ -420,7 +372,6 @@ def _replay_trace(
         "served_p50_ms": round(float(np.percentile(latencies, 50)), 3) if served else 0.0,
         "served_p99_ms": round(float(np.percentile(latencies, 99)), 3) if served else 0.0,
         "hot_swapped": swap_at >= 0,
-        "worker_killed": killed,
     }
 
 
@@ -430,12 +381,10 @@ def bench_trace(directory: pathlib.Path, config: dict) -> dict | None:
         return None
     v1 = build_artifact(config, TRACE_SPARSITY, directory, seed=0)
     v2 = build_artifact(config, TRACE_SPARSITY, directory, seed=1)
-    pool_workers = 2 if fork_available() else 0
     admission = AdmissionController(max_pending=TRACE_MAX_PENDING)
     router = ModelRouter(
         max_batch=MAX_BATCH,
         max_latency_ms=MAX_LATENCY_MS,
-        pool_workers=pool_workers,
         admission=admission,
     )
     try:
@@ -449,7 +398,6 @@ def bench_trace(directory: pathlib.Path, config: dict) -> dict | None:
             rate=saturation,
             seed=8,
             swap_to=v2["path"],
-            kill_worker=True,
         )
         run_2x = _replay_trace(
             router,
@@ -457,14 +405,12 @@ def bench_trace(directory: pathlib.Path, config: dict) -> dict | None:
             rate=2.0 * saturation,
             seed=9,
             swap_to=v1["path"],
-            kill_worker=True,
         )
     finally:
         router.close()
     p99_floor = max(run_1x["served_p99_ms"], 1e-3)
     return {
         "sparsity": f"{TRACE_SPARSITY:g}",
-        "pool_workers": pool_workers,
         "max_pending": TRACE_MAX_PENDING,
         "hot_fraction": TRACE_HOT_FRACTION,
         "saturation_rps": round(saturation, 1),
@@ -496,7 +442,6 @@ def run() -> dict:
         "batched_closed_loop": {},
         "direct_batch": {},
         "speedup_batched_vs_unbatched": {},
-        "pool": {},
         "trace": None,
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -536,15 +481,6 @@ def run() -> dict:
             direct = bench_direct_batches(loaded, config)
             result["direct_batch"][key] = direct
             print(f"[direct   ] s={key}: " + json.dumps(direct) + " examples/s")
-
-            pool = bench_pool(built["path"], config)
-            if pool is not None:
-                result["pool"][key] = pool
-                print(
-                    f"[pool     ] s={key}: {pool['speedup']:.2f}x vs in-process "
-                    f"({pool['n_workers']} workers, {pool['cores']} cores, "
-                    f"arena {pool['arena_kib']:.0f} KiB)"
-                )
 
         trace = bench_trace(directory, config)
         if trace is not None:

@@ -8,12 +8,11 @@ Exercises the full deployment pipeline at toy scale:
    the compiled model's,
 4. serves it over the stdlib HTTP frontend and issues concurrent JSON
    requests, checking every response against the in-process path,
-5. round-trips a batch through a 2-worker :class:`ServingPool` (skipped
-   where fork is unavailable),
-6. repeats the export → load → pool checks for a 4x4-block DST-EE
+5. repeats the export → load checks for a 4x4-block DST-EE
    ``resnet50_mini`` (strided 3x3 and 1x1 convs through the compiled
-   direct sparse convolution),
-7. runs the CLI ``serve``-parser plumbing far enough to prove the
+   direct sparse convolution) and round-trips it through an in-process
+   :class:`Server`, bitwise against the loaded model's forward,
+6. runs the CLI ``serve``-parser plumbing far enough to prove the
    subcommand wiring imports.
 
 Exits non-zero on the first violated check.  Run from the repo root::
@@ -40,10 +39,8 @@ from repro.autograd.tensor import Tensor  # noqa: E402
 from repro.data import cifar10_like  # noqa: E402
 from repro.experiments.runner import run_image_classification  # noqa: E402
 from repro.models import MLP, resnet50_mini  # noqa: E402
-from repro.parallel import fork_available  # noqa: E402
 from repro.serve import (  # noqa: E402
     Server,
-    ServingPool,
     export_model,
     load_model,
     make_http_server,
@@ -58,24 +55,8 @@ def check(condition: bool, message: str) -> None:
     print(f"ok: {message}")
 
 
-def check_pool(path: pathlib.Path, x: np.ndarray, reference: np.ndarray, label: str) -> None:
-    """One 2-worker :class:`ServingPool` round trip, bitwise against ``reference``."""
-    if not fork_available():
-        print(f"skip: fork unavailable, {label} ServingPool smoke not run")
-        return
-    with ServingPool(path, n_workers=2) as pool:
-        check(
-            np.array_equal(pool.predict(x, timeout=60), reference),
-            f"{label}: 2-worker ServingPool matches in-process predictions",
-        )
-        check(
-            pool.arena is not None and pool.arena.nbytes > 0,
-            f"{label}: workers share a read-only weight arena",
-        )
-
-
 def block_conv_smoke(data, tmp: str) -> None:
-    """A 4x4-block resnet50_mini through compile -> export -> load -> pool."""
+    """A 4x4-block resnet50_mini through compile -> export -> load -> Server."""
     kwargs = {"num_classes": 10, "width_mult": 0.25, "seed": 0}
     result = run_image_classification(
         "dst_ee",
@@ -99,11 +80,22 @@ def block_conv_smoke(data, tmp: str) -> None:
         reference = np.asarray(compiled(Tensor(x)).data)
     path = pathlib.Path(tmp) / "resnet.npz"
     export_model(compiled, path, model_config={"builder": "resnet50_mini", "kwargs": kwargs})
+    loaded = load_model(path)
+    expected = loaded.predict(x)
     check(
-        np.array_equal(load_model(path).predict(x), reference),
+        np.array_equal(expected, reference),
         "resnet50_mini: artifact round-trip is bitwise identical",
     )
-    check_pool(path, x, reference, "resnet50_mini")
+    with Server(loaded, max_batch=8, max_latency_ms=2.0) as server:
+        check(
+            np.array_equal(server.predict(x), expected),
+            "resnet50_mini: Server whole-batch predict is bitwise the loaded forward",
+        )
+        queued = np.stack([future.result(timeout=60) for future in map(server.submit, x)])
+        check(
+            np.array_equal(queued, expected),
+            "resnet50_mini: Server batching-queue round trip is bitwise the loaded forward",
+        )
 
 
 def main() -> None:
@@ -195,7 +187,6 @@ def main() -> None:
             httpd.server_close()
             server.close()
 
-        check_pool(path, x, reference, "mlp")
         block_conv_smoke(data, tmp)
 
     from repro.experiments.cli import build_parser

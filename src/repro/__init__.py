@@ -17,7 +17,9 @@ Layered architecture (each layer only depends on the ones below it):
 7. :mod:`repro.parallel` — the parallel execution engine: multiprocess
    experiment sharding (``REPRO_NPROC``) and data-parallel gradient
    workers over shared memory (``Trainer(n_workers=...)``).
-8. :mod:`repro.experiments` — per-table runners regenerating the paper's
+8. :mod:`repro.serve` — serving compiled sparse models in one process:
+   artifacts, micro-batching, the JSON HTTP frontend and hot-swap.
+9. :mod:`repro.experiments` — per-table runners regenerating the paper's
    evaluation, sharded through :mod:`repro.parallel`.
 
 Quickstart::

@@ -30,9 +30,7 @@ rerunning the same command with ``--resume`` continues bitwise-identically
 Serving: ``export`` trains one configuration and writes a versioned
 serving artifact (compiled CSR weights + model config + preprocessing
 spec); ``serve`` loads an artifact behind the micro-batching JSON HTTP
-frontend, optionally fanning batches out across ``--n-workers`` forked
-serving processes that share one read-only weight arena.  See
-``docs/serving.md``.
+frontend, in one process.  See ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -360,12 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         help="micro-batching: flush when the oldest request " "has waited this long",
-    )
-    serve.add_argument(
-        "--n-workers",
-        type=int,
-        default=0,
-        help="forked serving processes sharing one read-only " "weight arena (0 = in-process)",
     )
     serve.add_argument(
         "--no-batching",
@@ -888,26 +880,11 @@ def _command_serve(args) -> int:
     from repro.serve import (
         AdmissionController,
         Server,
-        ServingPool,
         load_model,
         serve_forever,
     )
 
     loaded = load_model(args.artifact, verify=not args.no_verify)
-    pool = None
-    forward = None
-    if args.n_workers > 0:
-        pool = ServingPool(loaded, n_workers=args.n_workers, preprocess=False)
-
-        def forward(batch, _pool=pool):
-            # Bounded wait: a wedged worker fails this batch instead of
-            # blocking the batching-queue flusher thread forever.
-            return _pool.predict(batch, timeout=60.0)
-        arena_note = (
-            f", shared weight arena {pool.arena.nbytes / 1024:.0f} KiB"
-            if pool.arena is not None else ""
-        )
-        print(f"serving pool: {pool.n_workers} workers{arena_note}")
     admission = (
         AdmissionController(max_pending=args.max_pending) if args.max_pending > 0 else None
     )
@@ -916,7 +893,6 @@ def _command_serve(args) -> int:
         max_batch=args.max_batch,
         max_latency_ms=args.max_latency_ms,
         batching=not args.no_batching,
-        forward_override=forward,
         admission=admission,
     )
     metadata = loaded.metadata or {}
@@ -924,11 +900,7 @@ def _command_serve(args) -> int:
     print(f"  fingerprint: {loaded.fingerprint}")
     if metadata:
         print(f"  metadata:    {metadata}")
-    try:
-        serve_forever(server, args.host, args.port, default_deadline_s=args.deadline_s)
-    finally:
-        if pool is not None:
-            pool.close()
+    serve_forever(server, args.host, args.port, default_deadline_s=args.deadline_s)
     return 0
 
 

@@ -19,7 +19,7 @@ from repro.parallel.pool import (
     resolve_nproc,
     run_sharded,
 )
-from repro.parallel.shm import ParamLayout, SharedArena, SharedArray
+from repro.parallel.shm import ParamLayout, SharedArray
 from repro.parallel.workers import GradientWorkerPool
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "resolve_nproc",
     "run_sharded",
     "ParamLayout",
-    "SharedArena",
     "SharedArray",
     "GradientWorkerPool",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from multiprocessing import shared_memory
 
-__all__ = ["SharedArray", "SharedArena", "ParamLayout"]
+__all__ = ["SharedArray", "ParamLayout"]
 
 
 class SharedArray:
@@ -33,62 +33,6 @@ class SharedArray:
         # Drop the numpy view first: SharedMemory.close() refuses to unmap
         # while exported buffers are alive.
         self.array = None
-        self._shm.close()
-        if unlink:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # already unlinked by the owner
-                pass
-
-
-class SharedArena:
-    """Named arrays packed into one read-only shared-memory block.
-
-    The serving pool (:mod:`repro.serve.pool`) uses this as a *weight
-    arena*: the parent packs every compiled layer's CSR components into a
-    single segment, marks the views read-only, and forked workers inherit
-    the mapping — N workers serve from one physical copy of the weights
-    instead of N private copies.
-
-    Unlike :class:`SharedArray` (one mutable array for gradient exchange),
-    an arena holds many heterogeneous arrays and hands out views that
-    refuse writes, so a worker bug cannot silently corrupt the weights
-    every other worker is reading.
-    """
-
-    _ALIGN = 64  # cache-line alignment for each packed array
-
-    def __init__(self, arrays: dict[str, np.ndarray], readonly: bool = True):
-        contiguous = {name: np.ascontiguousarray(value) for name, value in arrays.items()}
-        offsets: dict[str, int] = {}
-        total = 0
-        for name, value in contiguous.items():
-            total = -(-total // self._ALIGN) * self._ALIGN  # round up
-            offsets[name] = total
-            total += value.nbytes
-        self._shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-        self._views: dict[str, np.ndarray] = {}
-        self.readonly = bool(readonly)
-        self.nbytes = total
-        for name, value in contiguous.items():
-            view = np.ndarray(
-                value.shape, dtype=value.dtype, buffer=self._shm.buf, offset=offsets[name]
-            )
-            view[...] = value
-            if self.readonly:
-                view.flags.writeable = False
-            self._views[name] = view
-
-    def view(self, name: str) -> np.ndarray:
-        """The packed array ``name`` (read-only when the arena is)."""
-        return self._views[name]
-
-    def names(self) -> list[str]:
-        return list(self._views)
-
-    def close(self, unlink: bool = True) -> None:
-        """Release the mapping (and the segment, when ``unlink``)."""
-        self._views = {}
         self._shm.close()
         if unlink:
             try:

@@ -1,4 +1,4 @@
-"""Sparse inference serving: artifacts, micro-batching, worker pools, HTTP.
+"""Sparse inference serving: artifacts, micro-batching, HTTP, hot-swap.
 
 The deployment half of the reproduction (ROADMAP north star: serve the
 compiled sparse models, not just train them).  The pipeline is::
@@ -7,12 +7,16 @@ compiled sparse models, not just train them).  The pipeline is::
       -> compile_sparse_model            # repro.sparse.inference, CSR kernels
       -> export_model(...)               # versioned, fingerprinted artifact
       -> load_model / Server             # in-process predict + micro-batching
-      -> ServingPool / make_http_server  # multi-process + JSON frontend
+      -> make_http_server                # JSON frontend
       -> ModelRouter                     # named models, zero-downtime hot-swap
+
+Serving runs in one process: ``Server`` -> ``BatchingQueue`` -> the
+compiled model's forward.  The queue's single flusher hands out one batch
+at a time, so worker processes behind it would not run together
+(measurements in ``docs/serving.md``).
 
 Resilience layers (see ``docs/serving.md`` -> Resilience):
 :class:`AdmissionController` sheds overload at the door,
-:class:`ServingPool` supervises and restarts dead workers,
 :class:`RetryingClient` retries shed/failed requests with backoff, and
 :mod:`repro.serve.faults` injects deterministic faults for the chaos
 harness (``scripts/chaos_smoke.py``).
@@ -36,7 +40,6 @@ from repro.serve.faults import (
     malformed_payloads,
 )
 from repro.serve.http import make_http_server, serve_forever
-from repro.serve.pool import ServingPool, share_model_weights, unshare_model_weights
 from repro.serve.preprocess import Preprocessor
 from repro.serve.router import HotSwapError, ModelRouter, RouterDeployment
 from repro.serve.server import Server
@@ -59,7 +62,6 @@ __all__ = [
     "RouterDeployment",
     "Server",
     "ServerError",
-    "ServingPool",
     "corrupt_artifact",
     "export_model",
     "load_model",
@@ -67,6 +69,4 @@ __all__ = [
     "malformed_payloads",
     "read_manifest",
     "serve_forever",
-    "share_model_weights",
-    "unshare_model_weights",
 ]

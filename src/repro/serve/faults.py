@@ -5,9 +5,7 @@ chaos smoke (``scripts/chaos_smoke.py``), the trace benchmark
 (``benchmarks/bench_serve.py``), and the unit tests one shared, *seeded*
 way to produce the faults production traffic produces:
 
-* **worker_kill** — SIGKILL a serving-pool worker mid-stream (the pool's
-  supervisor must respawn it and re-dispatch the requests it held).
-* **slow_batch** — stall a batch inside the worker (surfaces as a deadline
+* **slow_batch** — stall a batch inside the forward (surfaces as a deadline
   miss upstream; the HTTP layer must answer 504, not a bare 500).
 * **corrupt_artifact** — flip bytes in a copied artifact file (the loader's
   fingerprint check — and therefore the router's canary — must refuse it).

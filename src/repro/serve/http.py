@@ -314,5 +314,5 @@ def serve_forever(
             signal.signal(signal.SIGTERM, previous_handler)
         httpd.shutdown()
         httpd.server_close()  # joins in-flight request threads
-        server.close()  # drains pending batches, closes pools
+        server.close()  # drains pending batches
         print("drained and stopped")

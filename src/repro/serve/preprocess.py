@@ -1,7 +1,7 @@
 """Declarative preprocessing spec applied to raw request payloads.
 
 A serving artifact carries a JSON-able *preprocessing spec* so that every
-consumer of the model (in-process server, HTTP frontend, worker pool)
+consumer of the model (in-process server, HTTP frontend, router)
 normalizes requests identically — the spec travels with the weights instead
 of living in application code.
 

@@ -5,9 +5,8 @@ replacing the artifact behind a name **without dropping a request**.  The
 rollout protocol for ``hot_swap(name, new_artifact)`` is:
 
 1. **Load beside the old.**  The new artifact is loaded (fingerprint
-   verified) and given its own :class:`~repro.serve.Server` — and its own
-   worker pool when the deployment uses one — while the old deployment
-   keeps serving every request that arrives.
+   verified) and given its own :class:`~repro.serve.Server` while the
+   old deployment keeps serving every request that arrives.
 2. **Canary.**  A health-check batch runs through the *new* serving path
    end to end; the output must be finite and the right shape (an optional
    reference output may be pinned exactly).  A canary failure — or a
@@ -19,9 +18,9 @@ rollout protocol for ``hot_swap(name, new_artifact)`` is:
    served entirely by one model — the fingerprint a request sees flips
    atomically from old to new, never a mixed batch.
 4. **Drain and retire.**  The old deployment's queue is drained (pending
-   futures resolve against the old weights) and its pool and queue are
-   closed.  Draining happens after the flip, so there is no window where
-   neither model accepts traffic.
+   futures resolve against the old weights) and closed.  Draining happens
+   after the flip, so there is no window where neither model accepts
+   traffic.
 
 Submission races are absorbed by a resolve-and-retry loop: a request that
 grabbed the old deployment just as it drained gets transparently
@@ -37,7 +36,6 @@ import numpy as np
 
 from repro.serve.admission import AdmissionController
 from repro.serve.artifact import ArtifactError, LoadedModel, load_model
-from repro.serve.pool import ServingPool
 from repro.serve.server import Server
 
 __all__ = ["HotSwapError", "ModelRouter", "RouterDeployment"]
@@ -48,7 +46,7 @@ class HotSwapError(RuntimeError):
 
 
 class RouterDeployment:
-    """One named, versioned serving unit: server (+ optional pool)."""
+    """One named, versioned serving unit: a loaded artifact behind a server."""
 
     def __init__(
         self,
@@ -56,59 +54,35 @@ class RouterDeployment:
         loaded: LoadedModel,
         *,
         generation: int,
-        pool_workers: int = 0,
         max_batch: int = 32,
         max_latency_ms: float = 2.0,
         admission: AdmissionController | None = None,
         fault_injector=None,
-        pool_kwargs: dict | None = None,
     ):
         self.name = name
         self.loaded = loaded
         self.generation = generation
         self.fingerprint = loaded.fingerprint
         self.metadata = loaded.metadata
-        self.pool: ServingPool | None = None
-        forward = None
-        if pool_workers > 0:
-            self.pool = ServingPool(
-                loaded,
-                n_workers=pool_workers,
-                preprocess=False,
-                **(pool_kwargs or {}),
-            )
-
-            def forward(batch, _pool=self.pool):
-                # Bounded wait: a wedged worker fails this batch instead of
-                # blocking the batching-queue flusher thread forever.
-                return _pool.predict(batch, timeout=60.0)
-
         self.server = Server(
             loaded,
             max_batch=max_batch,
             max_latency_ms=max_latency_ms,
-            forward_override=forward,
             admission=admission,
             fault_injector=fault_injector,
         )
 
     def describe(self) -> dict:
-        info = {
+        return {
             "name": self.name,
             "generation": self.generation,
             "fingerprint": self.fingerprint,
             "metadata": self.metadata,
-            "pool_workers": 0 if self.pool is None else self.pool.n_workers,
         }
-        if self.pool is not None:
-            info["pool"] = self.pool.snapshot()
-        return info
 
     def retire(self) -> None:
-        """Drain the queue (pending requests resolve), then close the pool."""
+        """Drain the queue: pending requests resolve, new ones are refused."""
         self.server.drain()
-        if self.pool is not None:
-            self.pool.close()
 
 
 class ModelRouter:
@@ -118,8 +92,6 @@ class ModelRouter:
     ----------
     max_batch / max_latency_ms:
         Micro-batching knobs applied to every deployment's server.
-    pool_workers:
-        Forked workers per deployment (0 = in-process).
     admission:
         One shared :class:`AdmissionController` for the whole router —
         overload protection is a property of the process, not of one model.
@@ -136,21 +108,17 @@ class ModelRouter:
         *,
         max_batch: int = 32,
         max_latency_ms: float = 2.0,
-        pool_workers: int = 0,
         admission: AdmissionController | None = None,
         verify: bool = True,
         fault_injector=None,
         canary_atol: float = 1e-5,
-        pool_kwargs: dict | None = None,
     ):
         self.max_batch = int(max_batch)
         self.max_latency_ms = float(max_latency_ms)
-        self.pool_workers = int(pool_workers)
         self.admission = admission
         self.verify = bool(verify)
         self.canary_atol = float(canary_atol)
         self._fault_injector = fault_injector
-        self._pool_kwargs = dict(pool_kwargs or {})
         self._lock = threading.Lock()
         self._models: dict[str, RouterDeployment] = {}
         self._default: str | None = None
@@ -175,12 +143,10 @@ class ModelRouter:
             name,
             loaded,
             generation=generation,
-            pool_workers=self.pool_workers,
             max_batch=self.max_batch,
             max_latency_ms=self.max_latency_ms,
             admission=self.admission,
             fault_injector=self._fault_injector,
-            pool_kwargs=self._pool_kwargs,
         )
 
     def deploy(self, name: str, source, *, default: bool | None = None) -> dict:

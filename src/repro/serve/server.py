@@ -7,9 +7,9 @@ routes single-example requests through a :class:`~repro.serve.batching.BatchingQ
 so concurrent callers share one CSR matmul.  An optional
 :class:`~repro.serve.admission.AdmissionController` gates :meth:`submit`
 so overload is shed at the door instead of queued into unbounded latency.
-The HTTP frontend (:mod:`repro.serve.http`), the multi-process pool
-(:mod:`repro.serve.pool`) and the hot-swap router
-(:mod:`repro.serve.router`) are thin layers over this class.
+The HTTP frontend (:mod:`repro.serve.http`) and the hot-swap router
+(:mod:`repro.serve.router`) are thin layers over this class; every
+request is answered in this process.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ class Server:
     batching:
         ``False`` disables the queue; :meth:`submit` then runs the request
         synchronously — useful as the A/B baseline in benchmarks.
-    forward_override:
-        Optional ``(preprocessed batch) -> outputs`` callable replacing the
-        in-process model forward — e.g. ``ServingPool.predict`` to fan
-        coalesced batches out across worker processes.
     admission:
         Optional :class:`~repro.serve.admission.AdmissionController`.
         When set, :meth:`submit` calls ``acquire`` before enqueueing and
@@ -64,7 +60,6 @@ class Server:
         max_batch: int = 32,
         max_latency_ms: float = 2.0,
         batching: bool = True,
-        forward_override=None,
         admission=None,
         fault_injector=None,
     ):
@@ -83,7 +78,6 @@ class Server:
         self.model.eval()
         self.admission = admission
         self._fault_injector = fault_injector
-        self._forward_override = forward_override
         self._queue = (
             BatchingQueue(self._forward, max_batch=max_batch, max_latency_ms=max_latency_ms)
             if batching
@@ -102,8 +96,6 @@ class Server:
         """Model forward on an already-preprocessed batch (no autograd)."""
         if self._fault_injector is not None:
             self._fault_injector.sleep_if("slow_batch")
-        if self._forward_override is not None:
-            return np.asarray(self._forward_override(batch))
         with no_grad():
             out = self.model(Tensor(batch))
         return np.asarray(out.data)

@@ -1,4 +1,4 @@
-"""Block-structured masks: tile indexing and the triplet (COO) form.
+"""Block-structured masks: tile indexing and active-tile sets.
 
 Unstructured CSR is BLAS-hostile at the paper's conv shapes (the committed
 BENCH_engine.json shows the csr backend *losing* to dense on vgg_small at
@@ -12,9 +12,8 @@ unstructured mask.  Two pieces live here:
   growth rule works unchanged at any block size.  Shapes that are not
   divisible by the block size are rejected loudly (callers that want a
   fallback catch this and use ``block_size=1``, i.e. unstructured).
-* :class:`BlockMask` — a mask as a sorted set of active block ids with COO
-  ``(row, col)`` triplet views.  Drop-and-grow edits manipulate
-  ``O(nnz_blocks)`` indices instead of scanning dense boolean masks.
+* :class:`BlockMask` — a mask as a sorted set of active block ids, with
+  the conversions to and from the dense boolean mask.
 
 The kernels need no block-specific structure: a tiled mask's CSR is the
 element CSR of its active set (:class:`repro.sparse.kernels.CsrMatmul`).
@@ -104,12 +103,12 @@ class MatrixBlockIndexer:
 
 
 class BlockMask:
-    """A block mask as a sorted array of active flat block ids (COO-style).
+    """A block mask as a sorted, duplicate-free array of active flat block ids.
 
-    The triplet view (``block_rows``/``block_cols`` plus the implicit all-B
-    block shape) is what drop-and-grow manipulates: edits are set
-    operations on ``O(nnz_blocks)`` sorted int arrays, never a scan of the
-    dense boolean mask.
+    The conversion point between a layer's dense boolean mask and its
+    active tiles: :meth:`from_dense` pools (and validates) a mask into
+    block ids, :meth:`to_dense` expands them back.  Drop-and-grow itself
+    edits ``SparseParam`` index sets, not this class.
     """
 
     def __init__(self, indexer: MatrixBlockIndexer, active_blocks: np.ndarray):
@@ -164,61 +163,9 @@ class BlockMask:
             flat[idx.expand_blocks(self.active_blocks).reshape(-1)] = True
         return flat.reshape(idx.rows, idx.cols)
 
-    # ------------------------------------------------------------------
-    # COO triplet view
-    # ------------------------------------------------------------------
-    @property
-    def block_row_indices(self) -> np.ndarray:
-        return self.active_blocks // self.indexer.block_cols
-
-    @property
-    def block_col_indices(self) -> np.ndarray:
-        return self.active_blocks % self.indexer.block_cols
-
-    def triplets(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(block_rows, block_cols, block_size)`` — the COO triplet form."""
-        return self.block_row_indices, self.block_col_indices, self.indexer.block_size
-
-    # ------------------------------------------------------------------
-    # O(nnz_blocks) edits
-    # ------------------------------------------------------------------
-    def drop(self, block_idx: np.ndarray) -> None:
-        """Deactivate ``block_idx`` (ids not currently active are ignored)."""
-        drop = np.asarray(block_idx, dtype=np.int64).reshape(-1)
-        active = self.active_blocks
-        if drop.size == 0 or active.size == 0:
-            return
-        # searchsorted membership instead of setdiff1d: the active set is
-        # sorted unique, so this is O((nnz + k) log nnz) with no hashing.
-        pos = np.searchsorted(active, drop)
-        pos = pos[(pos < active.size) & (active[np.minimum(pos, active.size - 1)] == drop)]
-        keep = np.ones(active.size, dtype=bool)
-        keep[pos] = False
-        self.active_blocks = active[keep]
-
-    def grow(self, block_idx: np.ndarray) -> None:
-        """Activate ``block_idx`` (duplicates are merged)."""
-        merged = np.concatenate(
-            (self.active_blocks, np.asarray(block_idx, dtype=np.int64).reshape(-1))
-        )
-        merged.sort()
-        if merged.size > 1:
-            distinct = np.empty(merged.size, dtype=bool)
-            distinct[0] = True
-            np.not_equal(merged[1:], merged[:-1], out=distinct[1:])
-            merged = merged[distinct]
-        self.active_blocks = merged
-
-    @property
-    def active_count(self) -> int:
-        return int(self.active_blocks.size)
-
-    def density(self) -> float:
-        return self.active_count / self.indexer.n_blocks
-
     def __repr__(self) -> str:
         return (
-            f"BlockMask(blocks={self.active_count}/{self.indexer.n_blocks}, "
+            f"BlockMask(blocks={self.active_blocks.size}/{self.indexer.n_blocks}, "
             f"block_size={self.indexer.block_size})"
         )
 

@@ -69,9 +69,8 @@ class _SparseLayer(Module):
     def from_csr(cls, dense, data, indices, indptr, bias, block_size: int = 1):
         """Layer over stored CSR arrays, aliased rather than copied.
 
-        ``dense`` supplies only the geometry.  Serving-artifact hook: when
-        the arrays are read-only views into a shared-memory arena, N
-        serving workers share one copy of the weights.
+        ``dense`` supplies only the geometry.  Serving-artifact hook: the
+        loaded layer serves straight from the arrays the artifact stored.
         """
         layer = cls.__new__(cls)
         Module.__init__(layer)
@@ -81,7 +80,7 @@ class _SparseLayer(Module):
 
     def _attach(self, data, indices, indptr, bias, block_size: int) -> None:
         # Attached by attribute: the triplet constructor canonicalizes (and
-        # so copies), which would break aliasing into a shared arena.
+        # so copies), which would break aliasing of the stored arrays.
         matrix = sp.csr_matrix(self.csr_shape, dtype=np.float32)
         matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
         self.weight_csr = matrix
@@ -92,10 +91,6 @@ class _SparseLayer(Module):
     @property
     def nnz(self) -> int:
         return int(self.weight_csr.nnz)
-
-    def shared_matrices(self):
-        """(name, scipy matrix) pairs whose arrays workers may share."""
-        return (("csr", self.weight_csr),)
 
     def _input(self, x) -> np.ndarray:
         if self.training:

@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.data import make_image_classification
 from repro.models import MLP
+
+# When a hypothesis test fails, hypothesis's report hook imports its patch
+# writer, whose libcst dependency raises a DeprecationWarning at import
+# (``mypy_extensions.TypedDict``).  pyproject.toml turns that warning into an
+# error, which crashes pytest (INTERNALERROR) before the falsifying example
+# is printed.  Importing it once here, with only that warning silenced,
+# leaves the module cached for the hook.  libcst is optional.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

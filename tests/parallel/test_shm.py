@@ -1,69 +1,8 @@
-"""SharedArena / SharedArray: packing, read-only views, lifecycle."""
+"""SharedArray: a numpy view over one shared-memory block."""
 
 import numpy as np
-import pytest
 
-from repro.parallel import SharedArena, SharedArray
-
-
-class TestSharedArena:
-    def test_values_round_trip(self):
-        arrays = {
-            "a": np.arange(12, dtype=np.float32).reshape(3, 4),
-            "b": np.arange(5, dtype=np.int32),
-            "c": np.array([True, False, True]),
-        }
-        arena = SharedArena(arrays, readonly=False)
-        try:
-            for name, value in arrays.items():
-                assert np.array_equal(arena.view(name), value)
-                assert arena.view(name).dtype == value.dtype
-            assert set(arena.names()) == set(arrays)
-        finally:
-            arena.close()
-
-    def test_readonly_views_refuse_writes(self):
-        arena = SharedArena({"w": np.ones(4, dtype=np.float32)})
-        try:
-            view = arena.view("w")
-            assert not view.flags.writeable
-            with pytest.raises(ValueError):
-                view[0] = 2.0
-        finally:
-            arena.close()
-
-    def test_views_are_aligned(self):
-        arena = SharedArena(
-            {"a": np.zeros(3, dtype=np.int8), "b": np.zeros(4, dtype=np.float64)}
-        )
-        try:
-            for name in arena.names():
-                address = arena.view(name).__array_interface__["data"][0]
-                assert address % SharedArena._ALIGN == 0
-        finally:
-            arena.close()
-
-    def test_packing_copies_the_source(self):
-        source = np.ones(4, dtype=np.float32)
-        arena = SharedArena({"w": source})
-        try:
-            source[0] = 99.0
-            assert arena.view("w")[0] == 1.0
-        finally:
-            arena.close()
-
-    def test_empty_arena(self):
-        arena = SharedArena({})
-        try:
-            assert arena.names() == []
-            assert arena.nbytes == 0
-        finally:
-            arena.close()
-
-    def test_double_close_is_safe(self):
-        arena = SharedArena({"w": np.zeros(2, dtype=np.float32)})
-        arena.close()
-        arena.close()  # idempotent: the second unlink is swallowed
+from repro.parallel import SharedArray
 
 
 class TestSharedArray:

@@ -129,6 +129,26 @@ class TestConcurrentOrdering:
         finally:
             queue.close()
 
+    def test_failing_example_fails_only_itself(self):
+        """An example the forward rejects fails alone; its neighbors answer."""
+
+        def width_three_only(batch):
+            if batch.shape[1] != 3:
+                raise ValueError("bad example width")
+            return batch
+
+        queue = BatchingQueue(width_three_only, max_batch=8, max_latency_ms=10_000.0)
+        try:
+            good = [queue.submit(np.full(3, i, dtype=np.float32)) for i in range(3)]
+            bad = queue.submit(np.zeros(5, np.float32))
+            queue.flush()
+            with pytest.raises(ValueError, match="bad example width"):
+                bad.result(timeout=5)
+            for i, future in enumerate(good):
+                assert np.array_equal(future.result(timeout=5), np.full(3, i, np.float32))
+        finally:
+            queue.close()
+
     def test_concurrent_clients_are_coalesced(self):
         sizes = []
 

@@ -13,6 +13,8 @@ import pytest
 from repro.models import MLP
 from repro.serve import (
     AdmissionController,
+    FaultInjector,
+    FaultSchedule,
     ModelRouter,
     Server,
     export_model,
@@ -239,19 +241,15 @@ class TestHttp:
 
 @pytest.fixture
 def slow_http_serving(artifact_path):
-    """Frontend over a server whose forward stalls 300 ms (admission bound 1)."""
-    loaded = load_model(artifact_path)
-
-    def slow_forward(batch):
-        time.sleep(0.3)
-        return loaded.predict(batch)
-
+    """Frontend over a server whose every batch stalls 300 ms (admission bound 1)."""
     server = Server(
-        loaded,
+        load_model(artifact_path),
         max_batch=8,
         max_latency_ms=0.5,
-        forward_override=slow_forward,
         admission=AdmissionController(max_pending=1, min_retry_after=0.05),
+        fault_injector=FaultInjector(
+            FaultSchedule({"slow_batch": list(range(64))}, params={"slow_batch_ms": 300})
+        ),
     )
     httpd = make_http_server(server, port=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)

@@ -77,8 +77,9 @@ class TestBlockMask:
         assert dense.sum() == active.size * 16
         rebuilt = BlockMask.from_dense(idx, dense)
         np.testing.assert_array_equal(rebuilt.active_blocks, active)
-        # Triplet view reconstructs the same dense mask independently.
-        brow, bcol, b = mask.triplets()
+        # Row-major tile coordinates reconstruct the same dense mask independently.
+        brow, bcol = np.divmod(active, idx.block_cols)
+        b = idx.block_size
         manual = np.zeros((16, 8), dtype=bool)
         for r, c in zip(brow, bcol):
             manual[r * b:(r + 1) * b, c * b:(c + 1) * b] = True
@@ -95,18 +96,6 @@ class TestBlockMask:
         idx = MatrixBlockIndexer(8, 8, 4)
         with pytest.raises(ValueError, match="block ids"):
             BlockMask(idx, np.array([0, 4]))  # n_blocks == 4
-
-    def test_drop_and_grow_are_set_operations(self):
-        idx = MatrixBlockIndexer(16, 16, 4)
-        mask = BlockMask(idx, np.array([2, 5, 9, 14]))
-        mask.drop(np.array([5, 14, 5]))
-        np.testing.assert_array_equal(mask.active_blocks, [2, 9])
-        mask.drop(np.array([11]))  # not active: ignored
-        np.testing.assert_array_equal(mask.active_blocks, [2, 9])
-        mask.grow(np.array([0, 9, 15]))  # duplicate 9 merges
-        np.testing.assert_array_equal(mask.active_blocks, [0, 2, 9, 15])
-        assert mask.active_count == 4
-        assert mask.density() == pytest.approx(4 / 16)
 
     def test_constructor_dedups_and_sorts(self):
         idx = MatrixBlockIndexer(8, 8, 2)

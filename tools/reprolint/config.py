@@ -30,9 +30,9 @@ __all__ = [
 DETERMINISTIC_PREFIXES = ("repro/",)
 ENTROPY_EXEMPT_PREFIXES = ("repro/serve/", "repro/experiments/")
 
-# RPL003 — modules imported by fork-based workers (repro/parallel,
-# repro/serve pools).  Effectively the whole library: workers fork with the
-# parent's full import state.
+# RPL003 — modules imported by fork-based workers (repro/parallel).
+# Effectively the whole library: workers fork with the parent's full import
+# state.
 FORK_LOADED_PREFIXES = ("repro/",)
 
 # RPL004 — subsystems whose lock acquisitions form one ordering domain.

@@ -1,7 +1,8 @@
 """RPL003 — fork-safety of modules loaded by forked workers.
 
-The parallel engine and the serving pool both ``fork()`` with the parent's
-full import state.  Two shapes of code break that:
+The parallel engine (experiment sharding and the gradient workers)
+``fork()``s with the parent's full import state.  Two shapes of code break
+that:
 
 * **Import-time OS resources** — a ``threading.Thread``, lock/condition/
   semaphore, open file handle or socket created at module scope is

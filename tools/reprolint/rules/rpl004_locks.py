@@ -1,7 +1,7 @@
 """RPL004 — lock-ordering across the serving and parallel layers.
 
 The serving fleet holds multiple locks (routing lock, batching queue lock,
-pool send locks, admission lock); the parallel engine adds its own.  A
+admission lock); the parallel engine adds its own.  A
 deadlock needs only two call paths acquiring the same pair in opposite
 orders, and nothing at runtime checks for that until the fleet hangs under
 load.  This rule builds the static acquisition graph from ``with <lock>``
