@@ -78,9 +78,11 @@ def test_ablation_acquisition(benchmark, report):
     table, stats = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     report("ablation_acquisition", table)
 
+    # Balanced is never the worst: some variant scores strictly below it,
+    # unless every variant ties.
     balanced = stats["balanced (c=1e-2)"]["acc"]
-    worst = min(value["acc"] for value in stats.values())
-    assert balanced > worst - 1e-9 or balanced == worst
+    accs = [value["acc"] for value in stats.values()]
+    assert any(acc < balanced for acc in accs) or len(set(accs)) == 1
     # The exploration-heavy variant must cover more weights than greedy.
     assert (
         stats["exploration heavy (c=10)"]["rate"]

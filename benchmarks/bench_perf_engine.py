@@ -9,8 +9,7 @@ PR 1 onward: it times
   available execution backend (``legacy`` pre-PR, ``dense``/``csr`` after
   the kernel backend landed);
 * the same metric on **conv models** (``vgg_small``, ``resnet_tiny``) —
-  the cost center of the paper's VGG/ResNet results, exercising the
-  allocation-free :class:`~repro.autograd.conv.ConvWorkspace` pipeline;
+  the cost center of the paper's VGG/ResNet results;
 * mask-update latency (one full drop-and-grow round);
 * multi-seed sweep wall-clock across the ``nproc`` axis
   (:func:`repro.experiments.runner.run_multi_seed` sharded over 1/2/4
@@ -21,7 +20,7 @@ first run on a tree *without* :mod:`repro.sparse.kernels` also writes
 ``benchmarks/results/BENCH_engine_baseline.json``; later runs load that
 file and report ``speedup_vs_baseline``.  Conv numbers are anchored the
 same way to ``benchmarks/results/BENCH_engine_conv_baseline.json``,
-captured on the pre-workspace tree.
+captured on an earlier tree.
 
 Run with::
 
@@ -337,46 +336,6 @@ def conv_block_ab() -> dict:
     return section
 
 
-def conv_workspace_ab() -> dict:
-    """Interleaved A/B of ConvWorkspace on vs off, per config and sparsity.
-
-    Cross-run comparisons against the frozen baseline drift with machine
-    load (shared vCPU); alternating on/off inside one process cancels that
-    drift, so ``ratio`` (on / off, best-of-2 each) is the trustworthy
-    no-regression signal for the workspace itself.
-    """
-    from repro.autograd.conv import WORKSPACE_ENV
-
-    previous = os.environ.get(WORKSPACE_ENV)
-    section: dict[str, dict[str, dict[str, float]]] = {}
-    reps = 2
-    try:
-        for name, config in _CONV_CONFIGS[get_scale().name].items():
-            section[name] = {}
-            for sparsity in SPARSITIES:
-                best = {"on": 0.0, "off": 0.0}
-                for _ in range(reps):
-                    for setting, value in (("on", "1"), ("off", "0")):
-                        os.environ[WORKSPACE_ENV] = value
-                        best[setting] = max(
-                            best[setting], time_conv_training(config, sparsity, "dense")
-                        )
-                ratio = best["on"] / best["off"]
-                section[name][f"{sparsity:g}"] = {
-                    "on": round(best["on"], 3),
-                    "off": round(best["off"], 3),
-                    "ratio": round(ratio, 3),
-                }
-                print(f"[ws A/B] {name} s={sparsity:g}: on={best['on']:.2f} "
-                      f"off={best['off']:.2f} ({ratio:.2f}x)")
-    finally:
-        if previous is None:
-            os.environ.pop(WORKSPACE_ENV, None)
-        else:
-            os.environ[WORKSPACE_ENV] = previous
-    return section
-
-
 def time_multi_seed_sweep() -> dict:
     """Wall-clock of one multi-seed cell, serial vs ``n_proc`` sharding."""
     from repro.data.synthetic import cifar10_like
@@ -627,7 +586,6 @@ def run() -> dict:
                 print(f"[conv ] {name} s={key} backend={mode}: {sps:.2f} steps/s")
 
     block_ab = conv_block_ab()
-    workspace_ab = conv_workspace_ab()
     sweep = time_multi_seed_sweep()
     rebalance = rebalance_section()
 
@@ -651,7 +609,6 @@ def run() -> dict:
         "training_steps_per_sec": training,
         "conv_training_steps_per_sec": conv_training,
         "conv_block_ab": block_ab,
-        "conv_workspace_ab": workspace_ab,
         "mask_update_ms": mask_update,
         "mask_update_block_ms": mask_update_block,
         "multi_seed_sweep": sweep,

@@ -119,8 +119,7 @@ def _add_training_flags(
     add(
         "--block-size",
         type=int,
-        help="block-structured mask tile size (1 = unstructured; "
-        "default: REPRO_SPARSE_BLOCK_SIZE or 1)",
+        help="block-structured mask tile size (default: 1 = unstructured)",
     )
     add(
         "--sparse-backend",

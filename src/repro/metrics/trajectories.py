@@ -60,10 +60,6 @@ class WeightTrajectory:
                 return point.step
         return None
 
-    def final_magnitude(self) -> float:
-        """|w| at the last observation."""
-        return abs(self.points[-1].value) if self.points else 0.0
-
 
 class WeightTrajectoryRecorder:
     """Record (value, gradient, active) trajectories of chosen coordinates.

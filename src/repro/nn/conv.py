@@ -20,11 +20,6 @@ class Conv2d(Module):
     :func:`repro.sparse.kernels.install_training_backends`): a callable
     that either returns the layer output or ``None`` to decline, in which
     case the built-in dense path runs.
-
-    Each layer owns a :class:`~repro.autograd.conv.ConvWorkspace` that both
-    the dense path and any installed kernel backend reuse, so the im2col
-    pipeline stops reallocating its large intermediates every step (set
-    ``REPRO_CONV_WORKSPACE=0`` to disable the caching).
     """
 
     def __init__(
@@ -54,7 +49,6 @@ class Conv2d(Module):
         else:
             self.bias = None
         self.forward_backend = None
-        self.workspace = conv_ops.ConvWorkspace()
 
     def forward(self, x: Tensor) -> Tensor:
         backend = self.forward_backend
@@ -63,8 +57,7 @@ class Conv2d(Module):
             if out is not None:
                 return out
         return conv_ops.conv2d(
-            x, self.weight, bias=self.bias, stride=self.stride, padding=self.padding,
-            workspace=self.workspace,
+            x, self.weight, bias=self.bias, stride=self.stride, padding=self.padding
         )
 
     def __repr__(self) -> str:

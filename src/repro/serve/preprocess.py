@@ -163,13 +163,3 @@ class Preprocessor:
         if self.flatten:
             batch = batch.reshape(batch.shape[0], -1)
         return np.ascontiguousarray(batch, dtype=np.float32)
-
-    def example_shapes(self) -> tuple[tuple[int, ...], ...]:
-        """Accepted per-example shapes (empty when the spec is shapeless).
-
-        Sequence specs accept any length up to ``max_length`` and are
-        reported shapeless; the padded output shape is ``(max_length,)``.
-        """
-        if self.input_shape is None:
-            return ()
-        return (self.input_shape, (int(np.prod(self.input_shape)),))

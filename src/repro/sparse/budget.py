@@ -81,11 +81,6 @@ class DensityBudget:
         return cls((t.name, t.size, t.block_size * t.block_size, t.active_count) for t in targets)
 
     @classmethod
-    def from_masked(cls, masked) -> "DensityBudget":
-        """Budget mirroring a :class:`MaskedModel`'s current masks."""
-        return cls.from_targets(masked.targets)
-
-    @classmethod
     def from_global(cls, targets: Sequence, density: float) -> "DensityBudget":
         """Budget for a *global* density, spread uniformly by capacity.
 

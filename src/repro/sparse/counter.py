@@ -103,14 +103,3 @@ class CoverageTracker:
     def never_active_fraction(self) -> float:
         """Fraction of weights never activated (complement of ``R``)."""
         return 1.0 - self.exploration_rate()
-
-    def mean_occupancy(self) -> float:
-        """Average of ``N`` over all weights, normalized by rounds seen.
-
-        1.0 would mean every weight was active in every round; with a fixed
-        non-zero budget this equals the global density when masks never move.
-        """
-        if self.rounds == 0:
-            return self.masked.global_density()
-        acc = sum(float(self.counters[t.name].sum()) for t in self.masked.targets)
-        return acc / (self._total_size * (self.rounds + 1))

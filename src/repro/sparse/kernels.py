@@ -31,9 +31,8 @@ module provides that compute path for **training**:
   every step (an element SDDMM is slower than the GEMM in numpy).
 * A dispatch layer: per layer, ``dense`` vs ``csr``/``bsr`` is
   auto-selected from the layer's density, size and block size; the mode
-  is overridable per call or process-wide by the ``REPRO_SPARSE_BACKEND``
-  environment variable (``auto``, ``dense``, ``csr`` or ``bsr``), the
-  thresholds per call.
+  (``auto``, ``dense``, ``csr`` or ``bsr``) and the thresholds are
+  overridable per call.
 
 Every product calls scipy's ``csr_matvecs`` kernel directly with the
 sparse operand on the left (``Y += A @ X`` over C-contiguous operands),
@@ -49,21 +48,18 @@ no staging copy.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import as_strided
 from scipy.sparse import _sparsetools
 
 from repro import nn
-from repro.autograd.conv import ConvWorkspace, _input_grad_workspace, _pair
+from repro.autograd.conv import _pair
 from repro.autograd.tensor import Tensor, ensure_tensor
 from repro.hotpath import hot_path
 from repro.sparse.masked import MaskedModel, SparseParam
 
 __all__ = [
-    "BACKEND_ENV",
     "DEFAULT_DENSITY_THRESHOLD",
     "DEFAULT_MIN_SIZE",
     "MODES",
@@ -77,8 +73,6 @@ __all__ = [
     "remove_training_backends",
 ]
 
-BACKEND_ENV = "REPRO_SPARSE_BACKEND"
-
 # On this CPU the scipy CSR kernels run ~7x fewer effective FLOP/s than the
 # dense BLAS GEMM, so CSR wins once it does ~7x less work; 0.12 leaves some
 # margin (90/95/98% sparsity -> CSR, 80% -> dense).  See docs/performance.md.
@@ -90,9 +84,8 @@ MODES = ("auto", "dense", "csr", "bsr")
 
 
 def resolve_mode(mode: str | None = None) -> str:
-    """Explicit argument > ``REPRO_SPARSE_BACKEND`` env var > ``auto``."""
-    resolved = mode if mode is not None else os.environ.get(BACKEND_ENV, "auto")
-    resolved = resolved.lower()
+    """The validated, lower-cased ``mode``; ``None`` means ``auto``."""
+    resolved = "auto" if mode is None else mode.lower()
     if resolved not in MODES:
         raise ValueError(f"unknown sparse backend {resolved!r}; choose from {MODES}")
     return resolved
@@ -630,8 +623,7 @@ class Conv2dKernel(_KernelBase):
     match the dense conv to rounding, not bitwise.  The weight gradient is
     one dense GEMM per live tap, except for a ``"bsr"`` layer between mask
     updates (``dense_grads_required`` cleared): only its active tiles.
-    Every buffer lives in the module's ``ConvWorkspace`` (a layer run twice
-    before one backward gets a fresh one, see ``ConvWorkspace.claim``).
+    Every buffer is allocated per call, as in the compiled serving layer.
     """
 
     def __init__(self, module, target, mode="auto", density_threshold=None, min_size=None):
@@ -662,8 +654,6 @@ class Conv2dKernel(_KernelBase):
         taps = self.taps
         c_out, c_in, kh, kw = weight.shape
         sh, sw = _pair(module.stride)
-        workspace = getattr(module, "workspace", None)
-        ws = workspace.claim() if workspace is not None else ConvWorkspace()
         taps.sync(weight.data.reshape(-1), self.target)
         grid = self._grid
         if grid is None or grid.x_shape != data.shape:
@@ -671,10 +661,10 @@ class Conv2dKernel(_KernelBase):
             grid = self._grid = _TapGrid(data.shape, weight.shape, stride, padding)
         pitch = grid.pitch
 
-        # The padding around the staged input was zeroed at allocation.
-        x_grid = ws.zeros("x_grid", (grid.size,), key=data.shape)
-        y_grid = ws.get("y_grid", (c_out, pitch))
-        out_data = ws.get("out", (data.shape[0], c_out, grid.out_h, grid.out_w))
+        # The padding around the staged input stays zero.
+        x_grid = np.zeros(grid.size, dtype=np.float32)
+        y_grid = np.empty((c_out, pitch), dtype=np.float32)
+        out_data = np.empty((data.shape[0], c_out, grid.out_h, grid.out_w), dtype=np.float32)
         live = _tap_conv(
             data, grid, taps.csr, None if bias is None else bias.data, x_grid, y_grid, out_data
         )
@@ -682,25 +672,28 @@ class Conv2dKernel(_KernelBase):
         parents = (x, weight) if bias is None else (x, weight, bias)
 
         def backward(grad: np.ndarray) -> None:
-            ws.release()
+            # Every grid here is fresh and dies with the step: caching them
+            # in a per-layer workspace measured slower (0.79-0.97x steps/s)
+            # and held ~40 MiB more peak RSS on the VGG-19 benchmark.
             # Positions outside the output stay zero, so the products over
             # the whole grid add nothing from them.
-            g_grid = ws.zeros("g_grid", (c_out, pitch), key=data.shape)
+            # reprolint: disable-next=RPL005
+            g_grid = np.zeros((c_out, pitch), dtype=np.float32)
             np.copyto(grid.output(g_grid), grad.transpose(1, 0, 2, 3))
             if weight.requires_grad:
                 if tiles and not self.target.dense_grads_required:
-                    grad_w = self._tile_grad_w(g_grid, x_grid, grid, ws)
+                    grad_w = self._tile_grad_w(g_grid, x_grid, grid)
                 else:
                     # Dense at update steps: growth scores inactive weights.
-                    grad_w = self._dense_grad_w(g_grid, x_grid, grid, ws)
+                    grad_w = self._dense_grad_w(g_grid, x_grid, grid)
                 weight._accumulate(grad_w)
             if x.requires_grad:
-                gx_grid = ws.get("gx_grid", (grid.size,))
-                gx_grid.fill(0.0)
+                # reprolint: disable-next=RPL005
+                gx_grid = np.zeros(grid.size, dtype=np.float32)
                 for t, off in live:
                     taps.backward(t, g_grid, grid.shifted(gx_grid, off, c_in))
-                grad_ws = _input_grad_workspace(x, ws) or ConvWorkspace()
-                grad_x = grad_ws.get("grad_x", data.shape)
+                # reprolint: disable-next=RPL005
+                grad_x = np.empty(data.shape, dtype=np.float32)
                 if not grid.covers:
                     grad_x.fill(0.0)
                 for comp in grid.comps:
@@ -711,20 +704,18 @@ class Conv2dKernel(_KernelBase):
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2, 3)))
 
-        out = Tensor._make(out_data, parents, backward)
-        ws.hold(out)
-        return out
+        return Tensor._make(out_data, parents, backward)
 
-    def _dense_grad_w(self, g_grid, x_grid, grid: _TapGrid, ws) -> np.ndarray:
+    def _dense_grad_w(self, g_grid, x_grid, grid: _TapGrid) -> np.ndarray:
         """One ``g @ x_tap.T`` GEMM per live tap; dead taps are exactly 0."""
         weight = self.module.weight
         c_out, c_in, kh, kw = weight.shape
-        per_tap = ws.get("grad_w_taps", (kh * kw, c_out, c_in))
+        per_tap = np.empty((kh * kw, c_out, c_in), dtype=np.float32)
         if grid.has_dead:
             per_tap.fill(0.0)
         for t, off in grid.taps:
             np.matmul(g_grid, grid.shifted(x_grid, off, c_in).T, out=per_tap[t])
-        grad_w = (ws if weight.grad is None else ConvWorkspace()).get("grad_w", weight.shape)
+        grad_w = np.empty(weight.shape, dtype=np.float32)
         np.copyto(grad_w.reshape(c_out, c_in, kh * kw), per_tap.transpose(1, 2, 0))
         return grad_w
 
@@ -732,9 +723,8 @@ class Conv2dKernel(_KernelBase):
         """Active tiles with a live column, cached per (structure, H×W).
 
         A tile whose columns all belong to dead taps has an exactly-zero
-        gradient, so it is skipped.  Returns ``(key, block_rows,
-        tile_cols, scatter, dead)`` with ``dead`` the dead columns of each
-        kept tile.
+        gradient, so it is skipped.  Returns ``(block_rows, tile_cols,
+        scatter, dead)`` with ``dead`` the dead columns of each kept tile.
         """
         key = (self.taps.version, grid.x_shape[2:])
         if self._live is None or self._live[0] != key:
@@ -743,9 +733,9 @@ class Conv2dKernel(_KernelBase):
             keep = ~dead.all(axis=1)
             scatter = scatter.reshape(keep.size, tile_cols.shape[1] ** 2)[keep].reshape(-1)
             self._live = (key, block_rows[keep], tile_cols[keep], scatter, dead[keep])
-        return self._live
+        return self._live[1:]
 
-    def _tile_grad_w(self, g_grid, x_grid, grid: _TapGrid, ws) -> np.ndarray:
+    def _tile_grad_w(self, g_grid, x_grid, grid: _TapGrid) -> np.ndarray:
         """Active-tile weight gradient (a block SDDMM), zero elsewhere.
 
         Tile ``(r, j)`` is ``g[rB:(r+1)B] @ X[jB:(j+1)B].T`` where row ``f =
@@ -755,7 +745,7 @@ class Conv2dKernel(_KernelBase):
         """
         weight = self.module.weight
         b = self.taps.block_size
-        key, block_rows, cols, scatter, dead = self._live_tiles(grid)
+        block_rows, cols, scatter, dead = self._live_tiles(grid)
         g3 = g_grid.reshape(weight.shape[0] // b, b, grid.pitch)
         step = x_grid.itemsize  # every view start, without copying
         starts = as_strided(x_grid, (x_grid.size - grid.pitch + 1, grid.pitch), (step, step))
@@ -763,12 +753,7 @@ class Conv2dKernel(_KernelBase):
         tiles = np.matmul(g3[block_rows], views.transpose(0, 2, 1))
         if grid.has_dead:
             tiles.transpose(0, 2, 1)[dead] = 0.0
-        # Zeroed when the tile set moves (structure or input size); in
-        # between, the scatter overwrites the same positions.
-        if weight.grad is None:
-            grad_w = ws.zeros("grad_w_tiles", weight.shape, key=key)
-        else:
-            grad_w = np.zeros(weight.shape, dtype=np.float32)
+        grad_w = np.zeros(weight.shape, dtype=np.float32)
         grad_w.reshape(-1)[scatter] = tiles.reshape(-1)
         return grad_w
 

@@ -28,7 +28,6 @@ input channels) fall back to ``block_size=1``.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,21 +40,16 @@ from repro.sparse.distribution import block_budget, layer_densities
 from repro.rng import resolve_rng
 
 __all__ = [
-    "BLOCK_SIZE_ENV",
     "resolve_block_size",
     "SparseParam",
     "MaskedModel",
     "collect_sparsifiable",
 ]
 
-BLOCK_SIZE_ENV = "REPRO_SPARSE_BLOCK_SIZE"
-
 
 def resolve_block_size(block_size: int | None = None) -> int:
-    """Explicit argument > ``REPRO_SPARSE_BLOCK_SIZE`` env var > 1."""
-    if block_size is None:
-        block_size = int(os.environ.get(BLOCK_SIZE_ENV, "1"))
-    block_size = int(block_size)
+    """The validated ``block_size``; ``None`` means 1 (unstructured)."""
+    block_size = 1 if block_size is None else int(block_size)
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     return block_size
@@ -363,10 +357,10 @@ class MaskedModel:
         When given, the random initialization is skipped entirely.
     block_size:
         Mask granularity: masks are constrained to ``B×B`` tiles of each
-        layer's 2-D weight view.  ``None`` reads ``REPRO_SPARSE_BLOCK_SIZE``
-        (default 1 = unstructured).  Layers whose 2-D view is not divisible
-        by the block size fall back to ``block_size=1`` individually (never
-        silently mis-tiled); :attr:`block_fallbacks` lists them.
+        layer's 2-D weight view.  ``None`` means 1 (unstructured).  Layers
+        whose 2-D view is not divisible by the block size fall back to
+        ``block_size=1`` individually (never silently mis-tiled);
+        :attr:`block_fallbacks` lists them.
     block_underflow:
         What to do when a layer's requested density rounds to *zero* blocks
         (so the min-one-block floor would silently inflate it — see
@@ -594,19 +588,6 @@ class MaskedModel:
     def global_sparsity(self) -> float:
         """Fraction of sparsifiable weights currently zeroed."""
         return 1.0 - self.global_density()
-
-    def layer_summary(self) -> list[dict]:
-        """Per-layer stats: name, shape, density, active count."""
-        return [
-            {
-                "name": t.name,
-                "shape": t.param.shape,
-                "density": t.density,
-                "active": t.active_count,
-                "size": t.size,
-            }
-            for t in self.targets
-        ]
 
     def masks_snapshot(self) -> dict[str, np.ndarray]:
         """Copy of all masks keyed by parameter name."""

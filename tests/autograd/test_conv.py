@@ -1,10 +1,16 @@
-"""Convolution and pooling: shapes, known values, gradchecks."""
+"""Convolution and pooling: shapes, known values, gradchecks, buffer lifetime."""
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.autograd import Tensor, gradcheck
 from repro.autograd.conv import avg_pool2d, conv2d, conv_output_size, max_pool2d, pad2d
+from repro.optim import SGD
+from repro.sparse import MaskedModel, install_training_backends
 
 RNG = np.random.default_rng(7)
 
@@ -132,3 +138,103 @@ class TestGradients:
         expected = np.zeros((1, 1, 2, 2))
         expected[0, 0, 0, 1] = 1.0
         assert np.allclose(x.grad, expected)
+
+
+def _case(seed=0, n=2, c_in=3, c_out=4, size=6, k=3, bias=True):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((n, c_in, size, size)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((c_out, c_in, k, k)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.standard_normal(c_out).astype(np.float32), requires_grad=True) if bias else None
+    return x, w, b
+
+
+def _direct_conv(x, w, b, stride, padding):
+    """Float64 reference: one strided slice-product per kernel tap."""
+    x = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    c_out, _, kh, kw = w.shape
+    out_h = (x.shape[2] - kh) // stride + 1
+    out_w = (x.shape[3] - kw) // stride + 1
+    out = np.zeros((x.shape[0], c_out, out_h, out_w))
+    for i in range(kh):
+        for j in range(kw):
+            window = x[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+            out += np.einsum("nchw,oc->nohw", window, w[:, :, i, j].astype(np.float64))
+    return out if b is None else out + b.reshape(1, -1, 1, 1)
+
+
+class TestConvOutput:
+    @pytest.mark.parametrize(
+        "stride,padding,bias",
+        [(1, 0, True), (1, 1, True), (2, 1, False), (1, 2, False), (2, 0, True)],
+    )
+    def test_contiguous_and_matches_direct_conv(self, stride, padding, bias):
+        x, w, b = _case(bias=bias)
+        out = conv2d(x, w, bias=b, stride=stride, padding=padding)
+        assert out.data.flags.c_contiguous
+        want = _direct_conv(x.data, w.data, None if b is None else b.data, stride, padding)
+        np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
+
+    def test_values_track_changing_inputs(self):
+        x1, _, _ = _case(seed=1)
+        x2, _, _ = _case(seed=2)
+        layer = nn.Conv2d(3, 4, 3, padding=1, rng=np.random.default_rng(0))
+        first = layer(x1)
+        kept = first.data.copy()
+        second = layer(x2)
+        np.testing.assert_array_equal(first.data, kept)  # not overwritten
+        reference = conv2d(x2, layer.weight, bias=layer.bias, padding=1)
+        np.testing.assert_array_equal(second.data, reference.data)
+
+    def test_gradient_accumulation_without_zero_grad(self):
+        x, w, _ = _case(bias=False)
+        out = conv2d(x, w, padding=1)
+        (out * out).sum().backward()
+        first_w, first_x = w.grad.copy(), x.grad.copy()
+        out = conv2d(x, w, padding=1)
+        (out * out).sum().backward()
+        np.testing.assert_allclose(w.grad, 2 * first_w, rtol=1e-5)
+        np.testing.assert_allclose(x.grad, 2 * first_x, rtol=1e-5)
+
+    def test_module_matches_functional(self):
+        layer = nn.Conv2d(3, 8, 3, padding=1, rng=np.random.default_rng(1))
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 6, 6)).astype(np.float32))
+        expected = conv2d(x, layer.weight, bias=layer.bias, stride=1, padding=1)
+        for _ in range(2):
+            np.testing.assert_array_equal(layer(x).data, expected.data)
+
+
+class TestBufferLifetime:
+    """A conv layer keeps no step-sized array once its graph and grads die."""
+
+    # Bytes of the im2col matrix of the layer below: (16*12*12, 8*3*3) float32.
+    IM2COL_BYTES = 16 * 12 * 12 * 8 * 3 * 3 * 4  # 663,552
+
+    @pytest.mark.parametrize("backend", ["dense", "csr"])
+    def test_nothing_retained_after_steps(self, backend):
+        layer = nn.Conv2d(8, 16, 3, padding=1, rng=np.random.default_rng(0))
+        if backend != "dense":
+            masked = MaskedModel(layer, 0.9, distribution="uniform", rng=np.random.default_rng(1))
+            install_training_backends(masked, mode=backend, min_size=1)
+            assert layer.forward_backend is not None
+        optimizer = SGD(layer.parameters(), lr=0.01)
+        data = np.random.default_rng(2).standard_normal((16, 8, 12, 12)).astype(np.float32)
+        # The input needs a gradient, as it does behind any earlier layer.
+        x = Tensor(data, requires_grad=True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                optimizer.zero_grad()
+                x.zero_grad()
+                out = layer(x)
+                loss = (out * out).mean()
+                loss.backward()
+                optimizer.step()
+            del out, loss
+            optimizer.zero_grad()
+            x.zero_grad()
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < self.IM2COL_BYTES

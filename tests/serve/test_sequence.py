@@ -74,9 +74,6 @@ class TestSequencePreprocessor:
                 {"kind": "sequence", "max_length": 4, "pad_id": 9, "vocab_size": 4}
             )
 
-    def test_sequence_specs_are_shapeless(self):
-        assert Preprocessor(SEQ_SPEC).example_shapes() == ()
-
     def test_dense_default_unchanged(self):
         prep = Preprocessor(None)
         assert prep.kind == "dense"

@@ -1,9 +1,9 @@
 """Differential test: the sparse kernels against the dense layers.
 
 Conv: random layer shapes, strides, paddings, block sizes, densities and
-bias, with the conv workspace on or off and dense weight gradients
-required or not.  Each draw runs two steps (the second through warm
-buffers, at a new batch size half the time) and compares every result with
+bias, with dense weight gradients required or not.  Each draw runs two
+steps (the second at a new batch size half the time, reusing the cached
+tap grid otherwise) and compares every result with
 the dense conv of the masked weight.  The compiled serving layer built
 from the same mask must match the training kernel's forward bitwise,
 before and after an artifact round-trip.
@@ -14,10 +14,8 @@ the dense linear of the masked weight; the compiled layer must match the
 training kernel's forward bitwise.
 """
 
-import os
 import pathlib
 import tempfile
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -55,7 +53,6 @@ def conv_cases(draw):
         "stride": draw(st.sampled_from([1, 2])),
         "padding": padding,
         "density": draw(st.floats(0.05, 1.0)),
-        "workspace": draw(st.sampled_from(["1", "0"])),
         "dense_grads": draw(st.booleans()),
         "bias": draw(st.booleans()),
         "batches": draw(st.sampled_from([(2, 2), (2, 3)])),
@@ -89,20 +86,19 @@ class TestConv2dKernelDifferential:
         geometry = {key: case[key] for key in ("c_in", "c_out", "kernel", "stride", "padding")}
         loaded = self._round_trip(compiled, dict(geometry, bias=case["bias"]))
 
-        with mock.patch.dict(os.environ, {"REPRO_CONV_WORKSPACE": case["workspace"]}):
-            for n in case["batches"]:
-                x = rng.standard_normal((n, case["c_in"], case["h"], case["w"]))
-                x = x.astype(np.float32)
-                want = self._step(
-                    lambda t: conv2d(t, layer.weight, layer.bias, stride, padding), layer, x, rng
-                )
-                got = self._step(layer, layer, x, want[-1])
-                self._compare(got, want, mask, tiles=block > 1 and not case["dense_grads"])
-                with no_grad():
-                    served = compiled(Tensor(x)).data
-                assert np.array_equal(served, got[0])
-                assert np.array_equal(loaded.predict(x), got[0])
-                np.testing.assert_allclose(served, want[0], rtol=1e-4, atol=1e-4)
+        for n in case["batches"]:
+            x = rng.standard_normal((n, case["c_in"], case["h"], case["w"]))
+            x = x.astype(np.float32)
+            want = self._step(
+                lambda t: conv2d(t, layer.weight, layer.bias, stride, padding), layer, x, rng
+            )
+            got = self._step(layer, layer, x, want[-1])
+            self._compare(got, want, mask, tiles=block > 1 and not case["dense_grads"])
+            with no_grad():
+                served = compiled(Tensor(x)).data
+            assert np.array_equal(served, got[0])
+            assert np.array_equal(loaded.predict(x), got[0])
+            np.testing.assert_allclose(served, want[0], rtol=1e-4, atol=1e-4)
 
     @staticmethod
     def _round_trip(compiled, kwargs):

@@ -18,11 +18,7 @@ from repro.sparse import (
     remove_training_backends,
     select_backend,
 )
-from repro.sparse.kernels import (
-    BACKEND_ENV,
-    CsrMatmul,
-    resolve_mode,
-)
+from repro.sparse.kernels import CsrMatmul, resolve_mode
 
 RNG = np.random.default_rng(0)
 
@@ -157,8 +153,8 @@ class TestTwoForwardsOneBackward:
 
 class TestConvTwoForwardsOneBackward:
     """A conv layer run on a, then on b, then one backward must give what
-    two separate steps give, on every path and with or without the
-    workspace (the second forward used to overwrite the first's buffers)."""
+    two separate steps give, on every path: the second forward must not
+    touch the first forward's arrays."""
 
     @staticmethod
     def _layer(path):
@@ -180,10 +176,8 @@ class TestConvTwoForwardsOneBackward:
             layer.weight.grad.copy(), layer.bias.grad.copy()
         ]
 
-    @pytest.mark.parametrize("workspace", ["1", "0"])
     @pytest.mark.parametrize("path", ["dense", "csr", "bsr"])
-    def test_matches_two_separate_steps(self, path, workspace, monkeypatch):
-        monkeypatch.setenv("REPRO_CONV_WORKSPACE", workspace)
+    def test_matches_two_separate_steps(self, path):
         rng = np.random.default_rng(2)
         xs = [rng.standard_normal((2, 8, 5, 5)).astype(np.float32) for _ in range(2)]
         ups = [rng.standard_normal((2, 8, 5, 5)).astype(np.float32) for _ in range(2)]
@@ -246,15 +240,11 @@ class TestDispatch:
         assert select_backend(0.5, 256, "csr") == "csr"  # explicit wins
         assert select_backend(0.01, 1 << 20, "dense") == "dense"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "csr")
-        assert resolve_mode() == "csr"
-        monkeypatch.setenv(BACKEND_ENV, "dense")
-        assert resolve_mode() == "dense"
-        assert resolve_mode("auto") == "auto"  # explicit argument wins
-        monkeypatch.setenv(BACKEND_ENV, "nonsense")
+    def test_unknown_backend_raises(self):
+        assert resolve_mode(None) == "auto"
+        assert resolve_mode("CSR") == "csr"
         with pytest.raises(ValueError, match="unknown sparse backend"):
-            resolve_mode()
+            resolve_mode("nonsense")
 
     def test_install_dense_mode_removes_backends(self):
         model, masked = mlp_setup()

@@ -72,12 +72,6 @@ class TestMasks:
         assert np.all(target.param.data[~target.mask] == 0.0)
         assert np.all(target.param.data[target.mask] == 1.0)
 
-    def test_layer_summary(self):
-        masked = MaskedModel(mlp(), 0.7, rng=np.random.default_rng(0))
-        summary = masked.layer_summary()
-        assert len(summary) == 3
-        assert all({"name", "shape", "density", "active", "size"} <= set(s) for s in summary)
-
     def test_erk_distribution_differs_from_uniform(self):
         uniform = MaskedModel(mlp(), 0.9, distribution="uniform", rng=np.random.default_rng(0))
         erk = MaskedModel(mlp(1), 0.9, distribution="erk", rng=np.random.default_rng(0))

@@ -141,12 +141,3 @@ class TestCoverageTracker:
         masked, tracker = self.make()
         rates = tracker.layer_exploration_rates()
         assert set(rates) == {t.name for t in masked.targets}
-
-    def test_mean_occupancy_static_masks(self):
-        masked, tracker = self.make(sparsity=0.5)
-        for _ in range(3):
-            tracker.update()
-        # Masks never moved: occupancy equals density.
-        assert tracker.mean_occupancy() == pytest.approx(
-            masked.global_density(), abs=1e-6
-        )

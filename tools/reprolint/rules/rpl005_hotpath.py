@@ -1,11 +1,14 @@
 """RPL005 — allocation discipline on per-step hot paths.
 
-The sparse kernels win because the per-step path allocates nothing: CSR
-values refresh by ``np.take(..., out=)`` into preallocated buffers, conv
-lowering reuses ``ConvWorkspace``, the active-tile weight gradient writes
-into ``CsrMatmul.grad_w_buffer``.  One stray ``np.zeros`` in a kernel forward
+The sparse kernels win because their per-step structure work allocates
+nothing: CSR values refresh by ``np.take(..., out=)`` into preallocated
+buffers, the active-tile weight gradient writes into
+``CsrMatmul.grad_w_buffer``.  One stray ``np.zeros`` in a kernel forward
 erases a measurable slice of the 2.27×/1.5× bench wins — and nothing
-catches it until the nightly bench gate, long after the commit.
+catches it until the nightly bench gate, long after the commit.  Not every
+allocation is waste: the conv layers allocate their step-sized arrays per
+call, because a per-layer cache of them measured slower and held more
+memory; each such line carries a suppression saying so.
 
 Scope: functions decorated ``@repro.hot_path`` (the marker travels with
 the function; nested closures inherit it) plus — in the files listed in
@@ -15,9 +18,9 @@ autograd backward closures that run once per training step.
 Flagged: ``np.zeros/empty/ones/full`` (+ ``_like`` forms), ``np.copy``,
 ``np.concatenate/stack/vstack/hstack``, ``np.ascontiguousarray``/
 ``asfortranarray``, ``np.array``, ``np.arange``.  Fix by reusing a
-workspace (``ConvWorkspace.get`` / ``CsrMatmul.grad_w_buffer`` /
-``Optimizer.scratch_for``) or hoisting the allocation to structure-rebuild
-time; a deliberate allocation (aliasing hazard, cold branch) gets an
+buffer (``CsrMatmul.grad_w_buffer`` / ``Optimizer.scratch_for``) or
+hoisting the allocation to structure-rebuild time; a deliberate allocation
+(aliasing hazard, cold branch, a cache that measured no gain) gets an
 inline ``# reprolint: disable=RPL005`` with the reason.
 """
 
@@ -80,7 +83,7 @@ class HotPathAllocation(Rule):
     name = "hot-path-allocation"
     description = (
         "No numpy allocation calls inside @repro.hot_path functions or the "
-        "per-step closures of the sparse/autograd kernels; reuse workspaces."
+        "per-step closures of the sparse/autograd kernels; reuse buffers."
     )
 
     def visit_module(self, module: ModuleInfo) -> Iterable[Finding]:
@@ -105,9 +108,8 @@ class HotPathAllocation(Rule):
                         module,
                         child,
                         f"'{allocation}(...)' allocates inside a hot path; reuse "
-                        "a workspace buffer (ConvWorkspace.get / CsrMatmul.grad_w_buffer "
-                        "/ Optimizer.scratch_for) or hoist to structure-rebuild "
-                        "time",
+                        "a buffer (CsrMatmul.grad_w_buffer / Optimizer.scratch_for) "
+                        "or hoist to structure-rebuild time",
                     )
             yield from self._scan(child, module, hot, depth, auto)
         return
