@@ -153,12 +153,14 @@ class TestTwoForwardsOneBackward:
 
 class TestConvTwoForwardsOneBackward:
     """A conv layer run on a, then on b, then one backward must give what
-    two separate steps give, on every path: the second forward must not
-    touch the first forward's arrays."""
+    two separate steps give, on every path, with and without padding: the
+    second forward must not touch the first forward's arrays."""
 
     @staticmethod
-    def _layer(path):
-        layer = nn.Conv2d(8, 8, 3, stride=1, padding=1, rng=np.random.default_rng(0))
+    def _layer(path, padding):
+        layer = nn.Conv2d(
+            8, 8, 3, stride=1, padding=padding, rng=np.random.default_rng(0)
+        )
         masked = MaskedModel(
             layer, 0.8, distribution="uniform", rng=np.random.default_rng(1),
             block_size=4 if path == "bsr" else 1,
@@ -176,13 +178,18 @@ class TestConvTwoForwardsOneBackward:
             layer.weight.grad.copy(), layer.bias.grad.copy()
         ]
 
+    @pytest.mark.parametrize("padding", [1, 0])
     @pytest.mark.parametrize("path", ["dense", "csr", "bsr"])
-    def test_matches_two_separate_steps(self, path):
+    def test_matches_two_separate_steps(self, path, padding):
         rng = np.random.default_rng(2)
+        side = 3 + 2 * padding
         xs = [rng.standard_normal((2, 8, 5, 5)).astype(np.float32) for _ in range(2)]
-        ups = [rng.standard_normal((2, 8, 5, 5)).astype(np.float32) for _ in range(2)]
+        ups = [
+            rng.standard_normal((2, 8, side, side)).astype(np.float32)
+            for _ in range(2)
+        ]
 
-        layer = self._layer(path)
+        layer = self._layer(path, padding)
         inputs = [Tensor(x, requires_grad=True) for x in xs]
         separate = []
         for inp, up in zip(inputs, ups):
@@ -191,7 +198,7 @@ class TestConvTwoForwardsOneBackward:
             ops.sum(ops.mul(out, up)).backward()
         expected = self._grads(layer, inputs)
 
-        layer = self._layer(path)
+        layer = self._layer(path, padding)
         inputs = [Tensor(x, requires_grad=True) for x in xs]
         outs = [layer(inp) for inp in inputs]
         for out, want in zip(outs, separate):
