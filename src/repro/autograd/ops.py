@@ -196,7 +196,11 @@ def linear(x, weight, bias=None) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         grad2d = grad.reshape(-1, grad.shape[-1])
         if x.requires_grad:
-            x._accumulate((grad2d @ weight.data).reshape(x.shape))
+            # Reshape the fresh product in place: a reshaped view would make
+            # ``_accumulate`` copy it again.
+            grad_x = grad2d @ weight.data
+            grad_x.shape = x.shape
+            x._accumulate(grad_x)
         if weight.requires_grad:
             weight._accumulate(np.ascontiguousarray((x2d.T @ grad2d).T))
         if bias is not None and bias.requires_grad:

@@ -7,7 +7,10 @@ result of a differentiable operation, records the parent tensors and a local
 backward closure.  Calling :meth:`Tensor.backward` on a scalar (or with an
 explicit output gradient) performs a topological sort of the recorded graph
 and accumulates gradients into ``.grad`` of every tensor with
-``requires_grad=True``.
+``requires_grad=True``.  Once a node's backward closure has run, the node
+drops the closure and its parents, so the activations the closure saved
+die as the backward passes them; a second backward through the same graph
+raises ``RuntimeError``.
 
 Gradients are plain ``numpy.ndarray`` objects (not Tensors): the engine does
 not support higher-order differentiation, which the paper never needs — the
@@ -51,6 +54,15 @@ def no_grad():
         yield
     finally:
         _grad_state.enabled = previous
+
+
+def _released(grad: np.ndarray) -> None:
+    """Backward of a node whose own backward has already run."""
+    raise RuntimeError(
+        "backward() reached a node whose graph was already backpropagated; "
+        "saved activations are released after one backward, so run the "
+        "forward again"
+    )
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -211,6 +223,10 @@ class Tensor:
             Gradient of some scalar objective with respect to this tensor.
             May be omitted only when this tensor is a scalar, in which case
             it defaults to 1.
+
+        Raises ``RuntimeError``, before any gradient changes, if the graph
+        holds a node that an earlier backward already passed: that node's
+        saved activations are gone.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -241,14 +257,21 @@ class Tensor:
                 if id(parent) not in visited and parent.requires_grad:
                     stack.append((parent, False))
 
+        # Fail before any gradient moves, so a refused backward changes nothing.
+        if any(node._backward is _released for node in topo):
+            _released(grad)
         self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # The closure and the parents hold the node's saved
+                # activations: drop them so they die as the backward passes.
+                node._backward = _released
+                node._parents = ()
                 # Interior nodes do not need to keep their gradient (leaves
                 # have no backward closure), freeing memory early.
-                if node._parents:
-                    node.grad = None if node is not self else node.grad
+                if node is not self:
+                    node.grad = None
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient to ``None``."""

@@ -25,10 +25,13 @@ graph and the training positives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "LinkPredictionData",
@@ -75,6 +78,8 @@ class LinkPredictionData:
 
 def normalized_adjacency(graph: nx.Graph) -> sp.csr_matrix:
     """GCN-style normalization ``D^-1/2 (A + I) D^-1/2`` as float32 CSR."""
+    import networkx as nx
+
     adjacency = nx.to_scipy_sparse_array(graph, format="csr", dtype=np.float32)
     adjacency = adjacency + sp.eye(adjacency.shape[0], dtype=np.float32, format="csr")
     degrees = np.asarray(adjacency.sum(axis=1)).reshape(-1)
@@ -101,6 +106,8 @@ def degree_corrected_partition_graph(
 
     Returns the graph and the community assignment array.
     """
+    import networkx as nx
+
     if n_communities < 1:
         raise ValueError(f"need >= 1 community, got {n_communities}")
     if not 0.0 < mixing <= 1.0:
@@ -129,6 +136,8 @@ def _structural_features(
     community_noise: float = 0.5,
 ) -> np.ndarray:
     """Structural + (noisy) community + fixed random node features."""
+    import networkx as nx
+
     n = graph.number_of_nodes()
     degrees = np.array([graph.degree(v) for v in range(n)], dtype=np.float32)
     log_degree = np.log1p(degrees)
@@ -146,9 +155,7 @@ def _structural_features(
     return features.astype(np.float32)
 
 
-def _sample_negative_edges(
-    graph: nx.Graph, count: int, rng: np.random.Generator
-) -> np.ndarray:
+def _sample_negative_edges(graph: nx.Graph, count: int, rng: np.random.Generator) -> np.ndarray:
     """Sample ``count`` distinct non-edges uniformly (rejection sampling)."""
     n = graph.number_of_nodes()
     negatives: set[tuple[int, int]] = set()
@@ -165,9 +172,7 @@ def _sample_negative_edges(
             continue
         negatives.add(key)
     if len(negatives) < count:
-        raise RuntimeError(
-            f"could not sample {count} negative edges after {max_attempts} attempts"
-        )
+        raise RuntimeError(f"could not sample {count} negative edges after {max_attempts} attempts")
     return np.array(sorted(negatives), dtype=np.int64)
 
 
@@ -186,6 +191,8 @@ def make_link_prediction_data(
     never sees them during training.  Training/test negatives are disjoint
     non-edges of the original graph.
     """
+    import networkx as nx
+
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
@@ -207,8 +214,11 @@ def make_link_prediction_data(
     train_neg = negatives[neg_order[n_test : n_test + len(train_pos)]]
 
     features = _structural_features(
-        graph, n_random_features, rng,
-        communities=communities, community_noise=community_noise,
+        graph,
+        n_random_features,
+        rng,
+        communities=communities,
+        community_noise=community_noise,
     )
     return LinkPredictionData(
         adjacency=normalized_adjacency(train_graph),
@@ -239,8 +249,12 @@ def wiki_talk_like(
         n_nodes, n_communities, mean_degree, mixing, power=1.8, rng=rng
     )
     return make_link_prediction_data(
-        graph, test_fraction=test_fraction, seed=seed, name="wiki-talk-like",
-        communities=communities, community_noise=0.3,
+        graph,
+        test_fraction=test_fraction,
+        seed=seed,
+        name="wiki-talk-like",
+        communities=communities,
+        community_noise=0.3,
     )
 
 
@@ -263,6 +277,10 @@ def ia_email_like(
         n_nodes, n_communities, mean_degree, mixing, power=2.5, rng=rng
     )
     return make_link_prediction_data(
-        graph, test_fraction=test_fraction, seed=seed, name="ia-email-like",
-        communities=communities, community_noise=0.2,
+        graph,
+        test_fraction=test_fraction,
+        seed=seed,
+        name="ia-email-like",
+        communities=communities,
+        community_noise=0.2,
     )

@@ -16,7 +16,6 @@ All generators take an explicit seed and return a
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import ArrayDataset, ClassificationData
 
@@ -36,6 +35,8 @@ def _smooth_prototypes(
     smoothing: float,
 ) -> np.ndarray:
     """Random low-frequency class prototype images, unit-normalized."""
+    from scipy import ndimage
+
     protos = rng.standard_normal((n_classes, channels, size, size))
     protos = ndimage.gaussian_filter(protos, sigma=(0, 0, smoothing, smoothing))
     # Standardize each prototype to zero mean / unit per-pixel variance so

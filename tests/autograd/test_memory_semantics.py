@@ -1,6 +1,7 @@
 """Gradient accumulation memory semantics: views, aliasing, dtype handling."""
 
 import numpy as np
+import pytest
 
 from repro.autograd import Tensor, ops
 
@@ -41,6 +42,29 @@ class TestGradientAliasing:
         # Accumulation may reallocate; values must be the sum either way.
         assert np.allclose(x.grad, 4.0)
         assert np.allclose(first, 2.0) or first is x.grad
+
+    @pytest.mark.parametrize("lead", [(16,), (4, 6)], ids=["2d", "3d"])
+    def test_linear_input_gradient_arrives_owned(self, monkeypatch, lead):
+        # The input gradient is a fresh product reshaped in place, so
+        # ``_accumulate`` stores it without a second copy.
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((*lead, 64)).astype(np.float32), requires_grad=True)
+        weight = Tensor(rng.standard_normal((32, 64)).astype(np.float32), requires_grad=True)
+        grad = rng.standard_normal((*lead, 32)).astype(np.float32)
+        arrived = {}
+        accumulate = Tensor._accumulate
+
+        def spy(self, g):
+            if self is x:
+                arrived["grad"] = g
+            accumulate(self, g)
+
+        monkeypatch.setattr(Tensor, "_accumulate", spy)
+        ops.linear(x, weight).backward(grad)
+        expected = (grad.reshape(-1, 32) @ weight.data).reshape(x.shape)
+        assert arrived["grad"].base is None
+        assert x.grad is arrived["grad"]
+        assert x.grad.tobytes() == expected.tobytes()
 
     def test_grad_dtype_matches_data(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)

@@ -10,6 +10,13 @@ refused.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -24,6 +31,7 @@ from repro.rl.envs import make_env
 from repro.rl.replay import ReplayBuffer
 from repro.rl.trainer import RLTrainer
 from repro.train import Callback, Trainer
+from repro.train.loop import keep_freed_heap
 
 
 class _NoMasks:
@@ -325,3 +333,72 @@ def test_presence_mismatch_rejected(kind, key):
     saved_without = FACTORIES[kind]().state_dict()
     with pytest.raises(ValueError, match=f"{key} presence"):
         _with_part(kind, key).load_state_dict(saved_without)
+
+
+def _has_glibc_mallopt() -> bool:
+    if not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc":
+        return False
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+needs_mallopt = pytest.mark.skipif(not _has_glibc_mallopt(), reason="needs glibc mallopt")
+
+# Trains a small char-GPT and prints the minor page faults of steps 21-40.
+_FAULT_PROBE = """
+import resource
+
+import numpy as np
+
+from repro.data.loader import DataLoader
+from repro.data.text import make_char_lm_data
+from repro.models import CharGPT
+from repro.nn.losses import lm_cross_entropy
+from repro.optim import Adam
+from repro.train import Callback, Trainer
+
+
+class Faults(Callback):
+    def __init__(self):
+        self.counts = []
+
+    def on_step_end(self, step):
+        self.counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+
+data = make_char_lm_data(n_chars=32 * 32 * 45, block_len=32, seed=0)
+model = CharGPT(vocab_size=data.vocab_size, block_len=32, n_layer=2, n_head=2, n_embd=64)
+loader = DataLoader(data.train, batch_size=32, shuffle=True, rng=np.random.default_rng(1))
+faults = Faults()
+optimizer = Adam(model.parameters(), lr=1e-3)
+Trainer(model, optimizer, lm_cross_entropy, loader, None, callbacks=[faults]).fit(1)
+print(faults.counts[39] - faults.counts[19])
+"""
+
+
+@needs_mallopt
+def test_keep_freed_heap_takes_on_glibc():
+    assert keep_freed_heap()
+
+
+@needs_mallopt
+def test_warm_training_steps_fault_in_no_memory():
+    # Each step frees its activations during the backward.  Without the
+    # allocator settings fit makes, glibc unmaps or trims that memory and
+    # the next step faults it back in: 40,000-90,000 faults over these 20
+    # steps.  With them most runs fault 0-1 pages; some fault up to about
+    # a hundred, varying with the hash seed, which points at CPython's own
+    # arenas (mapped outside malloc).
+    src = str(pathlib.Path(__import__("repro").__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 512
