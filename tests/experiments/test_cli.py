@@ -1,8 +1,13 @@
 """CLI argument parsing and command dispatch."""
 
+import dataclasses
+import functools
+
 import pytest
 
-from repro.experiments.cli import build_parser, main
+import repro.serve as serve
+from repro.experiments.cli import TRAINING, build_parser, main
+from repro.serve import ArtifactError, corrupt_artifact, load_model
 
 
 class TestParser:
@@ -128,3 +133,70 @@ class TestCheckpointFlags:
         assert [l for l in second.splitlines() if "set" in l] == (
             [l for l in first.splitlines() if "set" in l]
         )
+
+
+class TestExportValidation:
+    @pytest.mark.parametrize("command", ["export", "run-rl", "run-lm"])
+    def test_out_with_a_dense_method_is_rejected_before_training(
+        self, command, monkeypatch, tmp_path
+    ):
+        entry = TRAINING[command]
+
+        @functools.wraps(entry.run)
+        def train(*args, **kwargs):
+            raise AssertionError("trained before rejecting --out")
+
+        monkeypatch.setitem(TRAINING, command, dataclasses.replace(entry, run=train))
+        out = tmp_path / "model.npz"
+        with pytest.raises(SystemExit, match="dense"):
+            main([command, "--method", "dense", "--out", str(out)])
+        assert not out.exists()
+
+
+class TestServe:
+    @pytest.fixture
+    def artifact(self, tmp_path):
+        path = tmp_path / "model.npz"
+        assert main(["export", *TestCheckpointFlags.TINY, "--epochs", "1", "--out", str(path)]) == 0
+        return path
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Record what `serve` builds instead of binding a socket."""
+        seen = {}
+
+        class RecordingServer(serve.Server):
+            def __init__(self, model, **kwargs):
+                seen["server"] = kwargs
+                super().__init__(model, **kwargs)
+
+        def serve_forever(server, host, port, default_deadline_s):
+            seen.update(host=host, port=port, deadline_s=default_deadline_s)
+            server.close()
+
+        monkeypatch.setattr(serve, "Server", RecordingServer)
+        monkeypatch.setattr(serve, "serve_forever", serve_forever)
+        return seen
+
+    @pytest.mark.parametrize("max_pending", [0, 5])
+    def test_flags_reach_the_server(self, artifact, seen, max_pending, capsys):
+        assert main([
+            "serve", "--artifact", str(artifact), "--port", "0", "--max-batch", "7",
+            "--max-latency-ms", "3.5", "--max-pending", str(max_pending),
+            "--deadline-s", "1.5",
+        ]) == 0
+        server = seen.pop("server")
+        admission = server.pop("admission")
+        assert server == {"max_batch": 7, "max_latency_ms": 3.5}
+        if max_pending:
+            assert admission.max_pending == max_pending
+        else:
+            assert admission is None
+        assert seen == {"host": "127.0.0.1", "port": 0, "deadline_s": 1.5}
+        assert f"fingerprint: {load_model(artifact).fingerprint}" in capsys.readouterr().out
+
+    def test_artifact_is_verified_at_load(self, artifact, seen, tmp_path):
+        corrupted = corrupt_artifact(artifact, tmp_path / "corrupted.npz")
+        with pytest.raises(ArtifactError, match="fingerprint"):
+            main(["serve", "--artifact", str(corrupted)])
+        assert "deadline_s" not in seen

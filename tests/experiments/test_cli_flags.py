@@ -195,6 +195,15 @@ FLAGS = {
         "--nodes": (400, 'int', None, None),
         "--seed": (0, 'int', None, None),
     },
+    "serve": {
+        "--artifact": (REQUIRED, None, None, None),
+        "--host": ('127.0.0.1', None, None, None),
+        "--port": (8100, 'int', None, None),
+        "--max-batch": (32, 'int', None, None),
+        "--max-latency-ms": (2.0, 'float', None, None),
+        "--max-pending": (256, 'int', None, None),
+        "--deadline-s": (30.0, 'float', None, None),
+    },
 }
 
 # Every training subcommand with a --sparse-backend (the GAN trainer has none).
@@ -237,7 +246,8 @@ def test_flags_match_table(command):
 
 @pytest.mark.parametrize("command", sorted(FLAGS))
 def test_parsed_defaults_match_table(command):
-    argv = [command] + (["--out", "model.npz"] if command == "export" else [])
+    required = [flag for flag, spec in FLAGS[command].items() if spec[0] is REQUIRED]
+    argv = [command] + [arg for flag in required for arg in (flag, "model.npz")]
     args = vars(build_parser().parse_args(argv))
     for action in subparser(command)._actions:
         if action.option_strings and action.dest != "help" and not action.required:
