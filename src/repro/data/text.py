@@ -15,6 +15,7 @@ embedding/head matrices tile cleanly under 4x4 block masks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,16 +43,21 @@ class CharVocab:
     def __init__(self, alphabet: str = ALPHABET):
         self.alphabet = alphabet
         self.pad_id = 0
-        self._to_id = {ch: i for i, ch in enumerate(alphabet)}
+        # Latin-1 code -> id, -1 outside the alphabet.
+        codes = np.frombuffer(alphabet.encode("latin-1"), dtype=np.uint8)
+        self._ids = np.full(256, -1, dtype=np.int64)
+        self._ids[codes] = np.arange(len(alphabet))
 
     def __len__(self) -> int:
         return len(self.alphabet)
 
     def encode(self, text: str) -> np.ndarray:
-        try:
-            return np.array([self._to_id[ch] for ch in text], dtype=np.int64)
-        except KeyError as exc:
-            raise ValueError(f"character {exc.args[0]!r} not in the alphabet") from None
+        codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+        ids = np.where(codes < 256, self._ids[codes & 255], -1)
+        if ids.min(initial=0) < 0:
+            bad = text[int(np.argmax(ids < 0))]
+            raise ValueError(f"character {bad!r} not in the alphabet")
+        return ids
 
     def decode(self, ids) -> str:
         ids = np.asarray(ids).reshape(-1)
@@ -100,24 +106,26 @@ def generate_corpus(n_chars: int = 65536, seed: int = 0) -> str:
     # the same random stream, without choice's per-call overhead.
     cdf = transition.cumsum(axis=1)
     cdf /= cdf[:, -1:]
+    cdf_rows = cdf.tolist()
 
     pieces: list[str] = []
     total = 0
     word = int(rng.integers(n_words))
-    sentence_left = int(rng.integers(4, 10))
+    length = int(rng.integers(4, 10))
     while total < n_chars:
-        token = _WORDS[word]
-        sentence_left -= 1
-        if sentence_left == 0:
-            token += "." + ("\n" if rng.random() < 0.25 else " ")
-            sentence_left = int(rng.integers(4, 10))
-        elif rng.random() < 0.08:
-            token += ", "
-        else:
-            token += " "
+        # Per word, a comma/newline uniform then a successor uniform; the last
+        # successor is drawn after the next sentence's length.
+        draws = rng.random(2 * length - 1).tolist()
+        for i in range(length - 1):
+            token = _WORDS[word] + (", " if draws[2 * i] < 0.08 else " ")
+            pieces.append(token)
+            total += len(token)
+            word = bisect_right(cdf_rows[word], draws[2 * i + 1])
+        token = _WORDS[word] + "." + ("\n" if draws[-1] < 0.25 else " ")
         pieces.append(token)
         total += len(token)
-        word = int(cdf[word].searchsorted(rng.random(), side="right"))
+        length = int(rng.integers(4, 10))
+        word = bisect_right(cdf_rows[word], rng.random())
     return "".join(pieces)[:n_chars]
 
 

@@ -466,7 +466,7 @@ TRAINING = {
         _image_positional,
         _export_report,
         defaults=dict(IMAGE_SCALE, sparsity=0.95, out=REQUIRED),
-        omit=("drop_fraction", "n_workers"),
+        omit=("drop_fraction", "n_workers", "nproc"),
         export=_image_export,
     ),
     "run-rl": Training(

@@ -17,8 +17,9 @@ class Adam(Optimizer):
 
     Parameters bound through :meth:`Optimizer.bind_sparse_indices` (see
     :meth:`repro.sparse.masked.MaskedModel.bind_optimizer`) are updated only
-    at their active coordinates; the moment buffers stay dense-shaped so the
-    engine's optimizer-state reset for regrown weights works unchanged.
+    at their active coordinates, and their moments are vectors over those
+    coordinates; :meth:`Optimizer.reset_state` zeroes them for regrown
+    weights.
     """
 
     def __init__(
@@ -34,30 +35,14 @@ class Adam(Optimizer):
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
 
-    def step(self) -> None:
-        """Apply one Adam update to every parameter that has a gradient."""
-        for param in self.params:
-            grad = param.grad
-            if grad is None:
-                continue
-            indices = self.active_indices_for(param)
-            if (
-                indices is not None
-                and indices.size < param.size
-                and param.data.flags.c_contiguous
-            ):
-                self._sparse_step(param, grad, indices)
-            else:
-                self._dense_step(param, grad)
-
     def _moments_for(self, param: Tensor) -> tuple[dict, int, np.ndarray, np.ndarray]:
         state = self.state_for(param)
         step_count = state.get("step", 0) + 1
         m = state.get("m")
         v = state.get("v")
         if m is None:
-            m = np.zeros_like(param.data)
-            v = np.zeros_like(param.data)
+            m = self.zeros_state(param)
+            v = self.zeros_state(param)
         state.update(step=step_count, m=m, v=v)
         return state, step_count, m, v
 
@@ -72,23 +57,21 @@ class Adam(Optimizer):
         v_hat = v / (1 - self.beta2**step_count)
         param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def _sparse_step(self, param: Tensor, grad: np.ndarray, indices: np.ndarray) -> None:
+    def _sparse_step(self, param: Tensor, grad: np.ndarray, indices, positions) -> None:
         """Update only the active coordinates (cost ∝ non-zeros)."""
         _, step_count, m, v = self._moments_for(param)
         flat_weight = param.data.reshape(-1)
         grad_active = grad.reshape(-1)[indices]
         if self.weight_decay:
             grad_active += self.weight_decay * flat_weight[indices]
-        flat_m = m.reshape(-1)
-        flat_v = v.reshape(-1)
-        m_active = flat_m[indices]
+        m_active = m[positions]
         m_active *= self.beta1
         m_active += (1 - self.beta1) * grad_active
-        flat_m[indices] = m_active
-        v_active = flat_v[indices]
+        m[positions] = m_active
+        v_active = v[positions]
         v_active *= self.beta2
         v_active += (1 - self.beta2) * grad_active * grad_active
-        flat_v[indices] = v_active
+        v[positions] = v_active
         m_hat = m_active / (1 - self.beta1**step_count)
         v_hat = v_active / (1 - self.beta2**step_count)
         flat_weight[indices] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -62,8 +62,7 @@ class LRScheduler:
         saved_type = state.get("type", type(self).__name__)
         if saved_type != type(self).__name__:
             raise ValueError(
-                f"checkpoint scheduler is {saved_type!r}, "
-                f"this scheduler is {type(self).__name__!r}"
+                f"checkpoint scheduler is {saved_type!r}, this scheduler is {type(self).__name__!r}"
             )
         self.base_lr = float(state["base_lr"])
         self.last_epoch = int(state["last_epoch"])

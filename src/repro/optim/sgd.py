@@ -1,20 +1,21 @@
 """Stochastic gradient descent with momentum, weight decay and Nesterov.
 
-The optimizer exposes its per-parameter state (``state[param]``) because the
-dynamic-sparse-training engine must reset the momentum of newly grown weights
-(RigL/DST-EE semantics: regrown weights restart from zero with no velocity).
+The optimizer exposes its per-parameter state (``state[param]``) because
+dynamic sparse training restarts newly grown weights without momentum
+(RigL/DST-EE semantics), through :meth:`Optimizer.reset_state`.
 
 Two hot-path features support sparse training:
 
 * **Sparse coordinate updates** — :meth:`Optimizer.bind_sparse_indices`
   registers per-parameter active-index providers (wired up by
   :meth:`repro.sparse.masked.MaskedModel.bind_optimizer`).  Bound
-  parameters are updated only at their active coordinates, so the step
-  cost scales with the non-zero count instead of the layer size and
-  inactive weights stay exactly zero.  This is observationally identical
-  to the dense update: gradients outside the mask are zero, inactive
-  weights are re-zeroed by the mask invariant, and the engine resets
-  optimizer state at regrown coordinates.
+  parameters are updated only at their active coordinates, and their
+  state arrays are vectors over those coordinates, so step cost and state
+  size scale with the non-zero count instead of the layer size.  When the
+  active set changes, surviving coordinates keep their state and new ones
+  start at zero.  This is observationally identical to the dense update:
+  gradients outside the mask are zero, inactive weights stay exactly
+  zero, and grown weights restart without state.
 * **In-place dense updates** — velocity buffers are updated with
   ``np.multiply/np.add(..., out=)`` and the weight delta goes through a
   reusable per-parameter scratch buffer, so a dense step allocates
@@ -33,8 +34,35 @@ from repro.hotpath import hot_path
 __all__ = ["Optimizer", "SGD"]
 
 
+def _match(layout: np.ndarray, flat_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``flat_idx`` in sorted ``layout``, and which are there."""
+    pos = np.searchsorted(layout, flat_idx)
+    hit = pos < layout.size
+    hit[hit] = layout[pos[hit]] == flat_idx[hit]
+    return pos, hit
+
+
+def _relaid(value: np.ndarray, old, new, shape: tuple) -> np.ndarray:
+    """``value``, laid over flat indices ``old``, laid over ``new`` (``None``:
+    the weight shape); coordinates new to the layout start at zero."""
+    if old is None:
+        return value.copy() if new is None else value.reshape(-1)[new]
+    if new is None:
+        out = np.zeros(shape, value.dtype)
+        out.reshape(-1)[old] = value
+        return out
+    pos, hit = _match(old, new)
+    out = np.zeros(new.size, value.dtype)
+    out[hit] = value[pos[hit]]
+    return out
+
+
 class Optimizer:
-    """Base optimizer: holds parameters, per-parameter state, and ``lr``."""
+    """Base optimizer: holds parameters, per-parameter state, and ``lr``.
+
+    Subclasses implement ``_dense_step(param, grad)`` and ``_sparse_step(param,
+    grad, indices, positions)`` (flat weight ``indices``, state ``positions``).
+    """
 
     def __init__(self, params: Iterable[Tensor], lr: float):
         self.params: list[Tensor] = [p for p in params]
@@ -43,29 +71,62 @@ class Optimizer:
         self.lr = float(lr)
         self.state: dict[int, dict[str, np.ndarray]] = {}
         self._sparse_indices: dict[int, Callable[[], np.ndarray]] = {}
+        # Flat indices each parameter's state is laid over (None: weight-shaped).
+        self._layouts: dict[int, np.ndarray | None] = {}
         self._scratch: dict[int, np.ndarray] = {}
 
     def state_for(self, param: Tensor) -> dict[str, np.ndarray]:
         """Per-parameter mutable state dict (created on first access)."""
         return self.state.setdefault(id(param), {})
 
-    def bind_sparse_indices(
-        self, providers: dict[int, Callable[[], np.ndarray]]
-    ) -> None:
+    def bind_sparse_indices(self, providers: dict[int, Callable[[], np.ndarray]]) -> None:
         """Register active-index providers keyed by ``id(param)``.
 
-        A bound parameter is updated only at the flat indices its provider
-        returns (re-queried every step, so mask updates are picked up
-        automatically).  Use
-        :meth:`repro.sparse.masked.MaskedModel.bind_optimizer` rather than
-        calling this directly.
+        A bound parameter is updated only at the sorted flat indices its
+        provider returns (re-queried every step, so mask updates are picked
+        up automatically), and its state arrays are vectors over them; a
+        provider returning ``(indices, positions)`` updates only
+        ``indices[positions]``.  Use :meth:`repro.sparse.masked.MaskedModel.bind_optimizer`
+        rather than calling this directly.
         """
         self._sparse_indices.update(providers)
 
-    def active_indices_for(self, param: Tensor) -> np.ndarray | None:
-        """Flat active indices of a bound parameter, or ``None`` if unbound."""
-        provider = self._sparse_indices.get(id(param))
-        return None if provider is None else provider()
+    def _relayout(self, param: Tensor, layout: np.ndarray | None) -> None:
+        """Lay ``param``'s state arrays over ``layout`` (``None``: weight-shaped)."""
+        old = self._layouts.get(id(param))
+        if old is layout:
+            return
+        state = self.state.get(id(param), {})
+        for key, value in state.items():
+            if isinstance(value, np.ndarray):
+                state[key] = _relaid(value, old, layout, param.shape)
+        self._layouts[id(param)] = layout
+
+    def zeros_state(self, param: Tensor) -> np.ndarray:
+        """A zero state array in ``param``'s current layout."""
+        layout = self._layouts.get(id(param))
+        return np.zeros_like(param.data if layout is None else layout, dtype=param.data.dtype)
+
+    def reset_state(self, param: Tensor, flat_idx: np.ndarray) -> None:
+        """Zero ``param``'s state at flat weight indices ``flat_idx``: grown
+        weights restart without momentum or moments, also when they were
+        dropped earlier in the same mask update."""
+        layout = self._layouts.get(id(param))
+        if layout is not None:
+            pos, hit = _match(layout, flat_idx)
+            flat_idx = pos[hit]
+        for value in self.state.get(id(param), {}).values():
+            if isinstance(value, np.ndarray):
+                value.reshape(-1)[flat_idx] = 0.0
+
+    def expanded_state(self, param: Tensor) -> dict:
+        """A copy of ``param``'s state with weight-shaped arrays (zero off
+        the coordinates the state is kept for)."""
+        layout = self._layouts.get(id(param))
+        return {
+            key: _relaid(v, layout, None, param.shape) if isinstance(v, np.ndarray) else v
+            for key, v in self.state.get(id(param), {}).items()
+        }
 
     def scratch_for(self, param: Tensor) -> np.ndarray:
         """Reusable parameter-shaped temporary (contents are undefined)."""
@@ -81,7 +142,20 @@ class Optimizer:
             param.zero_grad()
 
     def step(self) -> None:
-        raise NotImplementedError
+        """Apply one update to every parameter that has a gradient."""
+        for param in self.params:
+            if param.grad is None:
+                continue
+            provider = self._sparse_indices.get(id(param))
+            bound = provider() if provider and param.data.flags.c_contiguous else None
+            layout, positions = bound if isinstance(bound, tuple) else (bound, slice(None))
+            if isinstance(positions, slice) and layout is not None and layout.size == param.size:
+                layout = None  # every weight updates: the dense step
+            self._relayout(param, layout)
+            if layout is None:
+                self._dense_step(param, param.grad)
+            else:
+                self._sparse_step(param, param.grad, layout[positions], positions)
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -91,16 +165,11 @@ class Optimizer:
 
         Per-parameter state is keyed by the *position* of the parameter in
         ``self.params`` (``id()`` keys do not survive a process restart).
-        Array entries (momentum, Adam moments) are copied; scalar entries
-        (Adam step counts) pass through.
+        Array entries (momentum, Adam moments) are weight-shaped copies
+        (:meth:`expanded_state`), whatever their layout in memory; scalar
+        entries (Adam step counts) pass through.
         """
-        entries = []
-        for param in self.params:
-            state = self.state.get(id(param), {})
-            entries.append({
-                key: value.copy() if isinstance(value, np.ndarray) else value
-                for key, value in state.items()
-            })
+        entries = [self.expanded_state(param) for param in self.params]
         return {"type": type(self).__name__, "lr": self.lr, "state": entries}
 
     def load_state_dict(self, state: dict) -> None:
@@ -113,8 +182,7 @@ class Optimizer:
         saved_type = state.get("type", type(self).__name__)
         if saved_type != type(self).__name__:
             raise ValueError(
-                f"checkpoint optimizer is {saved_type!r}, "
-                f"this optimizer is {type(self).__name__!r}"
+                f"checkpoint optimizer is {saved_type!r}, this optimizer is {type(self).__name__!r}"
             )
         entries = state["state"]
         if len(entries) != len(self.params):
@@ -124,6 +192,7 @@ class Optimizer:
             )
         self.lr = float(state["lr"])
         self.state.clear()
+        self._layouts.clear()
         for param, entry in zip(self.params, entries):
             if not entry:
                 continue
@@ -135,9 +204,7 @@ class Optimizer:
                             f"optimizer state {key!r} shape {value.shape} does "
                             f"not match parameter shape {param.data.shape}"
                         )
-                    restored[key] = np.array(
-                        value, dtype=value.dtype, copy=True
-                    )
+                    restored[key] = np.array(value, dtype=value.dtype, copy=True)
                 else:
                     restored[key] = value
             self.state[id(param)] = restored
@@ -167,27 +234,11 @@ class SGD(Optimizer):
         self.weight_decay = float(weight_decay)
         self.nesterov = bool(nesterov)
 
-    def step(self) -> None:
-        """Apply one update to every parameter that has a gradient."""
-        for param in self.params:
-            grad = param.grad
-            if grad is None:
-                continue
-            indices = self.active_indices_for(param)
-            if (
-                indices is not None
-                and indices.size < param.size
-                and param.data.flags.c_contiguous
-            ):
-                self._sparse_step(param, grad, indices)
-            else:
-                self._dense_step(param, grad)
-
     def _velocity_for(self, param: Tensor) -> np.ndarray:
         state = self.state_for(param)
         velocity = state.get("momentum")
         if velocity is None:
-            velocity = np.zeros_like(param.data)
+            velocity = self.zeros_state(param)
             state["momentum"] = velocity
         return velocity
 
@@ -219,23 +270,23 @@ class SGD(Optimizer):
             np.multiply(update, -self.lr, out=scratch)
         np.add(param.data, scratch, out=param.data)
 
-    def _sparse_step(self, param: Tensor, grad: np.ndarray, indices: np.ndarray) -> None:
+    def _sparse_step(self, param: Tensor, grad: np.ndarray, indices, positions) -> None:
         """Update only the active coordinates (cost ∝ non-zeros)."""
         flat_weight = param.data.reshape(-1)
         grad_active = grad.reshape(-1)[indices]
         if self.weight_decay:
             grad_active += self.weight_decay * flat_weight[indices]
         if self.momentum:
-            flat_velocity = self._velocity_for(param).reshape(-1)
-            velocity_active = flat_velocity[indices]
+            velocity = self._velocity_for(param)
+            velocity_active = velocity[positions]
             velocity_active *= self.momentum
             velocity_active += grad_active
-            flat_velocity[indices] = velocity_active
+            velocity[positions] = velocity_active
             if self.nesterov:
                 update = grad_active + self.momentum * velocity_active
             else:
                 update = velocity_active
         else:
             update = grad_active
-        update *= self.lr
-        flat_weight[indices] -= update
+        # Out of place: ``update`` may be a view of the velocity.
+        flat_weight[indices] -= update * self.lr

@@ -6,86 +6,103 @@ mask is added to it, so ``N[i]`` counts in how many mask-update rounds
 weight ``i`` was active.  The exploration bonus ``c·ln(t)/(N+ε)`` ranks
 never-active weights (N=0) above previously-active ones.
 
-The tracker also maintains the "ever active" sets that define the ITOP
-exploration rate ``R`` — the fraction of all sparsifiable weights activated
-at least once during training (§III.C).
+``N`` is stored per drop/grow unit, the ``B×B`` tile (shape ``(rows/B,
+cols/B)`` of the layer's 2-D view; one entry per weight at ``B = 1``).  The
+"ever active" sets of the ITOP exploration rate ``R`` — the fraction of all
+sparsifiable weights activated at least once (§III.C) — are ``N > 0``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.masked import MaskedModel
+from repro.sparse.masked import MaskedModel, SparseParam
 
 __all__ = ["CoverageTracker"]
 
 
+def _unit_mask(target: SparseParam) -> np.ndarray:
+    """The mask at one element per tile (a strided view of tile corners)."""
+    b = target.block_size
+    return target.mask.reshape(target.shape2d)[::b, ::b]
+
+
+def _expand(target: SparseParam, units: np.ndarray) -> np.ndarray:
+    """Per-tile ``units`` repeated over each tile, in the weight's shape."""
+    b = target.block_size
+    return units.repeat(b, axis=0).repeat(b, axis=1).reshape(target.mask.shape)
+
+
 class CoverageTracker:
-    """Occurrence counters + ever-active sets for a :class:`MaskedModel`."""
+    """Per-unit occurrence counters for a :class:`MaskedModel`."""
 
     def __init__(self, masked: MaskedModel):
         self.masked = masked
-        self.counters: dict[str, np.ndarray] = {}
-        self.ever_active: dict[str, np.ndarray] = {}
-        for target in masked.targets:
-            self.counters[target.name] = target.mask.astype(np.float32)
-            self.ever_active[target.name] = target.mask.copy()
+        self.counters: dict[str, np.ndarray] = {
+            t.name: _unit_mask(t).astype(np.float32) for t in masked.targets
+        }
         self.rounds = 0
         self._total_size = sum(t.size for t in masked.targets)
-        self._covered = masked.total_active
+        self.recount()
 
     def counter_for(self, name: str) -> np.ndarray:
-        """The ``N`` tensor of one layer."""
+        """The per-unit ``N`` of one layer."""
         return self.counters[name]
 
+    @property
+    def ever_active(self) -> dict[str, np.ndarray]:
+        """Per layer, the units active in at least one round (``N > 0``)."""
+        return {name: counter > 0 for name, counter in self.counters.items()}
+
+    def _covered_in(self, target: SparseParam) -> int:
+        """Weights of one layer active in at least one round."""
+        return int(np.count_nonzero(self.counters[target.name])) * target.block_size**2
+
     def recount(self) -> None:
-        """Refresh the cached ever-active total after replacing the buffers
-        directly (checkpoint restore does this)."""
-        self._covered = sum(
-            int(np.count_nonzero(self.ever_active[t.name]))
-            for t in self.masked.targets
-        )
+        """Refresh the cached ever-active weight total from the counters."""
+        self._covered = sum(self._covered_in(t) for t in self.masked.targets)
 
     def update(self) -> None:
         """Accumulate the current masks (call once per mask-update round).
 
-        Both accumulations run in place on the preallocated buffers; the
-        ever-active total is maintained incrementally so the exploration
-        rate is O(1) to read.
+        In place on the preallocated counters; the ever-active total is
+        recounted, so the exploration rate is O(1) to read.
         """
-        covered = 0
         for target in self.masked.targets:
-            np.add(self.counters[target.name], target.mask, out=self.counters[target.name])
-            ever = self.ever_active[target.name]
-            np.logical_or(ever, target.mask, out=ever)
-            covered += int(np.count_nonzero(ever))
-        self._covered = covered
+            counter = self.counters[target.name]
+            np.add(counter, _unit_mask(target), out=counter)
+        self.recount()
         self.rounds += 1
 
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Serializable snapshot of counters, ever-active sets and rounds."""
+        """Serializable snapshot of counters, ever-active sets and rounds,
+        expanded to the weight's shape as checkpoint files have always had."""
+        targets = self.masked.targets
         return {
-            "counters": {name: arr.copy() for name, arr in self.counters.items()},
-            "ever_active": {name: arr.copy() for name, arr in self.ever_active.items()},
+            "counters": {t.name: _expand(t, self.counters[t.name]) for t in targets},
+            "ever_active": {t.name: _expand(t, self.counters[t.name] > 0) for t in targets},
             "rounds": self.rounds,
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output in place (resume-exact)."""
+        """Restore :meth:`state_dict` output in place (resume-exact).
+
+        Saved ever-active sets are not read (they are ``N > 0``); counters
+        that vary inside a tile are rejected.
+        """
+        by_name = {t.name: t for t in self.masked.targets}
         for name, saved in state["counters"].items():
-            if name not in self.counters:
+            if name not in by_name:
                 raise KeyError(f"coverage counter for unknown layer {name!r}")
-            np.copyto(self.counters[name], saved.reshape(self.counters[name].shape))
-        for name, saved in state["ever_active"].items():
-            if name not in self.ever_active:
-                raise KeyError(f"ever-active set for unknown layer {name!r}")
-            np.copyto(
-                self.ever_active[name],
-                saved.reshape(self.ever_active[name].shape).astype(bool),
-            )
+            target = by_name[name]
+            b = target.block_size
+            units = saved.reshape(target.shape2d)[::b, ::b]
+            if not np.array_equal(_expand(target, units), saved.reshape(target.mask.shape)):
+                raise ValueError(f"coverage counters of {name!r} vary inside a tile")
+            np.copyto(self.counters[name], units)
         self.rounds = int(state["rounds"])
         self.recount()
 
@@ -98,7 +115,7 @@ class CoverageTracker:
 
     def layer_exploration_rates(self) -> dict[str, float]:
         """Per-layer ever-active fraction."""
-        return {t.name: float(self.ever_active[t.name].mean()) for t in self.masked.targets}
+        return {t.name: self._covered_in(t) / t.size for t in self.masked.targets}
 
     def never_active_fraction(self) -> float:
         """Fraction of weights never activated (complement of ``R``)."""

@@ -282,7 +282,7 @@ class DynamicSparseEngine(SparsityController):
                 max((t.size for t in masked.targets), default=0), dtype=np.float32
             )
         self._exclude_scratch = np.zeros(
-            max((t.size for t in masked.targets), default=0), dtype=bool
+            max((t.indexer.n_blocks for t in masked.targets), default=0), dtype=bool
         )
         self._needs_signs = getattr(self.drop_rule, "needs_sign_reference", False)
         self._sign_refs: dict[str, np.ndarray] = {}
@@ -611,7 +611,8 @@ class DynamicSparseEngine(SparsityController):
         """Newly grown weights start from zero with fresh optimizer state."""
         flat_weights = target.param.data.reshape(-1)
         flat_weights[grow_idx] = 0.0
-        self._reset_optimizer_state(target, grow_idx)
+        if self.optimizer is not None:
+            self.optimizer.reset_state(target.param, grow_idx)
         if self._needs_signs:
             # DeepR assigns a random sign to re-activated connections.
             signs = self._sign_refs[target.name].reshape(-1)
@@ -668,16 +669,6 @@ class DynamicSparseEngine(SparsityController):
             if revive.size:
                 revived += int(target.grow_blocks(revive).size)
         return revived
-
-    def _reset_optimizer_state(self, target: SparseParam, grow_idx: np.ndarray) -> None:
-        if self.optimizer is None:
-            return
-        state = self.optimizer.state.get(id(target.param))
-        if not state:
-            return
-        for value in state.values():
-            if isinstance(value, np.ndarray) and value.shape == target.param.shape:
-                value.reshape(-1)[grow_idx] = 0.0
 
     # ------------------------------------------------------------------
     # checkpointing

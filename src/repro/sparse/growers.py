@@ -132,13 +132,18 @@ class DSTEEGrowth:
         self.epsilon = float(epsilon)
 
     def scores(self, target: SparseParam, ctx: LayerContext) -> np.ndarray:
+        """Eq. 1 per weight from the per-tile ``ctx.counter``, its bonus computed
+        once per row of tiles and added into that row's ``B`` rows of ``|g|``."""
         if ctx.dense_grad is None:
             raise RuntimeError("DSTEEGrowth requires the dense gradient")
         if ctx.counter is None:
             raise RuntimeError("DSTEEGrowth requires the coverage counter")
-        return acquisition_score(
-            ctx.dense_grad, ctx.counter, max(ctx.step, 2), self.c, self.epsilon
-        )
+        b = target.block_size
+        rows, cols = target.shape2d
+        grad = ctx.dense_grad.reshape(rows // b, b, cols)
+        counter = ctx.counter.repeat(b, axis=1).reshape(rows // b, 1, cols)
+        score = acquisition_score(grad, counter, max(ctx.step, 2), self.c, self.epsilon)
+        return score.reshape(ctx.dense_grad.shape)
 
 
 class MomentumGrowth:

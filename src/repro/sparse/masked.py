@@ -256,19 +256,20 @@ class SparseParam:
 
 
 def _touched_rows_provider(target: SparseParam):
-    """Active indices restricted to rows whose current gradient is non-zero.
+    """Active indices, plus the positions among them of rows whose current
+    gradient is non-zero.
 
     Embedding gradients are sparse by construction (the per-id row sums
     of :func:`repro.autograd.ops.embedding` land in a zeroed table): a
     batch touches only the rows its ids index.  Dense-Adam semantics would still decay the
     moments of every *active* coordinate — including rows the batch never
     saw — and then move their weights from stale momentum.  Restricting
-    the bound index set to touched rows gives the lazy semantics of
+    the update to touched rows gives the lazy semantics of
     ``torch.optim.SparseAdam``: untouched rows receive neither moment
-    decay nor weight updates.  The restriction is a pure function of the
-    parameter's gradient at step time, so serial and worker-pool training
-    (where gradients arrive pre-reduced from the pool) stay bitwise
-    identical.
+    decay nor weight updates, and keep their moments.  The restriction is
+    a pure function of the parameter's gradient at step time, so serial
+    and worker-pool training (where gradients arrive pre-reduced from the
+    pool) stay bitwise identical.
     """
 
     def provider() -> np.ndarray:
@@ -280,7 +281,7 @@ def _touched_rows_provider(target: SparseParam):
         touched = np.any(grad.reshape(rows, cols) != 0.0, axis=1)
         if touched.all():
             return idx
-        return idx[touched[idx // cols]]
+        return idx, np.flatnonzero(touched[idx // cols])
 
     return provider
 

@@ -56,6 +56,9 @@ def acquisition_score(
 
     Computed with two buffers and in-place ufuncs — this runs over the full
     dense weight shape every mask-update round, so temporaries matter.
+    ``counter`` may broadcast against ``grad``: a ``(R, 1, C)`` counter
+    against the ``(R, B, C)`` view of a gradient computes the bonus once
+    per ``B`` rows.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1 for ln(t), got {step}")

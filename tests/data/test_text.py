@@ -1,5 +1,7 @@
 """Char-LM corpus: determinism, alphabet contract, and windowing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,29 @@ class TestCorpusDeterminism:
         assert generate_corpus(n_chars, seed=seed) == _corpus_oracle(n_chars, seed)
 
 
+# sha256 of the UTF-8 corpus, pinned from the word-by-word generator.
+CORPUS_SHA256 = {
+    (0, 65536): "9684ba62f5948ab595f4f14ba828d977faa4ab05fd836db2d46bf2771505dffa",
+    (0, 1000): "07e735cfbc02ba5ade0a8040d61b54e9bf97ddfb7d2404bfe373c3264f13a9c8",
+    (0, 7): "e0473485806d9c0cc35087f581efe3c98970d3942650ee09e18be796364884ac",
+    (1, 65536): "f1b2a2f6e2537cd2f7c5ac767a90c6e4fd4f6e2e7fe06baeea0c9ce08c50cd9f",
+    (1, 1000): "ea4da8ba90dbaf17ff33ab2bdee33309f8a636c229bf305b285fc9666121408e",
+    (1, 7): "55c17c9e8fc594d7b75f5919682c1a7a91a465b14c62d296b22018b0f776b9ca",
+    (2, 65536): "935571ceb84bff4847a49c7baeac645089eed03d107322a9f20494e0770431f0",
+    (2, 1000): "7df76efbf73ec84120a67f9ad0b673170b3fe42aed095df5ddde20c7fe1a5aba",
+    (2, 7): "7b0c1bdc3f7960940208a1501b5dcf81747d3a408b394a9f8100d732ab7487d1",
+    (3, 65536): "aa9958b9c6cafa600fe07557d3346403a12f5709cdbcf97955c6788e7af64ff6",
+    (3, 1000): "7f7ffa3cfe154bd2688f3e612d31bac597911217fc8bf2a5db5b7599c69edeb1",
+    (3, 7): "f9187a7ce37a94bf2c52fcbc017ee9298189b3bcad54a9f095b8ba7d304daa46",
+}
+
+
+@pytest.mark.parametrize("seed,n_chars", sorted(CORPUS_SHA256))
+def test_corpus_bytes_pinned(seed, n_chars):
+    corpus = generate_corpus(n_chars, seed=seed)
+    assert hashlib.sha256(corpus.encode()).hexdigest() == CORPUS_SHA256[seed, n_chars]
+
+
 class TestCharVocab:
     def test_exactly_32_symbols_with_nul_pad(self):
         vocab = CharVocab()
@@ -82,6 +107,18 @@ class TestCharVocab:
     def test_unknown_character_rejected(self):
         with pytest.raises(ValueError, match="not in the alphabet"):
             CharVocab().encode("Qx7")
+
+    @pytest.mark.parametrize("bad", ["Q", "\xe9", "\u2014", "\U0001f600"])
+    def test_unknown_character_named(self, bad):
+        with pytest.raises(ValueError, match=repr(bad)):
+            CharVocab().encode(f"ab {bad} c")
+
+    def test_encode_matches_alphabet_positions(self):
+        text = generate_corpus(2048, seed=5)
+        ids = CharVocab().encode(text)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [ALPHABET.index(ch) for ch in text]
+        assert CharVocab().encode("").shape == (0,)
 
     def test_decode_range_checked(self):
         with pytest.raises(ValueError, match="ids outside"):

@@ -83,7 +83,6 @@ FLAGS = {
         "--n-train": (1024, 'int', None, None),
         "--n-test": (512, 'int', None, None),
         "--image-size": (12, 'int', None, None),
-        "--nproc": (None, 'int', None, None),
         "--checkpoint-dir": (None, None, None, None),
         "--checkpoint-every-epochs": (1, 'int', None, None),
         "--checkpoint-every-steps": (None, 'int', None, None),

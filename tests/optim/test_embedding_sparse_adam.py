@@ -63,7 +63,7 @@ class TestTouchedRowSemantics:
         np.testing.assert_array_equal(
             model.emb.weight.data[untouched], table_before[untouched]
         )
-        state = optimizer.state_for(model.emb.weight)
+        state = optimizer.expanded_state(model.emb.weight)
         assert not state["m"].reshape(12, 8)[untouched].any()
         assert not state["v"].reshape(12, 8)[untouched].any()
 

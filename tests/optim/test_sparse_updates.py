@@ -54,7 +54,7 @@ def test_sgd_sparse_matches_dense_on_active(momentum, weight_decay, nesterov):
         assert np.all(sparse_p.data[~mask] == 0.0)
     if momentum:
         dense_v = dense_opt.state_for(dense_p)["momentum"]
-        sparse_v = sparse_opt.state_for(sparse_p)["momentum"]
+        sparse_v = sparse_opt.expanded_state(sparse_p)["momentum"]
         np.testing.assert_allclose(sparse_v[mask], dense_v[mask], atol=1e-6)
 
 
