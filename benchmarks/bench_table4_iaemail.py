@@ -10,7 +10,6 @@ is largest at 98%; DST-EE at 80% matches or exceeds dense (the paper's
 
 from __future__ import annotations
 
-
 from repro.data import ia_email_like
 from repro.experiments import gnn_settings
 
@@ -21,18 +20,14 @@ SETTINGS = gnn_settings()
 
 def test_table4_iaemail(benchmark, report):
     data = ia_email_like(n_nodes=SETTINGS.scale.gnn_nodes, seed=0)
-    table, cells = benchmark.pedantic(
-        lambda: _build_table(data), rounds=1, iterations=1
-    )
+    table, cells = benchmark.pedantic(lambda: _build_table(data), rounds=1, iterations=1)
     table = table.replace("Table III", "Table IV")
     report("table4_iaemail", table)
 
     for sparsity in SETTINGS.sparsities:
         assert cells["dst_ee"][sparsity] >= cells["admm"][sparsity] - 0.03, sparsity
     # The margin over prune-from-dense is largest at the extreme sparsity.
-    margins = {
-        s: cells["dst_ee"][s] - cells["admm"][s] for s in SETTINGS.sparsities
-    }
+    margins = {s: cells["dst_ee"][s] - cells["admm"][s] for s in SETTINGS.sparsities}
     assert margins[0.98] >= max(margins[0.8], margins[0.9]) - 0.05
     # No collapse at 98%.
     assert cells["dst_ee"][0.98] > 0.6

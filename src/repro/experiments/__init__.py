@@ -4,6 +4,7 @@ from repro.experiments.registry import (
     ALL_METHODS,
     DENSE_TO_SPARSE_METHODS,
     DYNAMIC_METHODS,
+    GNN_METHODS,
     LM_METHODS,
     RL_METHODS,
     STATIC_METHODS,
@@ -22,14 +23,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.rl import RLRunResult, run_rl
 from repro.experiments.lm import LMRunResult, evaluate_lm, run_lm
-from repro.experiments.gnn import (
-    GNNResult,
-    evaluate_link_prediction,
-    run_admm_prune_from_dense,
-    run_gnn_dense,
-    run_gnn_dst_ee,
-    train_link_predictor,
-)
+from repro.experiments.gnn import GNNResult, evaluate_link_prediction, run_gnn
 from repro.experiments.tables import format_float, format_mean_std, format_table
 from repro.experiments.configs import (
     TABLE1_METHODS,
@@ -50,6 +44,7 @@ __all__ = [
     "MethodSetup",
     "build_method",
     "method_family",
+    "GNN_METHODS",
     "LM_METHODS",
     "RL_METHODS",
     "LMRunResult",
@@ -66,10 +61,7 @@ __all__ = [
     "run_sweep",
     "GNNResult",
     "evaluate_link_prediction",
-    "train_link_predictor",
-    "run_gnn_dense",
-    "run_gnn_dst_ee",
-    "run_admm_prune_from_dense",
+    "run_gnn",
     "format_table",
     "format_float",
     "format_mean_std",

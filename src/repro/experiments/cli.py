@@ -15,11 +15,12 @@ Usage (after ``pip install -e .``)::
         --model mlp --epochs 2 --out model.npz
     python -m repro.experiments.cli serve --artifact model.npz --port 8100
 
-The training subcommands ``run``, ``export``, ``run-rl``, ``run-lm`` and
-``run-gan`` are the :data:`TRAINING` table.  An entry's run function
-declares its flags (default and type from the keyword signature, unless
-the entry overrides them), and one body runs every entry: ``--seeds``
-reports the paper's mean ± std over seeds, ``--out`` exports the run.
+The training subcommands ``run``, ``export``, ``run-rl``, ``run-lm``,
+``run-gan`` and ``gnn`` are the :data:`TRAINING` table.  An entry's run
+function declares its flags (default and type from the keyword signature,
+unless the entry overrides them), and one body runs every entry:
+``--seeds`` reports the paper's mean ± std over seeds, ``--out`` exports
+the run.
 
 ``--nproc`` (or the ``REPRO_NPROC`` environment variable) shards seeds and
 sweep cells across worker processes; ``--n-workers`` splits each mini-batch
@@ -49,10 +50,12 @@ from functools import partial
 
 from repro.data.text import CharVocab
 from repro.experiments.gan import run_gan
+from repro.experiments.gnn import GRAPHS, run_gnn
 from repro.experiments.lm import run_lm
 from repro.experiments.registry import (
     ALL_METHODS,
     GAN_METHODS,
+    GNN_METHODS,
     LM_METHODS,
     RL_METHODS,
     method_family,
@@ -85,7 +88,8 @@ def _add_training_flags(
     with that default (:data:`REQUIRED` makes the flag required);
     ``--method`` offers ``methods``.  ``spelling`` renames a flag by dest:
     the RL and GAN subcommands spell ``--ee-epsilon`` (their ``--epsilon-*``
-    flags are the ε-greedy schedule) and RL ``--checkpoint-every-episodes``.
+    flags are the ε-greedy schedule), RL ``--checkpoint-every-episodes`` and
+    GNN ``--nodes``.
     """
     spelling = spelling or {}
 
@@ -124,8 +128,8 @@ def _add_training_flags(
     add("--out", help="export the trained model as a serving artifact (.npz)")
 
 
-def _add_signature_flags(parser: argparse.ArgumentParser, run, names) -> None:
-    """Declare ``--<name>`` for each of ``run``'s keywords in ``names``.
+def _add_signature_flags(parser: argparse.ArgumentParser, run, names, spelling: dict) -> None:
+    """Declare ``--<name>`` (or its ``spelling``) for each of ``run``'s keywords in ``names``.
 
     The default and type are the signature's: ``int``, ``float`` and
     ``int | None`` give ``type``; ``Sequence[int]`` gives ``nargs="+"``
@@ -139,7 +143,8 @@ def _add_signature_flags(parser: argparse.ArgumentParser, run, names) -> None:
             (hint,) = typing.get_args(hint)
             default, spec["nargs"] = list(default), "+"
         kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-        parser.add_argument("--" + name.replace("_", "-"), type=kind, default=default, **spec)
+        flag = spelling.get(name, "--" + name.replace("_", "-"))
+        parser.add_argument(flag, dest=name, type=kind, default=default, **spec)
 
 
 def _add_image_flags(parser: argparse.ArgumentParser, model: str | None = None) -> None:
@@ -401,6 +406,20 @@ def _gan_summary(mean, std, results) -> None:
     print(f"mode coverage:        {mean:.3f} ± {std:.3f}")
 
 
+# GNN link prediction: `gnn`.
+def _gnn_report(result, path) -> None:
+    print(f"method:          {result.method}")
+    print(f"dataset:         {result.dataset}")
+    print(f"final accuracy:  {result.final_accuracy:.4f}")
+    if result.actual_sparsity is not None:
+        print(f"actual sparsity: {result.actual_sparsity:.4f}")
+    print(f"wall time:       {result.seconds:.1f}s")
+
+
+def _gnn_seed(r) -> str:
+    return f"final {r.final_accuracy:.4f} ({r.seconds:.1f}s)"
+
+
 @dataclass(frozen=True)
 class Training:
     """One training subcommand: its run function, flags and printers.
@@ -509,6 +528,17 @@ TRAINING = {
         seeds=("corpus", "corpus", _lm_seed, _lm_summary),
         export=_lm_export,
     ),
+    "gnn": Training(
+        run_gnn,
+        "GNN link-prediction experiment",
+        GNN_METHODS,
+        _choice_flag("--dataset", "wiki_talk", tuple(GRAPHS)),
+        lambda args: (args.method, args.dataset),
+        _gnn_report,
+        derived=("n_nodes",),
+        spelling={"n_nodes": "--nodes"},
+        seeds=("dataset", "dataset", _gnn_seed, _image_summary),
+    ),
 }
 
 
@@ -523,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         train = sub.add_parser(name, help=entry.help)
         entry.add_flags(train)
         _add_training_flags(train, entry.methods, spelling=entry.spelling, **entry.flag_defaults())
-        _add_signature_flags(train, entry.run, entry.derived)
+        _add_signature_flags(train, entry.run, entry.derived, entry.spelling)
 
     # A sweep cell is a `run` with that subcommand's defaults, at 2 epochs.
     sweep = sub.add_parser("sweep", help="grid of (method x model x sparsity x seed) cells")
@@ -570,13 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         help="per-request deadline (a body's deadline_ms overrides it); expiry answers 504",
     )
-
-    gnn = sub.add_parser("gnn", help="GNN link-prediction experiment")
-    gnn.add_argument("--dataset", default="wiki_talk", choices=["wiki_talk", "ia_email"])
-    _add_training_flags(
-        gnn, ["dense", "dst_ee", "admm"], method="dst_ee", sparsity=0.9, epochs=12, seed=0
-    )
-    gnn.add_argument("--nodes", type=int, default=400)
 
     sub.add_parser("methods", help="list available methods by family")
     return parser
@@ -731,40 +754,6 @@ def _command_serve(args) -> int:
     return 0
 
 
-def _command_gnn(args) -> int:
-    from repro.data import ia_email_like, wiki_talk_like
-    from repro.experiments.gnn import (
-        run_admm_prune_from_dense,
-        run_gnn_dense,
-        run_gnn_dst_ee,
-    )
-
-    maker = wiki_talk_like if args.dataset == "wiki_talk" else ia_email_like
-    data = maker(n_nodes=args.nodes, seed=args.seed)
-    if args.method == "dense":
-        result = run_gnn_dense(data, epochs=args.epochs, seed=args.seed)
-    elif args.method == "dst_ee":
-        result = run_gnn_dst_ee(data, args.sparsity, epochs=args.epochs, seed=args.seed)
-    else:
-        third = max(1, args.epochs // 3)
-        result = run_admm_prune_from_dense(
-            data,
-            args.sparsity,
-            pretrain_epochs=third,
-            admm_epochs=third,
-            retrain_epochs=third,
-            seed=args.seed,
-        )
-    print(f"method:          {result.method}")
-    print(f"dataset:         {result.dataset}")
-    print(f"best accuracy:   {result.best_accuracy:.4f}")
-    print(f"final accuracy:  {result.final_accuracy:.4f}")
-    if result.actual_sparsity is not None:
-        print(f"actual sparsity: {result.actual_sparsity:.4f}")
-    print(f"wall time:       {result.seconds:.1f}s")
-    return 0
-
-
 def _command_methods() -> int:
     for name in ALL_METHODS:
         print(f"{name:16s} {method_family(name)}")
@@ -779,8 +768,6 @@ def main(argv: list[str] | None = None) -> int:
         return _command_sweep(args)
     if args.command == "serve":
         return _command_serve(args)
-    if args.command == "gnn":
-        return _command_gnn(args)
     return _command_methods()
 
 

@@ -254,17 +254,17 @@ class GNNSettings:
     scale: Scale
     sparsities: tuple[float, ...] = (0.8, 0.9, 0.98)
     dst_ee_epochs: int = 12
-    admm_phase_epochs: tuple[int, int, int] = (5, 5, 5)
+    admm_epochs: int = 15  # three equal phases
     dense_epochs: int = 12
 
     def scaled(self) -> "GNNSettings":
         if self.scale.name == "full":
             self.dst_ee_epochs = 50
-            self.admm_phase_epochs = (20, 20, 20)
+            self.admm_epochs = 60
             self.dense_epochs = 50
         elif self.scale.name == "medium":
             self.dst_ee_epochs = 25
-            self.admm_phase_epochs = (10, 10, 10)
+            self.admm_epochs = 30
             self.dense_epochs = 25
         return self
 

@@ -1,264 +1,204 @@
-"""GNN link-prediction experiments (Tables III and IV).
+"""GNN link-prediction experiment cells (Tables III and IV).
 
-Three pipelines, matching the paper's §V.B protocol:
+:func:`run_gnn` trains one (method, graph, sparsity, seed) cell of the
+paper's §V.B protocol with the shared :class:`~repro.train.Trainer`: a GCN
+encoder with an MLP link predictor on a synthetic stand-in for wiki-talk or
+ia-email.  ``dense`` and the drop-and-grow methods come from
+:func:`~repro.experiments.registry.build_method`, applied to the
+predictor's two fully-connected layers with *uniform* sparsity.  ``admm``
+is the prune-from-dense baseline in three phases of ``epochs // 3``: dense
+pretraining, ADMM training toward the sparse set, then a hard top-k prune
+and fixed-mask retraining with a fresh Adam (the paper: 20 + 20 + 20
+epochs against DST-EE's 50).  A run is scored once, after training, on
+the held-out edges.
 
-* :func:`run_gnn_dense` — dense training, best test accuracy over epochs;
-* :func:`run_gnn_dst_ee` — DST-EE applied to the predictor's two FC layers
-  with *uniform* sparsity, 50 epochs;
-* :func:`run_admm_prune_from_dense` — the prune-from-dense baseline:
-  20 pretrain + 20 ADMM (augmented-Lagrangian) + 20 retrain epochs with a
-  hard top-k prune in between, per the paper's 60-epoch recipe.
+``checkpoint_dir``/``resume_from`` continue a killed run bitwise, except
+for the three-phase ``admm`` baseline, which is not resumable.  A GNN
+sweep cell is a :class:`~repro.experiments.registry.SweepCell` with
+``model="gnn"`` and the graph name in the ``dataset`` slot.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, no_grad
-from repro.data.graphs import LinkPredictionData
+from repro.autograd.tensor import no_grad
+from repro.data.dataset import ArrayDataset
+from repro.data.graphs import LinkPredictionData, ia_email_like, wiki_talk_like
+from repro.data.loader import DataLoader
+from repro.experiments.registry import GNN_METHODS, build_method
+from repro.experiments.runner import _resolve_resume_path
 from repro.metrics.accuracy import binary_accuracy
-from repro.models.gnn import GNNLinkModel
+from repro.models.gnn import BoundLinkModel
 from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.optim import Adam
-from repro.sparse import (
-    ADMMPruner,
-    DSTEEGrowth,
-    DynamicSparseEngine,
-    FixedMaskController,
-    MaskedModel,
-    TrainingSchedule,
-)
-from repro.train.loop import sparse_update
+from repro.sparse import ADMMPruner, FixedMaskController, MaskedModel
+from repro.train import Trainer
+from repro.train.callbacks import Callback
+from repro.train.checkpoint import CheckpointCallback, load_training_checkpoint
+from repro.train.loop import mask_stats
 
-__all__ = [
-    "GNNResult",
-    "evaluate_link_prediction",
-    "train_link_predictor",
-    "run_gnn_dense",
-    "run_gnn_dst_ee",
-    "run_admm_prune_from_dense",
-]
+__all__ = ["GRAPHS", "GNNResult", "edge_dataset", "evaluate_link_prediction", "run_gnn"]
+
+GRAPHS = {"wiki_talk": wiki_talk_like, "ia_email": ia_email_like}
+# The ADMM baseline's augmented-Lagrangian penalty coefficient.
+ADMM_RHO = 5e-3
 
 
 @dataclass
 class GNNResult:
-    """Outcome of one GNN pipeline."""
+    """Outcome of one GNN link-prediction run."""
 
     method: str
     dataset: str
-    sparsity: float | None
-    best_accuracy: float
-    final_accuracy: float
+    sparsity: float
     epochs: int
+    final_accuracy: float
     seconds: float
     actual_sparsity: float | None = None
+    exploration_rate: float | None = None
+    # Populated only with ``keep_model=True``: the trained model and its
+    # MaskedModel wrapper (None for dense).
+    model: object = field(repr=False, default=None, compare=False)
+    masked: object = field(repr=False, default=None, compare=False)
 
 
-def evaluate_link_prediction(model: GNNLinkModel, data: LinkPredictionData) -> float:
-    """Binary accuracy over held-out positive and negative edges."""
+def edge_dataset(positive: np.ndarray, negative: np.ndarray) -> ArrayDataset:
+    """``(k, 2)`` edges labelled 1.0 (``positive``, first) or 0.0 (``negative``)."""
+    labels = np.concatenate([np.ones(len(positive)), np.zeros(len(negative))])
+    return ArrayDataset(np.vstack([positive, negative]), labels.astype(np.float32))
+
+
+def evaluate_link_prediction(model: BoundLinkModel, data: LinkPredictionData) -> float:
+    """Binary accuracy over the held-out positive and negative edges."""
+    test = edge_dataset(data.test_pos, data.test_neg)
     was_training = model.training
     model.eval()
     with no_grad():
-        edges = np.vstack([data.test_pos, data.test_neg])
-        labels = np.concatenate(
-            [np.ones(len(data.test_pos)), np.zeros(len(data.test_neg))]
-        ).astype(np.float32)
-        logits = model(data.adjacency, Tensor(data.features), edges)
+        logits = model(test.inputs)
     model.train(was_training)
-    return binary_accuracy(logits, labels)
+    return binary_accuracy(logits, test.targets)
 
 
-def _edge_batches(data: LinkPredictionData, rng: np.random.Generator, batch_size: int):
-    """Shuffled mini-batches of (edges, labels) over train pos+neg edges."""
-    edges = np.vstack([data.train_pos, data.train_neg])
-    labels = np.concatenate(
-        [np.ones(len(data.train_pos)), np.zeros(len(data.train_neg))]
-    ).astype(np.float32)
-    order = rng.permutation(len(edges))
-    for start in range(0, len(edges), batch_size):
-        idx = order[start : start + batch_size]
-        yield edges[idx], labels[idx]
-
-
-def train_link_predictor(
-    model: GNNLinkModel,
-    data: LinkPredictionData,
-    epochs: int,
+def run_gnn(
+    method: str,
+    dataset: str = "wiki_talk",
     *,
-    lr: float = 5e-3,
+    data: LinkPredictionData | None = None,
+    n_nodes: int = 400,
+    sparsity: float = 0.9,
+    epochs: int = 12,
     batch_size: int = 512,
-    controller=None,
-    optimizer=None,
-    admm: ADMMPruner | None = None,
-    admm_dual_every: int = 2,
-    seed: int = 0,
-) -> tuple[float, float, object]:
-    """Generic GNN training loop; returns (best_acc, final_acc, optimizer)."""
-    rng = np.random.default_rng(seed)
-    features = Tensor(data.features)
-    if optimizer is None:
-        optimizer = Adam(model.parameters(), lr=lr)
-    best = 0.0
-    final = 0.0
-    step = 0
-    for epoch in range(epochs):
-        model.train()
-        for edges, labels in _edge_batches(data, rng, batch_size):
-            step += 1
-            model.zero_grad()
-            logits = model(data.adjacency, features, edges)
-            loss = binary_cross_entropy_with_logits(logits, labels)
-            loss.backward()
-            if admm is not None:
-                admm.add_penalty_gradients()
-            sparse_update(controller, optimizer, step)
-        if admm is not None and (epoch + 1) % admm_dual_every == 0:
-            admm.dual_update()
-        final = evaluate_link_prediction(model, data)
-        best = max(best, final)
-    return best, final, optimizer
-
-
-def run_gnn_dense(
-    data: LinkPredictionData,
-    epochs: int = 50,
-    seed: int = 0,
     lr: float = 5e-3,
-) -> GNNResult:
-    """Dense reference row of Tables III/IV."""
-    start = time.time()
-    model = GNNLinkModel(data.n_features, seed=seed)
-    best, final, _ = train_link_predictor(model, data, epochs, lr=lr, seed=seed)
-    return GNNResult(
-        method="dense",
-        dataset=data.name,
-        sparsity=None,
-        best_accuracy=best,
-        final_accuracy=final,
-        epochs=epochs,
-        seconds=time.time() - start,
-    )
-
-
-def run_gnn_dst_ee(
-    data: LinkPredictionData,
-    sparsity: float,
-    epochs: int = 50,
-    *,
-    c: float = 1e-3,
-    epsilon: float = 1.0,
     delta_t: int = 5,
     drop_fraction: float = 0.3,
-    lr: float = 5e-3,
+    c: float = 1e-3,
+    epsilon: float = 1.0,
     seed: int = 0,
+    callbacks: Sequence[Callback] = (),
+    checkpoint_dir=None,
+    checkpoint_every_epochs: int | None = 1,
+    checkpoint_every_steps: int | None = None,
+    checkpoint_keep_last: int | None = None,
+    resume_from=None,
+    keep_model: bool = False,
 ) -> GNNResult:
-    """DST-EE on the predictor's two FC layers with uniform sparsity."""
+    """Train one GNN link-prediction configuration and return its summary row.
+
+    ``seed`` drives the graph (unless ``data`` is given), model init, data
+    order, initial masks and engine tie-breaking; ``admm`` shuffles its
+    second and third phases with ``seed + 1`` and ``seed + 2``.
+    """
+    if method not in GNN_METHODS:
+        raise ValueError(f"method {method!r} is not GNN-capable; known: {GNN_METHODS}")
+    if dataset not in GRAPHS:
+        raise ValueError(f"unknown graph {dataset!r}; registered: {tuple(GRAPHS)}")
+    if method == "admm" and (checkpoint_dir is not None or resume_from is not None):
+        raise ValueError("the three-phase admm baseline is not resumable; drop checkpoint_dir")
+
     start = time.time()
-    model = GNNLinkModel(data.n_features, seed=seed)
-    rng = np.random.default_rng(seed)
-    masked = MaskedModel(
-        model,
-        sparsity,
-        distribution="uniform",
-        rng=rng,
-        include_modules=model.sparse_target_modules(),
-    )
+    if data is None:
+        data = GRAPHS[dataset](n_nodes=n_nodes, seed=seed)
+    model = BoundLinkModel(data.adjacency, data.features, seed=seed)
+    targets = model.sparse_target_modules()
+    train = edge_dataset(data.train_pos, data.train_neg)
+
+    def make_trainer(optimizer, controller, data_seed, extra=()):
+        loader = DataLoader(
+            train, batch_size=batch_size, shuffle=True, rng=np.random.default_rng(data_seed)
+        )
+        return Trainer(
+            model,
+            optimizer,
+            binary_cross_entropy_with_logits,
+            loader,
+            controller=controller,
+            callbacks=[*callbacks, *extra],
+        )
+
     optimizer = Adam(model.parameters(), lr=lr)
-    n_batches = int(np.ceil((len(data.train_pos) + len(data.train_neg)) / 512))
-    total_steps = epochs * max(n_batches, 1)
-    engine = DynamicSparseEngine(
-        masked,
-        DSTEEGrowth(c=c, epsilon=epsilon),
-        schedule=TrainingSchedule(
-            total_steps=total_steps,
+    if method == "admm":
+        phase = max(1, epochs // 3)
+        make_trainer(optimizer, None, seed).fit(phase)
+        pruner = ADMMPruner(model, sparsity, rho=ADMM_RHO, include_modules=targets)
+        make_trainer(optimizer, pruner, seed + 1).fit(phase)
+        masked = MaskedModel(
+            model,
+            sparsity,
+            distribution="uniform",
+            include_modules=targets,
+            masks=pruner.hard_prune_masks(),
+        )
+        controller = FixedMaskController(masked)
+        make_trainer(Adam(model.parameters(), lr=lr), controller, seed + 2).fit(phase)
+        epochs = 3 * phase
+    else:
+        n_batches = -(-len(train) // batch_size)
+        setup = build_method(
+            method,
+            model,
+            optimizer,
+            sparsity,
+            epochs * n_batches,
+            distribution="uniform",
             delta_t=delta_t,
             drop_fraction=drop_fraction,
-        ),
-        optimizer=optimizer,
-        rng=rng,
-    )
-    best, final, _ = train_link_predictor(
-        model,
-        data,
-        epochs,
-        controller=engine,
-        optimizer=optimizer,
-        seed=seed,
-    )
+            c=c,
+            epsilon=epsilon,
+            include_modules=targets,
+            rng=np.random.default_rng(seed),
+        )
+        masked, controller = setup.masked, setup.controller
+        extra = []
+        if checkpoint_dir is not None:
+            extra.append(
+                CheckpointCallback(
+                    checkpoint_dir,
+                    every_n_epochs=checkpoint_every_epochs,
+                    every_n_steps=checkpoint_every_steps,
+                    keep_last=checkpoint_keep_last,
+                )
+            )
+        trainer = make_trainer(optimizer, controller, seed, extra)
+        resume_path = _resolve_resume_path(resume_from)
+        if resume_path is not None:
+            trainer.load_state_dict(load_training_checkpoint(resume_path))
+        epochs = len(trainer.fit(epochs).epochs)
+
+    actual_sparsity, exploration_rate = mask_stats(controller)
     return GNNResult(
-        method="dst_ee",
+        method=method,
         dataset=data.name,
         sparsity=sparsity,
-        best_accuracy=best,
-        final_accuracy=final,
         epochs=epochs,
+        final_accuracy=evaluate_link_prediction(model, data),
         seconds=time.time() - start,
-        actual_sparsity=masked.global_sparsity(),
-    )
-
-
-def run_admm_prune_from_dense(
-    data: LinkPredictionData,
-    sparsity: float,
-    *,
-    pretrain_epochs: int = 20,
-    admm_epochs: int = 20,
-    retrain_epochs: int = 20,
-    rho: float = 5e-3,
-    lr: float = 5e-3,
-    seed: int = 0,
-) -> GNNResult:
-    """Three-phase ADMM prune-from-dense (the paper's 60-epoch baseline)."""
-    start = time.time()
-    model = GNNLinkModel(data.n_features, seed=seed)
-    targets = model.sparse_target_modules()
-
-    # Phase 1: dense pretraining.
-    _, _, optimizer = train_link_predictor(
-        model, data, pretrain_epochs, lr=lr, seed=seed
-    )
-
-    # Phase 2: ADMM (reweighted) training toward the sparse constraint set.
-    pruner = ADMMPruner(model, sparsity, rho=rho, include_modules=targets)
-    train_link_predictor(
-        model,
-        data,
-        admm_epochs,
-        lr=lr,
-        optimizer=optimizer,
-        admm=pruner,
-        seed=seed + 1,
-    )
-
-    # Phase 3: hard prune + fixed-mask retraining.
-    masks = pruner.hard_prune_masks()
-    masked = MaskedModel(
-        model,
-        sparsity,
-        distribution="uniform",
-        include_modules=targets,
-        masks=masks,
-    )
-    controller = FixedMaskController(masked)
-    best, final, _ = train_link_predictor(
-        model,
-        data,
-        retrain_epochs,
-        lr=lr,
-        controller=controller,
-        seed=seed + 2,
-    )
-    total_epochs = pretrain_epochs + admm_epochs + retrain_epochs
-    return GNNResult(
-        method="prune_from_dense_admm",
-        dataset=data.name,
-        sparsity=sparsity,
-        best_accuracy=best,
-        final_accuracy=final,
-        epochs=total_epochs,
-        seconds=time.time() - start,
-        actual_sparsity=masked.global_sparsity(),
+        actual_sparsity=actual_sparsity,
+        exploration_rate=exploration_rate,
+        model=model if keep_model else None,
+        masked=masked if keep_model else None,
     )

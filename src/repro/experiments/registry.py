@@ -56,6 +56,7 @@ __all__ = [
     "RL_METHODS",
     "GAN_METHODS",
     "LM_METHODS",
+    "GNN_METHODS",
     "method_family",
 ]
 
@@ -90,6 +91,12 @@ GAN_METHODS = ("dense",) + DYNAMIC_METHODS
 # budget-driven drop-and-grow controller, applied across all transformer
 # weight matrices (attention/MLP Linears and both embedding tables).
 LM_METHODS = ("dense",) + DYNAMIC_METHODS
+
+# Methods the GNN link-prediction workload supports: the drop-and-grow
+# controllers on the predictor's two FC layers, plus the paper's
+# three-phase ADMM prune-from-dense baseline (Tables III/IV), which
+# run_gnn builds itself.
+GNN_METHODS = ("dense",) + DYNAMIC_METHODS + ("admm",)
 
 
 def method_family(name: str) -> str:
@@ -126,7 +133,7 @@ class SweepCell:
     non-image workloads fill the slots by convention: RL cells are
     ``model="dqn"`` with the environment as ``dataset``, GAN cells
     ``model="gan"`` with the mixture, LM cells ``model="char_gpt"`` with the
-    corpus.
+    corpus, GNN cells ``model="gnn"`` with the graph.
     """
 
     method: str

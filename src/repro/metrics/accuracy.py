@@ -14,8 +14,15 @@ def _logits_array(logits) -> np.ndarray:
 
 
 def accuracy(logits, targets) -> float:
-    """Top-1 accuracy of ``(N, C)`` logits against integer targets."""
-    predictions = _logits_array(logits).argmax(axis=1)
+    """Top-1 accuracy of ``(N, C)`` logits against integer targets.
+
+    ``(N,)`` logits are one binary score each, scored by
+    :func:`binary_accuracy` at threshold 0.
+    """
+    scores = _logits_array(logits)
+    if scores.ndim == 1:
+        return binary_accuracy(scores, targets)
+    predictions = scores.argmax(axis=1)
     targets = np.asarray(targets).reshape(-1)
     return float((predictions == targets).mean())
 

@@ -8,6 +8,9 @@ sparsity ratios" of a link-prediction GNN.  We therefore build:
 * :class:`LinkPredictor` — the *two fully-connected layers* scoring an edge
   from the element-wise product of its endpoint embeddings.  These are the
   layers the sparsifier targets.
+
+:class:`BoundLinkModel` fixes the graph, so a batch of edges is the whole
+input, as the shared :class:`~repro.train.Trainer` expects.
 """
 
 from __future__ import annotations
@@ -20,14 +23,13 @@ from repro.autograd import ops
 from repro.autograd.sparse_ops import spmm
 from repro.autograd.tensor import Tensor
 
-__all__ = ["GCNEncoder", "LinkPredictor", "GNNLinkModel"]
+__all__ = ["GCNEncoder", "LinkPredictor", "GNNLinkModel", "BoundLinkModel"]
 
 
 class GCNEncoder(nn.Module):
     """Two-layer graph convolutional encoder."""
 
-    def __init__(self, in_features: int, hidden: int, out_features: int,
-                 rng: np.random.Generator):
+    def __init__(self, in_features: int, hidden: int, out_features: int, rng: np.random.Generator):
         super().__init__()
         self.lin1 = nn.Linear(in_features, hidden, bias=False, rng=rng)
         self.lin2 = nn.Linear(hidden, out_features, bias=False, rng=rng)
@@ -83,3 +85,20 @@ class GNNLinkModel(nn.Module):
     def sparse_target_modules(self) -> list[nn.Module]:
         """The two fully-connected layers DST-EE sparsifies (paper §V.B)."""
         return [self.predictor.fc1, self.predictor.fc2]
+
+
+class BoundLinkModel(GNNLinkModel):
+    """A :class:`GNNLinkModel` bound to one graph: ``model(edges)`` scores its edges.
+
+    Holds the adjacency and node features, so the trainer's ``model(inputs)``
+    call takes an edge batch alone.  Parameter names are the unbound model's.
+    """
+
+    def __init__(self, adjacency: sp.spmatrix, features: np.ndarray, **kwargs):
+        super().__init__(features.shape[1], **kwargs)
+        self.adjacency = adjacency
+        self.features = Tensor(features)
+
+    def forward(self, edges) -> Tensor:
+        edges = edges.data if isinstance(edges, Tensor) else edges
+        return super().forward(self.adjacency, self.features, edges)

@@ -3,8 +3,8 @@
 The paper compares DST-EE against "the best sparse model pruned from the
 dense model using ADMM", trained 60 epochs: 20 pretrain + 20 reweighted
 ADMM + 20 retrain after hard pruning.  This module provides the ADMM state
-machine; the three-phase pipeline lives in
-:func:`repro.experiments.gnn.run_admm_prune_from_dense`.
+machine as a trainer controller; the three-phase pipeline is
+``run_gnn("admm")`` in :mod:`repro.experiments.gnn`.
 
 ADMM splits the constrained problem  ``min L(W)  s.t.  ‖W_l‖₀ ≤ k_l``
 into a differentiable part and a projection:
@@ -41,6 +41,10 @@ def project_topk(weights: np.ndarray, density: float) -> np.ndarray:
 class ADMMPruner:
     """ADMM state (Z, U) for pruning selected layers to a uniform sparsity.
 
+    It has the trainer's controller hooks: the penalty gradient after every
+    backward, :meth:`dual_update` every ``DUAL_EVERY`` epochs.  It has no
+    ``state_dict``, so a trainer driving it cannot write checkpoints.
+
     Parameters
     ----------
     model:
@@ -52,6 +56,8 @@ class ADMMPruner:
     include_modules:
         Restrict to specific layers (e.g. the GNN's two FC layers).
     """
+
+    DUAL_EVERY = 2
 
     def __init__(
         self,
@@ -81,6 +87,20 @@ class ADMMPruner:
                 param.grad = penalty.astype(param.dtype)
             else:
                 param.grad = param.grad + penalty.astype(param.dtype)
+
+    def before_backward(self, step: int) -> None:
+        """Nothing: the backward needs no setup."""
+
+    def on_backward(self, step: int) -> bool:
+        self.add_penalty_gradients()
+        return False
+
+    def after_step(self, step: int) -> None:
+        """Nothing: ADMM constrains the weights only through the penalty."""
+
+    def on_epoch_end(self, epoch: int) -> None:
+        if (epoch + 1) % self.DUAL_EVERY == 0:
+            self.dual_update()
 
     def penalty_value(self) -> float:
         """Current augmented-Lagrangian penalty ``ρ/2 Σ‖W − Z + U‖²``."""

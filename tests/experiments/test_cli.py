@@ -68,7 +68,7 @@ class TestCommands:
         ])
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert "best accuracy" in out
+        assert "final accuracy" in out
 
 
 class TestCheckpointFlags:

@@ -28,6 +28,7 @@ GAN = (
     "--mixture ring4 --total-steps 60 --hidden 16 16 --latent-dim 4 "
     "--batch-size 16 --delta-t 20 --n-eval-samples 200"
 )
+GNN = "--nodes 80 --epochs 3"
 SEEDS = "--seeds 0 1 --nproc 1"
 
 ARTIFACT = ("artifact:             ", "serve with:           ")
@@ -112,6 +113,20 @@ CASES = {
     "run-gan --seeds": (
         f"run-gan {GAN} {SEEDS}",
         seeds_labels("mixture:              ", "mode coverage:        "),
+    ),
+    "gnn": (
+        f"gnn {GNN}",
+        (
+            "method:          ",
+            "dataset:         ",
+            "final accuracy:  ",
+            "actual sparsity: ",
+            "wall time:       ",
+        ),
+    ),
+    "gnn --seeds": (
+        f"gnn {GNN} {SEEDS}",
+        seeds_labels("dataset:              ", "accuracy:             "),
     ),
     "export": (
         f"export {IMAGE}",

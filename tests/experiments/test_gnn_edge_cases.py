@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.data import wiki_talk_like
+from repro.data import DataLoader, wiki_talk_like
 from repro.data.graphs import degree_corrected_partition_graph
-from repro.experiments.gnn import (
-    _edge_batches,
-    evaluate_link_prediction,
-    run_gnn_dst_ee,
-    train_link_predictor,
-)
-from repro.models import GNNLinkModel
+from repro.experiments.gnn import edge_dataset, evaluate_link_prediction, run_gnn
+from repro.models.gnn import BoundLinkModel
 
 
 @pytest.fixture(scope="module")
@@ -19,59 +14,53 @@ def graph():
     return wiki_talk_like(n_nodes=100, seed=3)
 
 
+def edge_batches(graph, batch_size):
+    """The training edge loader ``run_gnn`` builds, at another batch size."""
+    train = edge_dataset(graph.train_pos, graph.train_neg)
+    return DataLoader(train, batch_size, shuffle=True, rng=np.random.default_rng(0))
+
+
 class TestEdgeBatches:
     def test_covers_all_training_edges(self, graph):
-        rng = np.random.default_rng(0)
         seen = 0
-        for edges, labels in _edge_batches(graph, rng, batch_size=64):
+        for edges, labels in edge_batches(graph, batch_size=64):
             assert edges.shape[1] == 2
             assert len(edges) == len(labels)
             seen += len(edges)
         assert seen == len(graph.train_pos) + len(graph.train_neg)
 
     def test_labels_match_membership(self, graph):
-        rng = np.random.default_rng(0)
         positives = {tuple(e) for e in graph.train_pos}
-        for edges, labels in _edge_batches(graph, rng, batch_size=32):
-            for edge, label in zip(edges, labels):
+        for edges, labels in edge_batches(graph, batch_size=32):
+            for edge, label in zip(edges.data, labels):
                 assert (tuple(edge) in positives) == bool(label)
 
     def test_shuffled_between_epochs(self, graph):
-        rng = np.random.default_rng(0)
-        first = next(_edge_batches(graph, rng, batch_size=32))[0].copy()
-        second = next(_edge_batches(graph, rng, batch_size=32))[0]
+        loader = edge_batches(graph, batch_size=32)
+        first = next(iter(loader))[0].data.copy()
+        second = next(iter(loader))[0].data
         assert not np.array_equal(first, second)
 
 
 class TestEvaluation:
     def test_eval_does_not_switch_mode_permanently(self, graph):
-        model = GNNLinkModel(graph.n_features, seed=0)
+        model = BoundLinkModel(graph.adjacency, graph.features, seed=0)
         model.train()
         evaluate_link_prediction(model, graph)
         assert model.training
 
     def test_untrained_model_near_chance(self, graph):
-        model = GNNLinkModel(graph.n_features, seed=0)
+        model = BoundLinkModel(graph.adjacency, graph.features, seed=0)
         accuracy = evaluate_link_prediction(model, graph)
         assert 0.2 <= accuracy <= 0.8  # untrained: no strong signal either way
 
 
 class TestDSTEEProtocol:
     def test_uniform_distribution_on_predictor(self, graph):
-        result = run_gnn_dst_ee(graph, sparsity=0.9, epochs=2, seed=0)
+        result = run_gnn("dst_ee", data=graph, sparsity=0.9, epochs=2, seed=0)
         # Uniform sparsity: the actual sparsity is exactly the target on the
         # two FC layers combined.
         assert result.actual_sparsity == pytest.approx(0.9, abs=0.02)
-
-    def test_custom_optimizer_passthrough(self, graph):
-        from repro.optim import Adam
-
-        model = GNNLinkModel(graph.n_features, seed=0)
-        optimizer = Adam(model.parameters(), lr=1e-2)
-        best, final, returned = train_link_predictor(
-            model, graph, epochs=2, optimizer=optimizer, seed=0
-        )
-        assert returned is optimizer
 
 
 class TestGraphGenerator:

@@ -8,7 +8,7 @@ leave every one of these numbers exactly as it is.
 import pytest
 
 from repro.data import ia_email_like, wiki_talk_like
-from repro.experiments.gnn import run_admm_prune_from_dense, run_gnn_dense, run_gnn_dst_ee
+from repro.experiments.gnn import run_gnn
 
 EPOCHS = 6
 # ADMM trains 3 + 3 + 3 epochs, so a dual update lands inside its ADMM phase.
@@ -29,14 +29,8 @@ GRAPHS = {"wiki_talk": wiki_talk_like, "ia_email": ia_email_like}
 
 def final_accuracy(method, data):
     """One run at the pinned settings (ADMM: equal thirds of ``ADMM_EPOCHS``)."""
-    if method == "dense":
-        return run_gnn_dense(data, epochs=EPOCHS, seed=0).final_accuracy
-    if method == "dst_ee":
-        return run_gnn_dst_ee(data, SPARSITY, epochs=EPOCHS, seed=0).final_accuracy
-    third = ADMM_EPOCHS // 3
-    return run_admm_prune_from_dense(
-        data, SPARSITY, pretrain_epochs=third, admm_epochs=third, retrain_epochs=third, seed=0
-    ).final_accuracy
+    epochs = ADMM_EPOCHS if method == "admm" else EPOCHS
+    return run_gnn(method, data=data, sparsity=SPARSITY, epochs=epochs, seed=0).final_accuracy
 
 
 @pytest.mark.parametrize("graph, method", sorted(PINNED))

@@ -24,6 +24,11 @@ class TestAccuracy:
         logits = np.array([[1.0, 0.0], [1.0, 0.0]])
         assert accuracy(logits, np.array([0, 1])) == 0.5
 
+    def test_one_dimensional_logits_are_binary_at_zero(self):
+        logits = np.array([2.0, -1.0, 0.5, -0.2], dtype=np.float32)
+        labels = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.float32)
+        assert accuracy(logits, labels) == binary_accuracy(logits, labels) == 0.75
+
 
 class TestTopK:
     def test_topk_hits(self):

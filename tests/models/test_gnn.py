@@ -7,6 +7,7 @@ from repro import nn
 from repro.autograd import Tensor
 from repro.data import wiki_talk_like
 from repro.models import GNNLinkModel
+from repro.models.gnn import BoundLinkModel
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +21,15 @@ class TestGNNLinkModel:
         edges = graph_data.train_pos[:10]
         out = model(graph_data.adjacency, Tensor(graph_data.features), edges)
         assert out.shape == (10,)
+
+    def test_bound_model_scores_edges_alone(self, graph_data):
+        unbound = GNNLinkModel(graph_data.n_features, seed=0)
+        bound = BoundLinkModel(graph_data.adjacency, graph_data.features, seed=0)
+        edges = graph_data.train_pos[:10]
+        expected = unbound(graph_data.adjacency, Tensor(graph_data.features), edges)
+        np.testing.assert_array_equal(bound(Tensor(edges)).data, expected.data)
+        names = [name for name, _ in bound.named_parameters()]
+        assert names == [name for name, _ in unbound.named_parameters()]
 
     def test_sparse_targets_are_two_fc_layers(self, graph_data):
         model = GNNLinkModel(graph_data.n_features, seed=0)
@@ -46,10 +56,10 @@ class TestGNNLinkModel:
             assert np.array_equal(pa.data, pb.data)
 
     def test_learns_on_tiny_graph(self, graph_data):
-        from repro.experiments.gnn import evaluate_link_prediction, train_link_predictor
+        from repro.experiments.gnn import evaluate_link_prediction, run_gnn
 
-        model = GNNLinkModel(graph_data.n_features, seed=0)
+        model = BoundLinkModel(graph_data.adjacency, graph_data.features, seed=0)
         initial = evaluate_link_prediction(model, graph_data)
-        best, final, _ = train_link_predictor(model, graph_data, epochs=8, seed=0)
-        assert best >= initial
-        assert best > 0.55  # clearly better than coin-flip
+        final = run_gnn("dense", data=graph_data, epochs=8, seed=0).final_accuracy
+        assert final >= initial
+        assert final > 0.55  # clearly better than coin-flip
