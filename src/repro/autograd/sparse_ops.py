@@ -9,10 +9,14 @@ backward pass.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.autograd.tensor import Tensor, ensure_tensor
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["spmm"]
 
@@ -27,6 +31,8 @@ def spmm(adjacency: sp.spmatrix, x) -> Tensor:
     x:
         Dense tensor of shape ``(N, D)``.
     """
+    import scipy.sparse as sp
+
     if not sp.issparse(adjacency):
         raise TypeError(f"spmm expects a scipy sparse matrix, got {type(adjacency)!r}")
     x = ensure_tensor(x)

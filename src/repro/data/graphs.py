@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 if TYPE_CHECKING:
     import networkx as nx
+    import scipy.sparse as sp
 
 __all__ = [
     "LinkPredictionData",
@@ -79,6 +79,7 @@ class LinkPredictionData:
 def normalized_adjacency(graph: nx.Graph) -> sp.csr_matrix:
     """GCN-style normalization ``D^-1/2 (A + I) D^-1/2`` as float32 CSR."""
     import networkx as nx
+    import scipy.sparse as sp
 
     adjacency = nx.to_scipy_sparse_array(graph, format="csr", dtype=np.float32)
     adjacency = adjacency + sp.eye(adjacency.shape[0], dtype=np.float32, format="csr")

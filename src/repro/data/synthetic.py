@@ -27,6 +27,30 @@ __all__ = [
 ]
 
 
+def _gaussian_blur(images: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur over the two spatial axes of ``(N, C, H, W)`` images.
+
+    Bitwise ``scipy.ndimage.gaussian_filter(images, (0, 0, sigma, sigma))``:
+    the same normalised taps out to ndimage's default 4 sigmas, the same
+    ``"reflect"`` boundary (numpy's ``"symmetric"`` pad), the same axis
+    order, and each output sums the centre tap first, then the mirrored
+    pairs from the outermost in, as ndimage's symmetric-kernel loop does.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    taps = taps / taps.sum()
+    for axis in (2, 3):
+        lines = np.moveaxis(images, axis, -1)
+        n = lines.shape[-1]
+        padded = np.pad(lines, [(0, 0)] * (lines.ndim - 1) + [(radius, radius)], mode="symmetric")
+        out = padded[..., radius : radius + n] * taps[radius]
+        for k in range(radius, 0, -1):
+            left = padded[..., radius - k : radius - k + n]
+            out += (left + padded[..., radius + k : radius + k + n]) * taps[radius - k]
+        images = np.moveaxis(out, -1, axis)
+    return images
+
+
 def _smooth_prototypes(
     rng: np.random.Generator,
     n_classes: int,
@@ -35,10 +59,7 @@ def _smooth_prototypes(
     smoothing: float,
 ) -> np.ndarray:
     """Random low-frequency class prototype images, unit-normalized."""
-    from scipy import ndimage
-
-    protos = rng.standard_normal((n_classes, channels, size, size))
-    protos = ndimage.gaussian_filter(protos, sigma=(0, 0, smoothing, smoothing))
+    protos = _gaussian_blur(rng.standard_normal((n_classes, channels, size, size)), smoothing)
     # Standardize each prototype to zero mean / unit per-pixel variance so
     # the additive noise level is directly an inverse SNR.
     flat = protos.reshape(n_classes, -1)

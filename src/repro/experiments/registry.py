@@ -8,6 +8,8 @@ Families
 * dense-to-sparse — ``str`` (proximal variant), ``gmp``, ``granet``.
 * dynamic sparse training — ``set``, ``rigl``, ``rigl_itop``, ``deepr``,
   ``snfs``, ``dsr``, ``mest`` and the paper's ``dst_ee``.
+* prune-from-dense — ``admm``, the GNN tables' baseline; it trains in
+  three phases of its own, so only ``run_gnn`` builds it.
 
 :func:`build_method` returns a :class:`MethodSetup` holding the controller
 (plus the masked model when applicable) ready for the Trainer.
@@ -109,7 +111,9 @@ def method_family(name: str) -> str:
         return "dense_to_sparse"
     if name in DYNAMIC_METHODS:
         return "dynamic"
-    raise ValueError(f"unknown method {name!r}; known: {ALL_METHODS}")
+    if name == "admm":
+        return "prune_from_dense"
+    raise ValueError(f"unknown method {name!r}; known: {ALL_METHODS + ('admm',)}")
 
 
 @dataclass
@@ -229,6 +233,8 @@ def build_method(
 
     if family == "dense":
         return MethodSetup(name=name, family=family, controller=None, masked=None)
+    if family == "prune_from_dense":
+        raise ValueError(f"method {name!r} trains in phases of its own; only run_gnn runs it")
 
     from repro.sparse.masked import resolve_block_size
 

@@ -15,13 +15,17 @@ input, as the shared :class:`~repro.train.Trainer` expects.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro import nn
 from repro.autograd import ops
 from repro.autograd.sparse_ops import spmm
 from repro.autograd.tensor import Tensor
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["GCNEncoder", "LinkPredictor", "GNNLinkModel", "BoundLinkModel"]
 

@@ -42,8 +42,11 @@ class ADMMPruner:
     """ADMM state (Z, U) for pruning selected layers to a uniform sparsity.
 
     It has the trainer's controller hooks: the penalty gradient after every
-    backward, :meth:`dual_update` every ``DUAL_EVERY`` epochs.  It has no
-    ``state_dict``, so a trainer driving it cannot write checkpoints.
+    backward, :meth:`dual_update` every ``DUAL_EVERY`` epochs.  An update
+    that falls due at an epoch's end runs before the next step, where W is
+    still the same, so the last epoch of a phase runs none: hard pruning
+    reads only W and would discard its Z and U.  It has no ``state_dict``,
+    so a trainer driving it cannot write checkpoints.
 
     Parameters
     ----------
@@ -78,6 +81,7 @@ class ADMMPruner:
             for name, param in self.targets
         }
         self.U = {name: np.zeros(param.shape, dtype=np.float64) for name, param in self.targets}
+        self._dual_due = False
 
     def add_penalty_gradients(self) -> None:
         """Add ``ρ(W − Z + U)`` to each target's gradient (call post-backward)."""
@@ -89,7 +93,10 @@ class ADMMPruner:
                 param.grad = param.grad + penalty.astype(param.dtype)
 
     def before_backward(self, step: int) -> None:
-        """Nothing: the backward needs no setup."""
+        """Run the dual update that fell due at the last epoch's end."""
+        if self._dual_due:
+            self._dual_due = False
+            self.dual_update()
 
     def on_backward(self, step: int) -> bool:
         self.add_penalty_gradients()
@@ -99,8 +106,7 @@ class ADMMPruner:
         """Nothing: ADMM constrains the weights only through the penalty."""
 
     def on_epoch_end(self, epoch: int) -> None:
-        if (epoch + 1) % self.DUAL_EVERY == 0:
-            self.dual_update()
+        self._dual_due = (epoch + 1) % self.DUAL_EVERY == 0
 
     def penalty_value(self) -> float:
         """Current augmented-Lagrangian penalty ``ρ/2 Σ‖W − Z + U‖²``."""

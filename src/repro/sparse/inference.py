@@ -30,7 +30,6 @@ training mode, and they do not participate in autograd.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import nn
 from repro.autograd.conv import _pair
@@ -79,6 +78,8 @@ class _SparseLayer(Module):
         return layer
 
     def _attach(self, data, indices, indptr, bias, block_size: int) -> None:
+        import scipy.sparse as sp
+
         # Attached by attribute: the triplet constructor canonicalizes (and
         # so copies), which would break aliasing of the stored arrays.
         matrix = sp.csr_matrix(self.csr_shape, dtype=np.float32)

@@ -34,10 +34,15 @@ module provides that compute path for **training**:
   (``auto``, ``dense``, ``csr`` or ``bsr``) and the thresholds are
   overridable per call.
 
-Every product calls scipy's ``csr_matvecs`` kernel directly with the
-sparse operand on the left (``Y += A @ X`` over C-contiguous operands),
+Every product calls scipy's compiled ``csr_matvecs`` kernel directly with
+the sparse operand on the left (``Y += A @ X`` over C-contiguous operands),
 which skips the per-call wrapper objects, transposes and ravel copies of
-scipy's ``dense @ sparse`` operator.  Each orientation reads its own stored
+scipy's ``dense @ sparse`` operator.  CSR data lives in plain
+``(indptr, indices, data)`` arrays (:class:`CsrArrays`), never in scipy
+matrix objects, so the kernel's extension module is the only part of scipy
+training loads: :func:`_load_sparsetools` loads it from its file, without
+running ``scipy/sparse/__init__.py`` (about 20 MiB of resident modules
+that training never calls).  Each orientation reads its own stored
 structure (``W`` and ``W.T`` share their nnz values through cached gather
 permutations).  A bias goes into the output's initial value, so ``Y = b +
 A @ X`` costs no extra pass.  The products return the Fortran-ordered
@@ -48,10 +53,14 @@ no staging copy.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+from typing import NamedTuple
+
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import as_strided
-from scipy.sparse import _sparsetools
 
 from repro import nn
 from repro.autograd.conv import _pair
@@ -118,6 +127,46 @@ def select_backend(
     if size >= min_size and density <= density_threshold:
         return "bsr" if block_size > 1 else "csr"
     return "dense"
+
+
+def _load_sparsetools():
+    """scipy's compiled CSR kernels, loaded without ``scipy.sparse``'s package init.
+
+    The extension file is found in the installed scipy package and loaded
+    under its own name, ``scipy.sparse._sparsetools``, so a later
+    ``import scipy.sparse`` (GNN graphs, serving) reuses this module object.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    locations = scipy_spec.submodule_search_locations if scipy_spec else None
+    candidates = [
+        os.path.join(directory, "sparse", "_sparsetools" + suffix)
+        for directory in locations or ()
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    path = next(filter(os.path.isfile, candidates), None)
+    if path is None:
+        return importlib.import_module(name)
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader)
+    )
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_sparsetools = _load_sparsetools()
+
+
+class CsrArrays(NamedTuple):
+    """The three arrays of one CSR matrix, as ``csr_matvecs`` takes them."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
 
 @hot_path
@@ -219,8 +268,8 @@ class CsrMatmul:
         self.shape2d = (int(shape2d[0]), int(shape2d[1]))
         self.block_size = int(block_size)
         self._version = -1
-        self.csr: sp.csr_matrix | None = None  # W      (rows, cols)
-        self.csr_t: sp.csr_matrix | None = None  # W.T  (cols, rows)
+        self.csr: CsrArrays | None = None  # W      (rows, cols)
+        self.csr_t: CsrArrays | None = None  # W.T  (cols, rows)
         self._gather: np.ndarray | None = None
         self._perm_t: np.ndarray | None = None
         self._tile_set = None
@@ -249,35 +298,27 @@ class CsrMatmul:
         rows, cols = np.divmod(active_idx, n_cols)
         nnz = int(active_idx.size)
 
-        self.csr = sp.csr_matrix(
-            (np.empty(nnz, dtype=np.float32), cols.astype(np.int32), _indptr(rows, n_rows)),
-            shape=self.shape2d,
+        self.csr = CsrArrays(
+            _indptr(rows, n_rows), cols.astype(np.int32), np.empty(nnz, dtype=np.float32)
         )
         self._gather = active_idx
 
         # Transposed structure: the same nnz set ordered by (col, row).
         order = np.lexsort((rows, cols))
-        self.csr_t = sp.csr_matrix(
-            (np.empty(nnz, dtype=np.float32), rows[order].astype(np.int32), _indptr(cols, n_cols)),
-            shape=(n_cols, n_rows),
+        self.csr_t = CsrArrays(
+            _indptr(cols, n_cols), rows[order].astype(np.int32), np.empty(nnz, dtype=np.float32)
         )
         self._perm_t = order
-
-        for matrix in (self.csr, self.csr_t):
-            matrix.has_sorted_indices = True
-            matrix.has_canonical_format = True
 
     @hot_path
     def wx(self, x_t: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
         """``W @ x_t`` (+ bias) for a staged ``(cols, N)`` operand -> ``(rows, N)``."""
-        csr = self.csr
-        return _csr_product_t(csr.indptr, csr.indices, csr.data, self.shape2d[0], x_t, bias)
+        return _csr_product_t(*self.csr, self.shape2d[0], x_t, bias)
 
     @hot_path
     def wtg(self, g_t: np.ndarray) -> np.ndarray:
         """``W.T @ g_t`` for a staged ``(rows, N)`` operand -> ``(cols, N)``."""
-        csr_t = self.csr_t
-        return _csr_product_t(csr_t.indptr, csr_t.indices, csr_t.data, self.shape2d[1], g_t)
+        return _csr_product_t(*self.csr_t, self.shape2d[1], g_t)
 
     @hot_path
     def matmul_xwt(self, x2d: np.ndarray) -> np.ndarray:
@@ -592,7 +633,7 @@ class _TapCsr:
         flat = target.active_indices
         indptr, indices, self._gather = _tap_csr(flat, self.shape4d)
         self._data = np.empty(flat.size, dtype=np.float32)
-        self.csr = (indptr, indices, self._data)
+        self.csr = CsrArrays(indptr, indices, self._data)
         co, rest = np.divmod(flat, c_in * k)
         c, t = np.divmod(rest, k)
         order = np.lexsort((co, c, t))  # by tap, then (c_in, c_out)

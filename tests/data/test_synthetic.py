@@ -1,10 +1,13 @@
 """Synthetic image datasets: shapes, determinism, learnability signal."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from repro.data import cifar10_like, cifar100_like, imagenet_like, make_image_classification
-from repro.data.synthetic import _render_split
+from repro.data.synthetic import _gaussian_blur, _render_split, _smooth_prototypes
 
 
 def _render_oracle(rng, prototypes, n_samples, noise, max_shift):
@@ -25,6 +28,55 @@ def _render_oracle(rng, prototypes, n_samples, noise, max_shift):
     images -= images.mean()
     images /= images.std() + 1e-8
     return images.astype(np.float32), labels
+
+
+def _prototypes_oracle(rng, n_classes, channels, size, smoothing):
+    """The prototypes as ``ndimage.gaussian_filter`` blurs them."""
+    protos = rng.standard_normal((n_classes, channels, size, size))
+    protos = ndimage.gaussian_filter(protos, sigma=(0, 0, smoothing, smoothing))
+    flat = protos.reshape(n_classes, -1)
+    flat = flat - flat.mean(axis=1, keepdims=True)
+    flat = flat / (flat.std(axis=1, keepdims=True) + 1e-12)
+    return flat.reshape(n_classes, channels, size, size).astype(np.float32)
+
+
+# Each named variant's defaults (all have 3 channels).
+VARIANTS = pytest.mark.parametrize(
+    "n_classes, size, smoothing",
+    [(10, 12, 1.5), (100, 12, 1.5), (100, 32, 1.5), (50, 16, 2.0)],
+    ids=["cifar10_like", "cifar100_like-12px", "cifar100_like-32px", "imagenet_like"],
+)
+
+
+class TestPrototypes:
+    @VARIANTS
+    def test_numpy_blur_matches_ndimage_bitwise(self, n_classes, size, smoothing):
+        for seed in range(50):
+            got = _smooth_prototypes(np.random.default_rng(seed), n_classes, 3, size, smoothing)
+            want = _prototypes_oracle(np.random.default_rng(seed), n_classes, 3, size, smoothing)
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
+
+    @VARIANTS
+    def test_float64_blur_matches_ndimage_bitwise(self, n_classes, size, smoothing):
+        """Stricter than the float32 prototypes, which absorb a 1-ulp
+        difference: the summation order is ndimage's too."""
+        for seed in range(5):
+            images = np.random.default_rng(seed).standard_normal((n_classes, 3, size, size))
+            np.testing.assert_array_equal(
+                _gaussian_blur(images, smoothing),
+                ndimage.gaussian_filter(images, sigma=(0, 0, smoothing, smoothing)),
+            )
+
+    def test_benchmark_vgg_data_is_unchanged(self):
+        """sha256 of the VGG benchmark's dataset, as the ndimage blur made it."""
+        data = cifar100_like(image_size=12, n_classes=20, seed=1)
+        digest = hashlib.sha256()
+        for array in (data.train.inputs, data.train.targets, data.test.inputs, data.test.targets):
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == (
+            "cb0998cbbe2657148018b4312f85bc9ded621f91a82f881428a5e9c0b92dc3f4"
+        )
 
 
 class TestGenerator:

@@ -141,6 +141,18 @@ class TestSweep:
         assert [outcome.ok for outcome in report.outcomes] == [True, False]
         assert "not GNN-capable" in report.failures[0].error
 
+    def test_admm_grid_builds_through_enumerate_cells(self):
+        cells = enumerate_cells(["dense", "admm"], ["gnn"], ["wiki_talk"], [0.9], seeds=[0])
+
+        def run_cell(cell, **kwargs):
+            return run_gnn(
+                cell.method, cell.dataset, sparsity=cell.sparsity, seed=cell.seed, **kwargs
+            )
+
+        report = run_sweep(cells, run_cell, n_proc=1, n_nodes=80, epochs=3)
+        assert not report.failures
+        assert [outcome.result.method for outcome in report.outcomes] == ["dense", "admm"]
+
 
 class TestDatasets:
     def test_ia_email_variant_runs(self):

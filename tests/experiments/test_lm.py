@@ -104,6 +104,15 @@ def _run_lm_cell(cell, **kwargs):
     return run_lm(cell.method, cell.dataset, sparsity=cell.sparsity, seed=cell.seed, **kwargs)
 
 
+def test_admm_cell_is_a_named_failure():
+    """The GNN-only ADMM baseline passes the grid builder and fails as its cell."""
+    cells = enumerate_cells(["admm"], ["char_gpt"], ["markov-prose"], [0.8], seeds=(0,))
+    run_kwargs = {k: v for k, v in BASE.items() if k not in ("method", "sparsity", "seed")}
+    report = run_sweep(cells, _run_lm_cell, n_proc=1, **run_kwargs)
+    assert [outcome.ok for outcome in report.outcomes] == [False]
+    assert "'admm' is not LM-capable" in report.failures[0].error
+
+
 def test_sweep_resume_serves_cached_cells(tmp_path):
     cells = enumerate_cells(["dst_ee"], ["char_gpt"], ["markov-prose"], [0.8], seeds=(0, 1))
     run_kwargs = {k: v for k, v in BASE.items() if k not in ("method", "sparsity", "seed")}

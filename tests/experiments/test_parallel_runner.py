@@ -125,6 +125,14 @@ class TestRunSweep:
         assert rows[0]["std_accuracy"] == pytest.approx(std)
         assert rows[0]["seeds_ok"] == 2 and rows[0]["seeds_failed"] == 0
 
+    def test_admm_cell_is_a_named_failure(self, data):
+        """The GNN-only ADMM baseline passes the grid builder and fails as its cell."""
+        cells = enumerate_cells(["dst_ee", "admm"], ["mlp"], ["cifar10"], [0.9], seeds=(0,))
+        report = run_sweep(cells, self._run_cell(data), n_proc=1, **SWEEP_KWARGS)
+        assert [outcome.ok for outcome in report.outcomes] == [True, False]
+        assert "'admm'" in report.failures[0].error
+        assert "only run_gnn" in report.failures[0].error
+
     @pytest.mark.parametrize("n_proc", [1, 2])
     def test_failing_cell_does_not_kill_sweep(self, data, n_proc):
         if n_proc > 1 and not fork_available():

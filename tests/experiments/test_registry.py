@@ -52,6 +52,12 @@ class TestFamilies:
         with pytest.raises(ValueError, match="unknown method"):
             method_family("lottery_ticket")
 
+    def test_admm_is_prune_from_dense_and_built_by_run_gnn_only(self, context):
+        assert method_family("admm") == "prune_from_dense"
+        model, optimizer, _, _ = context
+        with pytest.raises(ValueError, match="only run_gnn"):
+            build_method("admm", model, optimizer, 0.9, 100)
+
 
 class TestBuild:
     def test_dense_has_no_controller(self, context):

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.data import ArrayDataset, DataLoader
 from repro.models import MLP
+from repro.nn.losses import cross_entropy
+from repro.optim import SGD
 from repro.sparse import ADMMPruner, project_topk
+from repro.train import Trainer
 
 
 def make_model(seed=0):
@@ -123,3 +127,38 @@ class TestADMMPruner:
     def test_invalid_sparsity(self):
         with pytest.raises(ValueError):
             ADMMPruner(make_model(), sparsity=0.0)
+
+
+class TestDualUpdateSchedule:
+    """Driven by the Trainer, one ADMM phase of ``L`` epochs runs a dual update
+    after every ``DUAL_EVERY``-th epoch except the last, on the W it ends with."""
+
+    @pytest.mark.parametrize("phase, expected", [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2)])
+    def test_updates_per_phase_length(self, phase, expected):
+        assert ADMMPruner.DUAL_EVERY == 2
+        rng = np.random.default_rng(0)
+        data = ArrayDataset(
+            rng.standard_normal((24, 10)).astype(np.float32), rng.integers(0, 3, 24)
+        )
+        model = make_model()
+        pruner = ADMMPruner(model, sparsity=0.5)
+        epoch_ends, updates = [], []
+
+        def on_epoch_end(epoch):
+            epoch_ends.append({name: param.data.copy() for name, param in pruner.targets})
+            ADMMPruner.on_epoch_end(pruner, epoch)
+
+        def dual_update():
+            updates.append({name: param.data.copy() for name, param in pruner.targets})
+            ADMMPruner.dual_update(pruner)
+
+        pruner.on_epoch_end, pruner.dual_update = on_epoch_end, dual_update
+        loader = DataLoader(data, batch_size=8, shuffle=True, rng=np.random.default_rng(0))
+        Trainer(model, SGD(model.parameters(), lr=0.05), cross_entropy, loader,
+                controller=pruner).fit(phase)
+        assert len(updates) == expected
+        # Each update sees the weights of the epoch end it fell due at.
+        for k, weights in enumerate(updates):
+            due = epoch_ends[(k + 1) * ADMMPruner.DUAL_EVERY - 1]
+            for name in weights:
+                np.testing.assert_array_equal(weights[name], due[name])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro import nn
@@ -354,9 +355,13 @@ class TestCsrMatmul:
         matmul.sync(w.reshape(-1), np.flatnonzero(mask.reshape(-1)), version=0)
         x = np.asarray(rng.standard_normal((n, shape[1])), np.float32, order=order)
         g = np.asarray(rng.standard_normal((n, shape[0])), np.float32, order=order)
+        # The references are scipy matrices over the stored arrays.
+        csr, csr_t = matmul.csr, matmul.csr_t
+        w_csr = sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=shape)
+        w_t_csr = sp.csr_matrix((csr_t.data, csr_t.indices, csr_t.indptr), shape=shape[::-1])
         for got, want in (
-            (matmul.matmul_xwt(x), x @ matmul.csr_t),
-            (matmul.matmul_gw(g), g @ matmul.csr),
+            (matmul.matmul_xwt(x), x @ w_t_csr),
+            (matmul.matmul_gw(g), g @ w_csr),
         ):
             np.testing.assert_array_equal(got, want)
             assert got.flags.f_contiguous == want.flags.f_contiguous
