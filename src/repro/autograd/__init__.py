@@ -6,7 +6,6 @@ models the DST-EE paper evaluates.  The public surface is:
 
 * :class:`~repro.autograd.tensor.Tensor` — an ndarray wrapper that records a
   computation graph and supports ``backward()``.
-* :func:`~repro.autograd.tensor.tensor` — convenience constructor.
 * :func:`~repro.autograd.tensor.no_grad` — context manager disabling graph
   recording (used for evaluation and for the mask surgery in drop-and-grow).
 * functional ops re-exported from :mod:`~repro.autograd.ops`,
@@ -15,75 +14,50 @@ models the DST-EE paper evaluates.  The public surface is:
   used extensively in the test-suite.
 """
 
-from repro.autograd.tensor import (
-    Tensor,
-    tensor,
-    no_grad,
-    is_grad_enabled,
-    zeros,
-    ones,
-    randn,
-    DEFAULT_DTYPE,
-)
+from repro.autograd.tensor import DEFAULT_DTYPE, Tensor, is_grad_enabled, no_grad
 from repro.autograd.ops import (
     abs as abs_,
-    cat,
-    clip,
     exp,
     log,
     log_softmax,
     matmul,
-    maximum,
     mean,
     relu,
-    leaky_relu,
     reshape,
     sigmoid,
     softmax,
     sqrt,
-    stack,
     sum as sum_,
     tanh,
     transpose,
     where,
 )
-from repro.autograd.conv import avg_pool2d, conv2d, max_pool2d, pad2d
+from repro.autograd.conv import conv2d, max_pool2d
 from repro.autograd.sparse_ops import spmm
 from repro.autograd.gradcheck import gradcheck
 
 __all__ = [
     "Tensor",
-    "tensor",
     "no_grad",
     "is_grad_enabled",
-    "zeros",
-    "ones",
-    "randn",
     "DEFAULT_DTYPE",
     "abs_",
-    "cat",
-    "clip",
     "exp",
     "log",
     "log_softmax",
     "matmul",
-    "maximum",
     "mean",
     "relu",
-    "leaky_relu",
     "reshape",
     "sigmoid",
     "softmax",
     "sqrt",
-    "stack",
     "sum_",
     "tanh",
     "transpose",
     "where",
-    "avg_pool2d",
     "conv2d",
     "max_pool2d",
-    "pad2d",
     "spmm",
     "gradcheck",
 ]

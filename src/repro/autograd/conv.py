@@ -22,15 +22,7 @@ from repro.autograd.tensor import Tensor, ensure_tensor
 __all__ = [
     "conv2d",
     "max_pool2d",
-    "avg_pool2d",
-    "pad2d",
-    "conv_output_size",
 ]
-
-
-def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
-    """Spatial output size of a convolution/pooling along one dimension."""
-    return (size + 2 * padding - kernel) // stride + 1
 
 
 def _pair(value) -> tuple[int, int]:
@@ -214,43 +206,5 @@ def max_pool2d(x, kernel_size, stride=None) -> Tensor:
         grad_cols = grad_cols.reshape(n, out_h, out_w, c, kh, kw)
         grad_x = _col2im(grad_cols, padded_shape, kh, kw, stride_hw, (0, 0), x.shape)
         x._accumulate(grad_x)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def avg_pool2d(x, kernel_size, stride=None) -> Tensor:
-    """Average pooling over ``kernel_size`` windows (default stride = kernel)."""
-    x = ensure_tensor(x)
-    kh, kw = _pair(kernel_size)
-    stride_hw = _pair(stride) if stride is not None else (kh, kw)
-    cols, padded_shape, out_h, out_w = _im2col(x.data, kh, kw, stride_hw, (0, 0))
-    out_data = cols.mean(axis=(4, 5)).transpose(0, 3, 1, 2)
-    n, c = x.shape[0], x.shape[1]
-    scale = 1.0 / (kh * kw)
-
-    def backward(grad: np.ndarray) -> None:
-        spread = np.broadcast_to(
-            (grad * scale).transpose(0, 2, 3, 1)[..., None, None],
-            (n, out_h, out_w, c, kh, kw),
-        )
-        # _col2im's add.at needs a real (writable, contiguous) array, not the
-        # zero-stride broadcast view; this materialization is that copy.
-        # reprolint: disable-next=RPL005
-        spread = np.ascontiguousarray(spread)
-        grad_x = _col2im(spread, padded_shape, kh, kw, stride_hw, (0, 0), x.shape)
-        x._accumulate(grad_x)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def pad2d(x, padding) -> Tensor:
-    """Zero-pad the two trailing spatial dimensions by ``padding`` pixels."""
-    x = ensure_tensor(x)
-    ph, pw = _pair(padding)
-    out_data = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-    def backward(grad: np.ndarray) -> None:
-        h, w = x.shape[2], x.shape[3]
-        x._accumulate(grad[:, :, ph : ph + h, pw : pw + w])
 
     return Tensor._make(out_data, (x,), backward)

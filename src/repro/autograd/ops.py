@@ -10,7 +10,7 @@ it; the adjoint of broadcasting is handled by
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,10 +32,6 @@ __all__ = [
     "tanh",
     "sigmoid",
     "relu",
-    "leaky_relu",
-    "clip",
-    "maximum",
-    "minimum",
     "where",
     "sum",
     "mean",
@@ -49,8 +45,6 @@ __all__ = [
     "transpose",
     "getitem",
     "embedding",
-    "cat",
-    "stack",
     "softmax",
     "log_softmax",
 ]
@@ -294,55 +288,6 @@ def relu(a) -> Tensor:
         a._accumulate(grad * (a.data > 0))
 
     return Tensor._make(out_data, (a,), backward)
-
-
-def leaky_relu(a, negative_slope: float = 0.01) -> Tensor:
-    """Leaky ReLU with constant negative slope."""
-    a = ensure_tensor(a)
-    slope = float(negative_slope)
-    out_data = np.where(a.data > 0, a.data, slope * a.data)
-
-    def backward(grad: np.ndarray) -> None:
-        a._accumulate(grad * np.where(a.data > 0, 1.0, slope).astype(grad.dtype))
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def clip(a, low: float | None, high: float | None) -> Tensor:
-    """Elementwise clamp to ``[low, high]`` (gradient 0 outside the range)."""
-    a = ensure_tensor(a)
-    out_data = np.clip(a.data, low, high)
-
-    def backward(grad: np.ndarray) -> None:
-        inside = np.ones_like(a.data, dtype=bool)
-        if low is not None:
-            inside &= a.data >= low
-        if high is not None:
-            inside &= a.data <= high
-        a._accumulate(grad * inside)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def maximum(a, b) -> Tensor:
-    """Elementwise maximum (gradient splits 50/50 on exact ties)."""
-    a, b = ensure_tensor(a), ensure_tensor(b)
-    out_data = np.maximum(a.data, b.data)
-
-    def backward(grad: np.ndarray) -> None:
-        a_wins = a.data > b.data
-        tie = a.data == b.data
-        grad_a = grad * (a_wins + 0.5 * tie)
-        grad_b = grad * (~a_wins & ~tie) + grad * (0.5 * tie)
-        a._accumulate(_unbroadcast(grad_a.astype(grad.dtype), a.shape))
-        b._accumulate(_unbroadcast(grad_b.astype(grad.dtype), b.shape))
-
-    return Tensor._make(out_data, (a, b), backward)
-
-
-def minimum(a, b) -> Tensor:
-    """Elementwise minimum (gradient splits 50/50 on exact ties)."""
-    return neg(maximum(neg(a), neg(b)))
 
 
 def where(condition, a, b) -> Tensor:
@@ -700,35 +645,6 @@ def embedding(weight, indices) -> Tensor:
         weight._accumulate(full)
 
     return Tensor._make(out_data, (weight,), backward)
-
-
-def cat(tensors: Iterable, axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis``."""
-    parts = [ensure_tensor(t) for t in tensors]
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for part, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            slicer = [slice(None)] * grad.ndim
-            slicer[axis] = slice(start, stop)
-            part._accumulate(grad[tuple(slicer)])
-
-    return Tensor._make(out_data, tuple(parts), backward)
-
-
-def stack(tensors: Iterable, axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis``."""
-    parts = [ensure_tensor(t) for t in tensors]
-    out_data = np.stack([p.data for p in parts], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        slices = np.split(grad, len(parts), axis=axis)
-        for part, piece in zip(parts, slices):
-            part._accumulate(np.squeeze(piece, axis=axis))
-
-    return Tensor._make(out_data, tuple(parts), backward)
 
 
 # ----------------------------------------------------------------------

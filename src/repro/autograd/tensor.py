@@ -29,7 +29,6 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
-from repro.rng import resolve_rng
 
 DEFAULT_DTYPE = np.float32
 
@@ -411,43 +410,6 @@ class Tensor:
         from repro.autograd import ops
 
         return ops.var(self, axis=axis, keepdims=keepdims)
-
-
-# ----------------------------------------------------------------------
-# constructors
-# ----------------------------------------------------------------------
-
-
-def tensor(data, requires_grad: bool = False, name: str | None = None) -> Tensor:
-    """Construct a :class:`Tensor` (alias of the class constructor)."""
-    return Tensor(data, requires_grad=requires_grad, name=name)
-
-
-def zeros(*shape, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
-    """Tensor of zeros with the given shape."""
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(*shape, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
-    """Tensor of ones with the given shape."""
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def randn(
-    *shape,
-    requires_grad: bool = False,
-    rng: np.random.Generator | None = None,
-    dtype=DEFAULT_DTYPE,
-) -> Tensor:
-    """Tensor of standard-normal samples with the given shape."""
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    generator = resolve_rng(rng)
-    return Tensor(generator.standard_normal(shape).astype(dtype), requires_grad=requires_grad)
 
 
 def ensure_tensor(value) -> Tensor:

@@ -1,4 +1,4 @@
-"""Datasets, loaders and augmentation."""
+"""Datasets and loaders."""
 
 from repro.data.dataset import ArrayDataset, ClassificationData
 from repro.data.loader import DataLoader
@@ -22,7 +22,6 @@ from repro.data.text import (
     generate_corpus,
     make_char_lm_data,
 )
-from repro.data.transforms import Compose, Normalize, RandomCrop, RandomHorizontalFlip
 
 __all__ = [
     "ArrayDataset",
@@ -42,8 +41,4 @@ __all__ = [
     "LMData",
     "generate_corpus",
     "make_char_lm_data",
-    "Compose",
-    "Normalize",
-    "RandomCrop",
-    "RandomHorizontalFlip",
 ]

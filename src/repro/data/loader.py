@@ -1,10 +1,8 @@
-"""Mini-batch loader with optional shuffling, transforms, and prefetching."""
+"""Mini-batch loader with optional shuffling."""
 
 from __future__ import annotations
 
-import queue
-import threading
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -15,81 +13,6 @@ from repro.rng import resolve_rng
 __all__ = ["DataLoader"]
 
 
-class _PrefetchIterator:
-    """Consume batches produced by a background thread.
-
-    The producer runs the exact serial batch pipeline (shuffle, indexing,
-    transform) on a bounded queue, so batch *contents and order* are
-    bitwise identical to ``prefetch=0`` — only the overlap with the
-    training step changes.  Producer exceptions are re-raised at the
-    consumer's next ``__next__``.  :meth:`close` stops the producer and
-    *joins* it, so a closed iterator can never race a successor for the
-    loader's shared RNG; abandoning an epoch mid-way does advance that RNG
-    by the (bounded) prefetched batches, unlike ``prefetch=0``.
-    """
-
-    _DONE = object()
-
-    def __init__(self, source: Iterator, depth: int):
-        self._queue: queue.Queue = queue.Queue(maxsize=depth)
-        self._stop = threading.Event()
-        self._finished = False
-        self._thread = threading.Thread(
-            target=self._produce, args=(source,), daemon=True
-        )
-        self._thread.start()
-
-    def _produce(self, source: Iterator) -> None:
-        try:
-            for item in source:
-                while not self._stop.is_set():
-                    try:
-                        self._queue.put(("item", item), timeout=0.1)
-                        break
-                    except queue.Full:
-                        continue
-                if self._stop.is_set():
-                    return
-            payload = ("done", None)
-        except BaseException as exc:  # re-raised on the consumer side
-            payload = ("error", exc)
-        while not self._stop.is_set():
-            try:
-                self._queue.put(payload, timeout=0.1)
-                return
-            except queue.Full:
-                continue
-
-    def __iter__(self) -> "_PrefetchIterator":
-        return self
-
-    def __next__(self):
-        if self._finished:  # iterator protocol: keep raising after the end
-            raise StopIteration
-        kind, value = self._queue.get()
-        if kind == "item":
-            return value
-        self._finished = True
-        self._stop.set()
-        if kind == "error":
-            raise value
-        raise StopIteration
-
-    def close(self) -> None:
-        """Stop and join the producer (idempotent).
-
-        Joining matters: a merely-signalled producer could still be inside
-        the dataset/RNG pipeline when the next epoch's producer starts on
-        the same ``DataLoader``, and ``np.random.Generator`` is not
-        thread-safe.
-        """
-        self._stop.set()
-        self._thread.join()
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        self._stop.set()
-
-
 class DataLoader:
     """Iterate a dataset in mini-batches of ``(Tensor inputs, ndarray targets)``.
 
@@ -98,22 +21,11 @@ class DataLoader:
     dataset:
         The :class:`~repro.data.dataset.ArrayDataset` to iterate.
     batch_size:
-        Examples per batch; the final short batch is kept (no dropping) unless
-        ``drop_last=True``.
+        Examples per batch; the final short batch is kept.
     shuffle:
         Reshuffle example order at the start of every epoch.
-    transform:
-        Optional callable ``(batch_inputs, rng) -> batch_inputs`` applied to
-        each input batch (data augmentation).
     rng:
-        Generator driving shuffling and transforms; pass one for reproducible
-        epochs.
-    prefetch:
-        When > 0, batches are assembled by a background thread up to
-        ``prefetch`` batches ahead, overlapping indexing/augmentation with
-        the training step.  Batches are bitwise identical to ``prefetch=0``
-        (the producer runs the same pipeline in the same order); default
-        off.
+        Generator driving shuffling; pass one for reproducible epochs.
     """
 
     def __init__(
@@ -121,52 +33,25 @@ class DataLoader:
         dataset: ArrayDataset,
         batch_size: int = 128,
         shuffle: bool = False,
-        transform: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None,
         rng: np.random.Generator | None = None,
-        drop_last: bool = False,
-        prefetch: int = 0,
     ):
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if prefetch < 0:
-            raise ValueError(f"prefetch must be >= 0, got {prefetch}")
         self.dataset = dataset
         self.batch_size = int(batch_size)
         self.shuffle = bool(shuffle)
-        self.transform = transform
         self.rng = resolve_rng(rng)
-        self.drop_last = bool(drop_last)
-        self.prefetch = int(prefetch)
-        self._active_prefetch: _PrefetchIterator | None = None
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[tuple[Tensor, np.ndarray]]:
-        if self.prefetch > 0:
-            # An abandoned previous epoch must not keep producing from the
-            # shared rng/dataset concurrently with the new one.
-            if self._active_prefetch is not None:
-                self._active_prefetch.close()
-            self._active_prefetch = _PrefetchIterator(
-                self._iter_batches(), self.prefetch
-            )
-            return self._active_prefetch
-        return self._iter_batches()
-
-    def _iter_batches(self) -> Iterator[tuple[Tensor, np.ndarray]]:
         n = len(self.dataset)
         order = np.arange(n)
         if self.shuffle:
             self.rng.shuffle(order)
-        stop = n - (n % self.batch_size) if self.drop_last else n
-        for start in range(0, stop, self.batch_size):
+        for start in range(0, n, self.batch_size):
             idx = order[start : start + self.batch_size]
             batch_x = self.dataset.inputs[idx]
             batch_y = self.dataset.targets[idx]
-            if self.transform is not None:
-                batch_x = self.transform(batch_x, self.rng)
             yield Tensor(np.ascontiguousarray(batch_x)), batch_y

@@ -24,7 +24,7 @@ from repro.experiments.runner import (
 from repro.experiments.rl import RLRunResult, run_rl
 from repro.experiments.lm import LMRunResult, evaluate_lm, run_lm
 from repro.experiments.gnn import GNNResult, evaluate_link_prediction, run_gnn
-from repro.experiments.tables import format_float, format_mean_std, format_table
+from repro.experiments.tables import format_float, format_table
 from repro.experiments.configs import (
     TABLE1_METHODS,
     TABLE2_METHODS,
@@ -64,7 +64,6 @@ __all__ = [
     "run_gnn",
     "format_table",
     "format_float",
-    "format_mean_std",
     "Scale",
     "get_scale",
     "table1_settings",

@@ -30,7 +30,6 @@ __all__ = [
     "table2_settings",
     "gnn_settings",
     "fig3_settings",
-    "gan_settings",
 ]
 
 # Method rows of Table I, in the paper's order (SIS's subdifferential solver
@@ -272,46 +271,6 @@ class GNNSettings:
 def gnn_settings() -> GNNSettings:
     """Epoch budgets follow the paper's 50-vs-60 protocol, scaled."""
     return GNNSettings(scale=get_scale()).scaled()
-
-
-@dataclass
-class GANSettings:
-    """Sparse-GAN stressor knobs (see :mod:`repro.experiments.gan`)."""
-
-    scale: Scale
-    mixtures: tuple[str, ...] = ("ring8",)
-    sparsities: tuple[float, ...] = (0.8, 0.9)
-    total_steps: int = 1500
-    hidden: tuple[int, ...] = (64, 64)
-    batch_size: int = 64
-    delta_t: int = 75
-    balance_max_shift: float = 0.05
-
-    def scaled(self) -> "GANSettings":
-        if self.scale.name == "full":
-            self.mixtures = ("ring8", "grid9")
-            self.total_steps = 6000
-            self.hidden = (128, 128)
-            self.delta_t = 150
-        elif self.scale.name == "medium":
-            self.mixtures = ("ring8", "grid9")
-            self.total_steps = 3000
-            self.delta_t = 100
-        return self
-
-    def run_kwargs(self) -> dict:
-        return dict(
-            total_steps=self.total_steps,
-            hidden=self.hidden,
-            batch_size=self.batch_size,
-            delta_t=self.delta_t,
-            balance_max_shift=self.balance_max_shift,
-        )
-
-
-def gan_settings() -> GANSettings:
-    """Mixture/step budgets for the GAN sweep, scaled like the tables."""
-    return GANSettings(scale=get_scale()).scaled()
 
 
 @dataclass

@@ -38,12 +38,15 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.experiments.registry import GAN_METHODS, build_method
-from repro.experiments.runner import _resolve_resume_path
 from repro.models.mlp import MLP
 from repro.optim import Adam
 from repro.sparse.budget import DensityBudget
 from repro.train.callbacks import Callback
-from repro.train.checkpoint import CheckpointCallback, load_training_checkpoint
+from repro.train.checkpoint import (
+    CheckpointCallback,
+    load_training_checkpoint,
+    resolve_resume_path,
+)
 from repro.train.loop import TrainLoop, mask_stats, sparse_update
 
 __all__ = [
@@ -351,8 +354,6 @@ class GANTrainer(TrainLoop):
                     )
                 )
             self._step_end(step)
-            if self._should_stop():
-                break
         return self.history
 
     # ------------------------------------------------------------------
@@ -538,7 +539,7 @@ def run_gan(
         data_rng=np.random.default_rng(seed + 4),
         latent_rng=np.random.default_rng(seed + 5),
     )
-    resume_path = _resolve_resume_path(resume_from)
+    resume_path = resolve_resume_path(resume_from)
     if resume_path is not None:
         trainer.load_state_dict(load_training_checkpoint(resume_path))
     history = trainer.fit(total_steps)
@@ -571,4 +572,3 @@ def run_gan(
         generator=generator if keep_model else None,
         discriminator=discriminator if keep_model else None,
     )
-

@@ -31,7 +31,6 @@ from repro.data.dataset import ArrayDataset
 from repro.data.graphs import LinkPredictionData, ia_email_like, wiki_talk_like
 from repro.data.loader import DataLoader
 from repro.experiments.registry import GNN_METHODS, build_method
-from repro.experiments.runner import _resolve_resume_path
 from repro.metrics.accuracy import binary_accuracy
 from repro.models.gnn import BoundLinkModel
 from repro.nn.losses import binary_cross_entropy_with_logits
@@ -39,7 +38,11 @@ from repro.optim import Adam
 from repro.sparse import ADMMPruner, FixedMaskController, MaskedModel
 from repro.train import Trainer
 from repro.train.callbacks import Callback
-from repro.train.checkpoint import CheckpointCallback, load_training_checkpoint
+from repro.train.checkpoint import (
+    CheckpointCallback,
+    load_training_checkpoint,
+    resolve_resume_path,
+)
 from repro.train.loop import mask_stats
 
 __all__ = ["GRAPHS", "GNNResult", "edge_dataset", "evaluate_link_prediction", "run_gnn"]
@@ -184,7 +187,7 @@ def run_gnn(
                 )
             )
         trainer = make_trainer(optimizer, controller, seed, extra)
-        resume_path = _resolve_resume_path(resume_from)
+        resume_path = resolve_resume_path(resume_from)
         if resume_path is not None:
             trainer.load_state_dict(load_training_checkpoint(resume_path))
         epochs = len(trainer.fit(epochs).epochs)

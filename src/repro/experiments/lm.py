@@ -34,14 +34,17 @@ from repro.autograd.tensor import no_grad
 from repro.data.loader import DataLoader
 from repro.data.text import LMData, make_char_lm_data
 from repro.experiments.registry import LM_METHODS, build_method
-from repro.experiments.runner import _resolve_resume_path
 from repro.models.char_gpt import CharGPT
 from repro.nn.losses import lm_cross_entropy
 from repro.nn.module import Module
 from repro.optim import Adam
 from repro.train import Trainer
 from repro.train.callbacks import Callback
-from repro.train.checkpoint import CheckpointCallback, load_training_checkpoint
+from repro.train.checkpoint import (
+    CheckpointCallback,
+    load_training_checkpoint,
+    resolve_resume_path,
+)
 
 __all__ = ["LMRunResult", "evaluate_lm", "run_lm"]
 
@@ -228,7 +231,7 @@ def run_lm(
         sparse_backend=sparse_backend,
         n_workers=n_workers,
     )
-    resume_path = _resolve_resume_path(resume_from)
+    resume_path = resolve_resume_path(resume_from)
     if resume_path is not None:
         trainer.load_state_dict(load_training_checkpoint(resume_path))
     history = trainer.fit(epochs)
@@ -264,4 +267,3 @@ def run_lm(
         model=model if keep_model else None,
         masked=setup.masked if keep_model else None,
     )
-

@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.experiments.registry import RL_METHODS, build_method
-from repro.experiments.runner import _resolve_resume_path
 from repro.models.mlp import MLP
 from repro.optim import Adam
 from repro.rl.agent import DQNAgent, EpsilonSchedule
@@ -32,7 +31,11 @@ from repro.rl.envs import SOLVE_WINDOW, make_env
 from repro.rl.replay import ReplayBuffer
 from repro.rl.trainer import RLTrainer, rolling_returns
 from repro.train.callbacks import Callback
-from repro.train.checkpoint import CheckpointCallback, load_training_checkpoint
+from repro.train.checkpoint import (
+    CheckpointCallback,
+    load_training_checkpoint,
+    resolve_resume_path,
+)
 
 __all__ = ["RLRunResult", "run_rl"]
 
@@ -194,7 +197,7 @@ def run_rl(
         target_sync_every=target_sync_every,
         sparse_backend=sparse_backend,
     )
-    resume_path = _resolve_resume_path(resume_from)
+    resume_path = resolve_resume_path(resume_from)
     if resume_path is not None:
         trainer.load_state_dict(load_training_checkpoint(resume_path))
     history = trainer.fit(total_steps)
@@ -229,4 +232,3 @@ def run_rl(
         model=online if keep_model else None,
         masked=setup.masked if keep_model else None,
     )
-

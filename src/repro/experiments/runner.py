@@ -48,8 +48,8 @@ from repro.train.callbacks import Callback
 from repro.train.checkpoint import (
     CheckpointCallback,
     atomic_write_bytes,
-    latest_checkpoint,
     load_training_checkpoint,
+    resolve_resume_path,
 )
 from repro.experiments.registry import SweepCell, build_method
 
@@ -115,27 +115,6 @@ class _DensitySnapshotCallback(Callback):
 
     def load_state_dict(self, state: dict) -> None:
         self.snapshots = [dict(s) for s in state["snapshots"]]
-
-
-def _resolve_resume_path(resume_from) -> pathlib.Path | None:
-    """A checkpoint file, the latest checkpoint of a directory, or None.
-
-    A directory without checkpoints — including a directory that does not
-    exist yet — resolves to None (fresh start): this is what lets a
-    resumed sweep treat never-started cells uniformly.  An explicitly
-    named checkpoint *file* (``*.npz``) that is missing raises instead of
-    silently restarting from scratch.
-    """
-    if resume_from is None:
-        return None
-    resume_from = pathlib.Path(resume_from)
-    if resume_from.is_dir():
-        return latest_checkpoint(resume_from)
-    if resume_from.exists():
-        return resume_from
-    if resume_from.suffix == ".npz":
-        raise FileNotFoundError(f"resume checkpoint not found: {resume_from}")
-    return None
 
 
 def run_image_classification(
@@ -252,7 +231,7 @@ def run_image_classification(
         sparse_backend=sparse_backend,
         n_workers=n_workers,
     )
-    resume_path = _resolve_resume_path(resume_from)
+    resume_path = resolve_resume_path(resume_from)
     if resume_path is not None:
         trainer.load_state_dict(load_training_checkpoint(resume_path))
     history = trainer.fit(epochs)

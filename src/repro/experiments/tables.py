@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "format_float", "format_mean_std"]
+__all__ = ["format_table", "format_float"]
 
 
 def format_float(value, digits: int = 2) -> str:
@@ -16,11 +16,6 @@ def format_float(value, digits: int = 2) -> str:
     if value is None:
         return "-"
     return f"{value:.{digits}f}"
-
-
-def format_mean_std(mean: float, std: float, digits: int = 2) -> str:
-    """Paper-style ``mean ± std`` cell."""
-    return f"{mean:.{digits}f} ± {std:.{digits}f}"
 
 
 def format_table(

@@ -66,10 +66,6 @@ class LayerProfile:
     weight_shape: tuple[int, ...]
     flops: int
 
-    @property
-    def weight_size(self) -> int:
-        return int(np.prod(self.weight_shape))
-
 
 @dataclass
 class ModelProfile:
@@ -81,9 +77,6 @@ class ModelProfile:
     @property
     def total_flops(self) -> int:
         return sum(layer.flops for layer in self.layers)
-
-    def by_name(self) -> dict[str, LayerProfile]:
-        return {layer.name: layer for layer in self.layers}
 
 
 def profile_model(model: Module, input_shape: tuple[int, ...]) -> ModelProfile:

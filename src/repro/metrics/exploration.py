@@ -270,10 +270,3 @@ class IgnoredImportantAnalysis:
             if per_round:
                 fractions[name] = float(np.mean(per_round))
         return fractions
-
-    def layers_above(self, threshold: float = 0.9) -> int:
-        """Number of layers whose mean ignored fraction exceeds ``threshold``."""
-        return sum(
-            1 for value in self.ignored_fraction_by_layer().values()
-            if value > threshold
-        )

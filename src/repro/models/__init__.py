@@ -3,14 +3,7 @@
 from repro.models.char_gpt import CharGPT, TransformerBlock
 from repro.models.mlp import MLP
 from repro.models.vgg import VGG, VGG_CONFIGS, vgg11, vgg19
-from repro.models.resnet import (
-    BasicBlock,
-    Bottleneck,
-    ResNet,
-    resnet20,
-    resnet50,
-    resnet50_mini,
-)
+from repro.models.resnet import Bottleneck, ResNet, resnet50, resnet50_mini
 from repro.models.gnn import GCNEncoder, GNNLinkModel, LinkPredictor
 from repro.models.registry import MODEL_REGISTRY, build_model, register_model
 
@@ -26,9 +19,7 @@ __all__ = [
     "vgg11",
     "vgg19",
     "ResNet",
-    "BasicBlock",
     "Bottleneck",
-    "resnet20",
     "resnet50",
     "resnet50_mini",
     "GCNEncoder",

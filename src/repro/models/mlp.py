@@ -22,8 +22,6 @@ class MLP(nn.Module):
         Sizes of hidden layers, e.g. ``(256, 128)``.
     num_classes:
         Output dimension (logits).
-    dropout:
-        Optional dropout probability after each hidden activation.
     seed:
         Seed for weight initialization.
     """
@@ -33,7 +31,6 @@ class MLP(nn.Module):
         in_features: int,
         hidden: Sequence[int] = (128, 64),
         num_classes: int = 10,
-        dropout: float = 0.0,
         seed: int = 0,
     ):
         super().__init__()
@@ -43,8 +40,6 @@ class MLP(nn.Module):
         for width in hidden:
             layers.append(nn.Linear(prev, int(width), rng=rng))
             layers.append(nn.ReLU())
-            if dropout > 0:
-                layers.append(nn.Dropout(dropout, rng=np.random.default_rng(rng.integers(2**31))))
             prev = int(width)
         layers.append(nn.Linear(prev, int(num_classes), rng=rng))
         self.body = nn.Sequential(*layers)

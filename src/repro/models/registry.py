@@ -17,7 +17,7 @@ from typing import Callable
 
 from repro.models.char_gpt import CharGPT
 from repro.models.mlp import MLP
-from repro.models.resnet import resnet20, resnet50, resnet50_mini
+from repro.models.resnet import resnet50, resnet50_mini
 from repro.models.vgg import vgg11, vgg19
 from repro.nn.module import Module
 
@@ -28,7 +28,6 @@ MODEL_REGISTRY: dict[str, Callable[..., Module]] = {
     "char_gpt": CharGPT,
     "vgg11": vgg11,
     "vgg19": vgg19,
-    "resnet20": resnet20,
     "resnet50": resnet50,
     "resnet50_mini": resnet50_mini,
 }

@@ -12,34 +12,7 @@ import numpy as np
 
 from repro import nn
 
-__all__ = ["ResNet", "Bottleneck", "BasicBlock", "resnet50", "resnet50_mini", "resnet20"]
-
-
-class BasicBlock(nn.Module):
-    """Two 3x3 convs with identity/projection shortcut (ResNet-18/20 style)."""
-
-    expansion = 1
-
-    def __init__(self, in_channels: int, channels: int, stride: int, rng: np.random.Generator):
-        super().__init__()
-        out_channels = channels * self.expansion
-        self.conv1 = nn.Conv2d(in_channels, channels, 3, stride=stride, padding=1, bias=False, rng=rng)
-        self.bn1 = nn.BatchNorm2d(channels)
-        self.conv2 = nn.Conv2d(channels, out_channels, 3, padding=1, bias=False, rng=rng)
-        self.bn2 = nn.BatchNorm2d(out_channels)
-        self.relu = nn.ReLU()
-        if stride != 1 or in_channels != out_channels:
-            self.shortcut = nn.Sequential(
-                nn.Conv2d(in_channels, out_channels, 1, stride=stride, bias=False, rng=rng),
-                nn.BatchNorm2d(out_channels),
-            )
-        else:
-            self.shortcut = nn.Identity()
-
-    def forward(self, x):
-        out = self.relu(self.bn1(self.conv1(x)))
-        out = self.bn2(self.conv2(out))
-        return self.relu(out + self.shortcut(x))
+__all__ = ["ResNet", "Bottleneck", "resnet50", "resnet50_mini"]
 
 
 class Bottleneck(nn.Module):
@@ -78,7 +51,7 @@ class ResNet(nn.Module):
     Parameters
     ----------
     block:
-        :class:`BasicBlock` or :class:`Bottleneck`.
+        The residual block class, :class:`Bottleneck`.
     layers:
         Blocks per stage, e.g. ``[3, 4, 6, 3]`` for ResNet-50.
     num_classes:
@@ -125,9 +98,7 @@ class ResNet(nn.Module):
                 )
                 current = stage_width * block.expansion
             stages.append(nn.Sequential(*blocks_list))
-        self.layer1, self.layer2, self.layer3, self.layer4 = (
-            stages if len(stages) == 4 else stages + [nn.Identity()] * (4 - len(stages))
-        )
+        self.layer1, self.layer2, self.layer3, self.layer4 = stages
         self.pool = nn.GlobalAvgPool2d()
         self.fc = nn.Linear(current, num_classes, rng=rng)
         self.num_classes = num_classes
@@ -153,11 +124,4 @@ def resnet50_mini(num_classes: int = 10, width_mult: float = 0.25, in_channels: 
                   seed: int = 0) -> ResNet:
     """Same bottleneck family at [1, 1, 1, 1] depth — benchmark-scale stand-in."""
     return ResNet(Bottleneck, [1, 1, 1, 1], num_classes=num_classes,
-                  width_mult=width_mult, in_channels=in_channels, seed=seed)
-
-
-def resnet20(num_classes: int = 10, width_mult: float = 1.0, in_channels: int = 3,
-             seed: int = 0) -> ResNet:
-    """CIFAR ResNet-20 analogue with basic blocks (ablation model)."""
-    return ResNet(BasicBlock, [3, 3, 3], num_classes=num_classes,
                   width_mult=width_mult, in_channels=in_channels, seed=seed)

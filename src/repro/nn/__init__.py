@@ -2,7 +2,7 @@
 
 The public API mirrors the familiar ``torch.nn`` names at the scale this
 reproduction needs: modules auto-register parameters, ``train()``/``eval()``
-switch stochastic layers, and losses fuse numerically stable primitives.
+switch batch-norm statistics, and losses fuse numerically stable primitives.
 """
 
 from repro.nn.module import Module, Parameter, Sequential, Identity
@@ -11,29 +11,15 @@ from repro.nn.conv import Conv2d
 from repro.nn.embedding import Embedding
 from repro.nn.norm import BatchNorm1d, BatchNorm2d, LayerNorm
 from repro.nn.attention import CausalSelfAttention
-from repro.nn.activations import (
-    GELU,
-    LeakyReLU,
-    LogSoftmax,
-    ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
-)
-from repro.nn.pooling import AvgPool2d, Flatten, GlobalAvgPool2d, MaxPool2d
-from repro.nn.dropout import Dropout
+from repro.nn.activations import GELU, ReLU
+from repro.nn.pooling import GlobalAvgPool2d, MaxPool2d
 from repro.nn.losses import (
-    BCEWithLogitsLoss,
-    CrossEntropyLoss,
-    HuberLoss,
-    MSELoss,
     binary_cross_entropy_with_logits,
     cross_entropy,
     huber_loss,
     lm_cross_entropy,
-    mse_loss,
 )
-from repro.nn import functional, init
+from repro.nn import init
 
 __all__ = [
     "Module",
@@ -49,25 +35,11 @@ __all__ = [
     "CausalSelfAttention",
     "GELU",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Softmax",
-    "LogSoftmax",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
-    "Flatten",
-    "Dropout",
-    "CrossEntropyLoss",
-    "BCEWithLogitsLoss",
-    "HuberLoss",
-    "MSELoss",
     "cross_entropy",
     "lm_cross_entropy",
     "binary_cross_entropy_with_logits",
     "huber_loss",
-    "mse_loss",
     "init",
-    "functional",
 ]

@@ -1,6 +1,6 @@
-"""Weight initialization schemes (Kaiming / Xavier / constant).
+"""Weight initialization (Kaiming-uniform, the layers' default).
 
-All initializers mutate the parameter in-place and accept an explicit
+The initializer mutates the parameter in-place and takes an explicit
 ``numpy.random.Generator`` so model construction is fully reproducible —
 a requirement for the multi-seed experiment protocol of the paper.
 """
@@ -13,15 +13,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 
-__all__ = [
-    "kaiming_normal_",
-    "kaiming_uniform_",
-    "xavier_normal_",
-    "xavier_uniform_",
-    "constant_",
-    "zeros_",
-    "compute_fans",
-]
+__all__ = ["kaiming_uniform_", "compute_fans"]
 
 
 def compute_fans(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -50,16 +42,6 @@ def _gain(nonlinearity: str) -> float:
     raise ValueError(f"unknown nonlinearity {nonlinearity!r}")
 
 
-def kaiming_normal_(
-    param: Tensor, rng: np.random.Generator, nonlinearity: str = "relu"
-) -> Tensor:
-    """He-normal init: ``std = gain / sqrt(fan_in)``."""
-    fan_in, _ = compute_fans(param.shape)
-    std = _gain(nonlinearity) / math.sqrt(fan_in)
-    param.data = (rng.standard_normal(param.shape) * std).astype(param.dtype)
-    return param
-
-
 def kaiming_uniform_(
     param: Tensor, rng: np.random.Generator, nonlinearity: str = "relu"
 ) -> Tensor:
@@ -68,30 +50,3 @@ def kaiming_uniform_(
     bound = _gain(nonlinearity) * math.sqrt(3.0 / fan_in)
     param.data = rng.uniform(-bound, bound, size=param.shape).astype(param.dtype)
     return param
-
-
-def xavier_normal_(param: Tensor, rng: np.random.Generator) -> Tensor:
-    """Glorot-normal init: ``std = sqrt(2 / (fan_in + fan_out))``."""
-    fan_in, fan_out = compute_fans(param.shape)
-    std = math.sqrt(2.0 / (fan_in + fan_out))
-    param.data = (rng.standard_normal(param.shape) * std).astype(param.dtype)
-    return param
-
-
-def xavier_uniform_(param: Tensor, rng: np.random.Generator) -> Tensor:
-    """Glorot-uniform init: ``bound = sqrt(6 / (fan_in + fan_out))``."""
-    fan_in, fan_out = compute_fans(param.shape)
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    param.data = rng.uniform(-bound, bound, size=param.shape).astype(param.dtype)
-    return param
-
-
-def constant_(param: Tensor, value: float) -> Tensor:
-    """Fill with a constant."""
-    param.data = np.full(param.shape, value, dtype=param.dtype)
-    return param
-
-
-def zeros_(param: Tensor) -> Tensor:
-    """Fill with zeros."""
-    return constant_(param, 0.0)

@@ -1,4 +1,4 @@
-"""Loss functions (cross-entropy, BCE with logits, MSE, Huber)."""
+"""Loss functions (cross-entropy, BCE with logits, Huber)."""
 
 from __future__ import annotations
 
@@ -6,18 +6,12 @@ import numpy as np
 
 from repro.autograd import ops
 from repro.autograd.tensor import Tensor, ensure_tensor
-from repro.nn.module import Module
 
 __all__ = [
     "cross_entropy",
     "lm_cross_entropy",
     "binary_cross_entropy_with_logits",
     "huber_loss",
-    "mse_loss",
-    "CrossEntropyLoss",
-    "BCEWithLogitsLoss",
-    "HuberLoss",
-    "MSELoss",
 ]
 
 
@@ -85,14 +79,6 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
     return ops.mean(loss)
 
 
-def mse_loss(prediction: Tensor, target) -> Tensor:
-    """Mean squared error."""
-    prediction = ensure_tensor(prediction)
-    target = ensure_tensor(target)
-    diff = ops.sub(prediction, target)
-    return ops.mean(ops.mul(diff, diff))
-
-
 def huber_loss(prediction: Tensor, target, delta: float = 1.0) -> Tensor:
     """Mean Huber loss (quadratic within ``delta``, linear outside).
 
@@ -111,35 +97,3 @@ def huber_loss(prediction: Tensor, target, delta: float = 1.0) -> Tensor:
     quadratic = ops.mul(0.5, ops.mul(diff, diff))
     linear = ops.mul(delta, ops.sub(abs_diff, 0.5 * delta))
     return ops.mean(ops.where(abs_diff.data <= delta, quadratic, linear))
-
-
-class CrossEntropyLoss(Module):
-    """Module wrapper around :func:`cross_entropy`."""
-
-    def forward(self, logits, targets):
-        return cross_entropy(logits, targets)
-
-
-class BCEWithLogitsLoss(Module):
-    """Module wrapper around :func:`binary_cross_entropy_with_logits`."""
-
-    def forward(self, logits, targets):
-        return binary_cross_entropy_with_logits(logits, targets)
-
-
-class MSELoss(Module):
-    """Module wrapper around :func:`mse_loss`."""
-
-    def forward(self, prediction, target):
-        return mse_loss(prediction, target)
-
-
-class HuberLoss(Module):
-    """Module wrapper around :func:`huber_loss`."""
-
-    def __init__(self, delta: float = 1.0):
-        super().__init__()
-        self.delta = float(delta)
-
-    def forward(self, prediction, target):
-        return huber_loss(prediction, target, delta=self.delta)

@@ -3,8 +3,8 @@
 Mirrors the familiar PyTorch contract at the scale this project needs:
 parameters and sub-modules auto-register on attribute assignment, modules
 expose ``parameters()`` / ``named_parameters()`` / ``state_dict()``, and
-``train()`` / ``eval()`` toggle behaviour of stochastic layers (dropout,
-batch-norm).
+``train()`` / ``eval()`` toggle batch-norm between batch and running
+statistics.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class Module:
     # mode & gradients
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects dropout / batch-norm)."""
+        """Set training mode recursively (affects batch-norm)."""
         object.__setattr__(self, "training", mode)
         for child in self._modules.values():
             child.train(mode)

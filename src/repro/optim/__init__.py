@@ -2,13 +2,7 @@
 
 from repro.optim.sgd import SGD, Optimizer
 from repro.optim.adam import Adam
-from repro.optim.lr_scheduler import (
-    CosineAnnealingLR,
-    LRScheduler,
-    MultiStepLR,
-    StepLR,
-    WarmupWrapper,
-)
+from repro.optim.lr_scheduler import CosineAnnealingLR, LRScheduler
 
 __all__ = [
     "Optimizer",
@@ -16,7 +10,4 @@ __all__ = [
     "Adam",
     "LRScheduler",
     "CosineAnnealingLR",
-    "StepLR",
-    "MultiStepLR",
-    "WarmupWrapper",
 ]

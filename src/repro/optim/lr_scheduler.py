@@ -6,13 +6,13 @@ when :meth:`step` is called (once per epoch, as in the paper's setup, or per
 iteration if constructed with the iteration count).
 
 Checkpointing: every scheduler exposes ``state_dict()`` /
-``load_state_dict()`` (``base_lr`` + ``last_epoch``, plus the wrapped
-scheduler for :class:`WarmupWrapper`), so a restored run continues the
-schedule exactly.  Constructing a scheduler against an optimizer whose
-``lr`` has already been decayed (e.g. right before restoring a checkpoint)
-would silently corrupt the whole schedule if ``base_lr`` were captured from
-``optimizer.lr`` — pass ``base_lr`` explicitly in that situation, or call
-``load_state_dict`` which restores the true base LR.
+``load_state_dict()`` (``base_lr`` + ``last_epoch``), so a restored run
+continues the schedule exactly.  Constructing a scheduler against an
+optimizer whose ``lr`` has already been decayed (e.g. right before
+restoring a checkpoint) would silently corrupt the whole schedule if
+``base_lr`` were captured from ``optimizer.lr`` — pass ``base_lr``
+explicitly in that situation, or call ``load_state_dict`` which restores
+the true base LR.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 
 from repro.optim.sgd import Optimizer
 
-__all__ = ["LRScheduler", "CosineAnnealingLR", "StepLR", "MultiStepLR", "WarmupWrapper"]
+__all__ = ["LRScheduler", "CosineAnnealingLR"]
 
 
 class LRScheduler:
@@ -89,75 +89,3 @@ class CosineAnnealingLR(LRScheduler):
         progress = min(self.last_epoch, self.t_max) / self.t_max
         cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
         return self.eta_min + (self.base_lr - self.eta_min) * cosine
-
-
-class StepLR(LRScheduler):
-    """Multiply LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        step_size: int,
-        gamma: float = 0.1,
-        base_lr: float | None = None,
-    ):
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-        super().__init__(optimizer, base_lr=base_lr)
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma ** (self.last_epoch // self.step_size)
-
-
-class MultiStepLR(LRScheduler):
-    """Multiply LR by ``gamma`` at each milestone epoch."""
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        milestones: list[int],
-        gamma: float = 0.1,
-        base_lr: float | None = None,
-    ):
-        self.milestones = sorted(int(m) for m in milestones)
-        self.gamma = float(gamma)
-        super().__init__(optimizer, base_lr=base_lr)
-
-    def get_lr(self) -> float:
-        passed = sum(1 for m in self.milestones if m <= self.last_epoch)
-        return self.base_lr * self.gamma**passed
-
-
-class WarmupWrapper(LRScheduler):
-    """Linear warmup for ``warmup_epochs`` steps, then delegate to ``inner``."""
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        inner: LRScheduler,
-        warmup_epochs: int,
-        base_lr: float | None = None,
-    ):
-        self.inner = inner
-        self.warmup_epochs = int(warmup_epochs)
-        super().__init__(optimizer, base_lr=base_lr)
-
-    def get_lr(self) -> float:
-        if self.last_epoch < self.warmup_epochs:
-            return self.base_lr * (self.last_epoch + 1) / self.warmup_epochs
-        return self.inner.get_lr()
-
-    def step(self) -> None:
-        self.last_epoch += 1
-        if self.last_epoch >= self.warmup_epochs:
-            self.inner.step()
-        self.optimizer.lr = self.get_lr()
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["inner"] = self.inner.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        self.inner.load_state_dict(state["inner"])
-        super().load_state_dict(state)

@@ -32,10 +32,9 @@ Semantics notes
 ---------------
 * Gradient averaging is weighted by shard size, so the result equals the
   full-batch mean gradient up to float32 summation order.
-* Stochastic layers (dropout) draw from per-worker RNG streams; batch-norm
-  layers normalize by per-shard statistics and the parent adopts the
-  running buffers of the first worker — the same per-replica semantics as
-  standard data-parallel training.
+* Batch-norm layers normalize by per-shard statistics and the parent
+  adopts the running buffers of the first worker — the same per-replica
+  semantics as standard data-parallel training.
 """
 
 from __future__ import annotations
@@ -287,32 +286,7 @@ class GradientWorkerPool:
             np.copyto(target.mask.reshape(-1), flat[offset : offset + target.size])
             target.mark_mask_dirty()
 
-    def _reseed_worker_rngs(self, worker_id: int) -> None:
-        """Give this replica's stochastic layers worker-distinct RNG streams.
-
-        Forked replicas inherit *identical* generator states, so without
-        this every worker would draw the same dropout masks.  Both the
-        legacy global stream and any ``np.random.Generator`` held as a
-        module attribute (e.g. :class:`~repro.nn.Dropout`) are re-derived
-        deterministically from ``(worker_id, position)``.
-        """
-        # Deliberate legacy-stream use: forked replicas inherit the parent's
-        # *global* stream too, so it must be re-derived per worker exactly like
-        # the Generator attributes below.  The reseed is itself deterministic
-        # (parent state + worker_id).
-        # reprolint: disable-next=RPL001
-        np.random.seed((int(np.random.get_state()[1][0]) + worker_id + 1) % (2**32))
-        position = 0
-        for module in self.model.modules():
-            for name, value in list(vars(module).items()):
-                if isinstance(value, np.random.Generator):
-                    setattr(module, name, np.random.default_rng(
-                        np.random.SeedSequence([worker_id + 1, position])
-                    ))
-                    position += 1
-
     def _worker_loop(self, worker_id: int, conn) -> None:
-        self._reseed_worker_rngs(worker_id)
         grad_row = self._grad_shm.array[worker_id]
         send_buffers = self._has_buffers and worker_id == 0
         while True:

@@ -114,7 +114,7 @@ class RLTrainer(TrainLoop):
     target_sync_every:
         Target-network sync cadence in *gradient* steps.
     sparse_backend:
-        As in the supervised trainer: ``"auto"``/``"csr"``/``"dense"``
+        As in the supervised trainer: ``"auto"``/``"csr"``/``"bsr"``/``"dense"``
         installs execution backends on the controller's masked layers and
         (non-dense) binds the optimizer for sparse coordinate updates.
     """
@@ -222,8 +222,6 @@ class RLTrainer(TrainLoop):
                 self._finish_episode(epsilon)
 
             self._step_end(self.global_step)
-            if self._should_stop():
-                break
 
         elapsed = time.perf_counter() - start
         if elapsed > 0:

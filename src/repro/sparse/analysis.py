@@ -1,102 +1,10 @@
-"""Mask analysis utilities: topology drift, overlap, per-layer statistics.
-
-ITOP's central observation — which DST-EE builds on — is that the *benefit*
-of dynamic sparse training comes from how much of the parameter space the
-evolving masks visit.  These helpers quantify that from mask snapshots:
-
-* :func:`mask_overlap` / :func:`mask_jaccard` — how similar two masks are;
-* :class:`MaskDriftTracker` — per-round overlap with the previous and the
-  initial mask (how fast the topology moves, and how far it ends up);
-* :func:`layer_density_table` — per-layer density summary for reports.
-"""
+"""Mask analysis: :func:`layer_density_table`, a per-layer density summary for reports."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.sparse.masked import MaskedModel
 
-__all__ = [
-    "mask_overlap",
-    "mask_jaccard",
-    "MaskDriftTracker",
-    "layer_density_table",
-]
-
-
-def mask_overlap(a: np.ndarray, b: np.ndarray) -> float:
-    """|A∩B| / |A|: fraction of ``a``'s active set also active in ``b``."""
-    if a.shape != b.shape:
-        raise ValueError(f"mask shapes differ: {a.shape} vs {b.shape}")
-    active = int(a.sum())
-    if active == 0:
-        return 1.0
-    return float((a & b).sum() / active)
-
-
-def mask_jaccard(a: np.ndarray, b: np.ndarray) -> float:
-    """Jaccard similarity |A∩B| / |A∪B| of two boolean masks."""
-    if a.shape != b.shape:
-        raise ValueError(f"mask shapes differ: {a.shape} vs {b.shape}")
-    union = int((a | b).sum())
-    if union == 0:
-        return 1.0
-    return float((a & b).sum() / union)
-
-
-@dataclass
-class DriftRecord:
-    """Drift statistics for one observation."""
-
-    round_index: int
-    overlap_with_previous: float
-    overlap_with_initial: float
-    jaccard_with_initial: float
-
-
-class MaskDriftTracker:
-    """Track how far the sparse topology moves over mask updates.
-
-    Call :meth:`observe` after every mask update; records global (size-
-    weighted) overlap with the previous and initial masks.  A greedy method
-    plateaus near its initial mask; exploration-driven methods drift
-    further — the mechanism behind the paper's coverage argument.
-    """
-
-    def __init__(self, masked: MaskedModel):
-        self.masked = masked
-        self._initial = masked.masks_snapshot()
-        self._previous = masked.masks_snapshot()
-        self.records: list[DriftRecord] = []
-
-    def observe(self, round_index: int) -> DriftRecord:
-        current = self.masked.masks_snapshot()
-        total = self.masked.total_size
-
-        def weighted(metric, reference):
-            acc = 0.0
-            for name, mask in current.items():
-                acc += metric(reference[name], mask) * mask.size
-            return acc / total
-
-        record = DriftRecord(
-            round_index=round_index,
-            overlap_with_previous=weighted(mask_overlap, self._previous),
-            overlap_with_initial=weighted(mask_overlap, self._initial),
-            jaccard_with_initial=weighted(mask_jaccard, self._initial),
-        )
-        self.records.append(record)
-        self._previous = current
-        return record
-
-    @property
-    def final_drift_from_initial(self) -> float:
-        """1 - overlap with the initial mask at the last observation."""
-        if not self.records:
-            return 0.0
-        return 1.0 - self.records[-1].overlap_with_initial
+__all__ = ["layer_density_table"]
 
 
 def layer_density_table(masked: MaskedModel) -> list[dict]:

@@ -168,4 +168,3 @@ class BlockMask:
             f"BlockMask(blocks={self.active_blocks.size}/{self.indexer.n_blocks}, "
             f"block_size={self.indexer.block_size})"
         )
-

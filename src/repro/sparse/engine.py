@@ -713,10 +713,3 @@ class DynamicSparseEngine(SparsityController):
             np.copyto(self._sign_refs[name], saved.reshape(self._sign_refs[name].shape))
         if "rebalancer" in state and self.rebalancer is not None:
             self.rebalancer.load_state_dict(state["rebalancer"])
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def exploration_curve(self) -> list[tuple[int, float]]:
-        """``(round, exploration_rate)`` series — the Fig. 3 left panels."""
-        return [(r.round_index, r.exploration_rate) for r in self.history]

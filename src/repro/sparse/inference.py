@@ -35,7 +35,7 @@ from repro import nn
 from repro.autograd.conv import _pair
 from repro.autograd.tensor import Tensor
 from repro.nn.module import Module
-from repro.sparse.kernels import _csr_product, _indptr, _tap_conv, _tap_csr, _TapGrid
+from repro.sparse.kernels import CsrArrays, _csr_product, _indptr, _tap_conv, _tap_csr, _TapGrid
 from repro.sparse.masked import MaskedModel, SparseParam
 
 __all__ = [
@@ -48,6 +48,9 @@ __all__ = [
 
 class _SparseLayer(Module):
     """One forward-only CSR matrix ``weight_csr`` plus bias and block size.
+
+    ``weight_csr`` is a :class:`~repro.sparse.kernels.CsrArrays`, the form
+    the training kernels hold their CSR data in.
 
     Built from a dense layer and, when given, its mask; without a mask the
     non-zero weights are the structure.  Subclasses set the geometry
@@ -78,20 +81,14 @@ class _SparseLayer(Module):
         return layer
 
     def _attach(self, data, indices, indptr, bias, block_size: int) -> None:
-        import scipy.sparse as sp
-
-        # Attached by attribute: the triplet constructor canonicalizes (and
-        # so copies), which would break aliasing of the stored arrays.
-        matrix = sp.csr_matrix(self.csr_shape, dtype=np.float32)
-        matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
-        self.weight_csr = matrix
+        self.weight_csr = CsrArrays(indptr, indices, data)
         self.bias_data = bias
         self.block_size = int(block_size)
         self.eval()
 
     @property
     def nnz(self) -> int:
-        return int(self.weight_csr.nnz)
+        return int(self.weight_csr.indptr[-1])
 
     def _input(self, x) -> np.ndarray:
         if self.training:
@@ -117,8 +114,7 @@ class SparseLinear(_SparseLayer):
 
     def forward(self, x: Tensor) -> Tensor:
         data = self._input(x)
-        w = self.weight_csr
-        out = _csr_product(w.indptr, w.indices, w.data, self.csr_shape, data, self.bias_data)
+        out = _csr_product(*self.weight_csr, self.csr_shape, data, self.bias_data)
         return Tensor(out)
 
     def __repr__(self) -> str:
@@ -160,8 +156,7 @@ class SparseConv2d(_SparseLayer):
         x_grid = np.zeros(grid.size, dtype=np.float32)
         y_grid = np.empty((self.out_channels, grid.pitch), dtype=np.float32)
         out = np.empty((data.shape[0], self.out_channels, grid.out_h, grid.out_w), np.float32)
-        w = self.weight_csr
-        _tap_conv(data, grid, (w.indptr, w.indices, w.data), self.bias_data, x_grid, y_grid, out)
+        _tap_conv(data, grid, self.weight_csr, self.bias_data, x_grid, y_grid, out)
         return Tensor(out)
 
     def __repr__(self) -> str:
@@ -206,7 +201,6 @@ def sparse_storage_bytes(model: Module) -> tuple[int, int]:
     dense_bytes = 0
     for module in model.modules():
         if isinstance(module, _SparseLayer):
-            matrix = module.weight_csr
-            sparse_bytes += matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-            dense_bytes += int(np.prod(matrix.shape)) * 4
+            sparse_bytes += sum(array.nbytes for array in module.weight_csr)
+            dense_bytes += module.csr_shape[0] * module.csr_shape[1] * 4
     return sparse_bytes, dense_bytes

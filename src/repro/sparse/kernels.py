@@ -277,11 +277,6 @@ class CsrMatmul:
         self._grad_w: np.ndarray | None = None
         self._grad_w_version = -1
 
-    @property
-    def structure_version(self) -> int:
-        """Mask version the current index structure was built from."""
-        return self._version
-
     @hot_path
     def sync(self, flat_values: np.ndarray, active_idx: np.ndarray, version: int) -> None:
         if version != self._version:
@@ -319,16 +314,6 @@ class CsrMatmul:
     def wtg(self, g_t: np.ndarray) -> np.ndarray:
         """``W.T @ g_t`` for a staged ``(rows, N)`` operand -> ``(cols, N)``."""
         return _csr_product_t(*self.csr_t, self.shape2d[1], g_t)
-
-    @hot_path
-    def matmul_xwt(self, x2d: np.ndarray) -> np.ndarray:
-        """``x @ W.T`` for ``x`` of shape (N, cols) -> (N, rows), F-ordered."""
-        return self.wx(_staged(x2d, self.shape2d[1])).T
-
-    @hot_path
-    def matmul_gw(self, g2d: np.ndarray) -> np.ndarray:
-        """``g @ W`` for ``g`` of shape (N, rows) -> (N, cols), F-ordered."""
-        return self.wtg(_staged(g2d, self.shape2d[0])).T
 
     def grad_w_buffer(self, shape: tuple[int, ...]) -> np.ndarray:
         """Dense weight-gradient buffer whose inactive coordinates are zero.

@@ -9,7 +9,7 @@ the rate linearly.  All variants live here so the engine stays agnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "DropFractionSchedule",
@@ -120,10 +120,6 @@ class TrainingSchedule:
             raise ValueError(f"total_steps must be positive, got {self.total_steps}")
         if self.delta_t <= 0:
             raise ValueError(f"delta_t must be positive, got {self.delta_t}")
-
-    def with_overrides(self, **changes) -> "TrainingSchedule":
-        """Copy with some fields replaced (method-specific overrides)."""
-        return replace(self, **changes)
 
     def update_schedule(self) -> UpdateSchedule:
         return UpdateSchedule(self.delta_t, self.total_steps, self.stop_fraction)

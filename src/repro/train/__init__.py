@@ -2,14 +2,14 @@
 
 from repro.train.trainer import Trainer, evaluate_classifier
 from repro.train.history import EpochRecord, History
-from repro.train.callbacks import Callback, EarlyStopping, LambdaCallback
+from repro.train.callbacks import Callback
 from repro.train.checkpoint import (
     CheckpointCallback,
     latest_checkpoint,
     load_training_checkpoint,
+    resolve_resume_path,
     save_training_checkpoint,
 )
-from repro.train.loggers import ConsoleLogger, CSVLogger
 
 __all__ = [
     "Trainer",
@@ -17,12 +17,9 @@ __all__ = [
     "History",
     "EpochRecord",
     "Callback",
-    "EarlyStopping",
-    "LambdaCallback",
     "CheckpointCallback",
     "latest_checkpoint",
     "load_training_checkpoint",
+    "resolve_resume_path",
     "save_training_checkpoint",
-    "CSVLogger",
-    "ConsoleLogger",
 ]

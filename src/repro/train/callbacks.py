@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.train.history import EpochRecord
 
 __all__ = [
     "Callback",
-    "LambdaCallback",
-    "EarlyStopping",
     "callback_states",
     "restore_callback_states",
 ]
@@ -38,54 +36,11 @@ class Callback:
     def on_epoch_end(self, record: EpochRecord) -> None:
         """Called with each new history record (epoch, episode or logged GAN step)."""
 
-    def should_stop(self) -> bool:
-        """Return True to stop training early (asked per epoch, or per RL/GAN step)."""
-        return False
-
     def state_dict(self) -> dict | None:
         """Serializable snapshot of the callback's state (None = stateless)."""
 
     def load_state_dict(self, state: dict) -> None:
         """Restore :meth:`state_dict` output."""
-
-
-class LambdaCallback(Callback):
-    """Wrap a plain function as an epoch-end callback."""
-
-    def __init__(self, on_epoch_end: Callable[[EpochRecord], None]):
-        self._fn = on_epoch_end
-
-    def on_epoch_end(self, record: EpochRecord) -> None:
-        self._fn(record)
-
-
-class EarlyStopping(Callback):
-    """Stop when test accuracy has not improved for ``patience`` epochs."""
-
-    def __init__(self, patience: int = 10, min_delta: float = 0.0):
-        self.patience = int(patience)
-        self.min_delta = float(min_delta)
-        self.best = -float("inf")
-        self.stale = 0
-
-    def on_epoch_end(self, record: EpochRecord) -> None:
-        if record.test_accuracy is None:
-            return
-        if record.test_accuracy > self.best + self.min_delta:
-            self.best = record.test_accuracy
-            self.stale = 0
-        else:
-            self.stale += 1
-
-    def should_stop(self) -> bool:
-        return self.stale >= self.patience
-
-    def state_dict(self) -> dict:
-        return {"best": self.best, "stale": self.stale}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.best = float(state["best"])
-        self.stale = int(state["stale"])
 
 
 def callback_states(callbacks: Sequence[Callback]) -> list[dict]:

@@ -29,8 +29,9 @@ writer was killed.
 
 :class:`CheckpointCallback` wires this into the trainer at epoch and/or
 step granularity with optional ``keep_last`` retention;
-:func:`latest_checkpoint` finds the newest checkpoint in a directory for
-``--resume``-style entry points.
+:func:`latest_checkpoint` finds the newest checkpoint in a directory, and
+:func:`resolve_resume_path` turns a ``--resume`` target into the file to
+load.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "latest_checkpoint",
     "list_checkpoints",
     "load_training_checkpoint",
+    "resolve_resume_path",
     "save_training_checkpoint",
 ]
 
@@ -187,6 +189,27 @@ def latest_checkpoint(directory, prefix: str = "ckpt") -> pathlib.Path | None:
     """Newest checkpoint (highest global step) in ``directory``, or None."""
     checkpoints = list_checkpoints(directory, prefix)
     return checkpoints[-1][1] if checkpoints else None
+
+
+def resolve_resume_path(resume_from) -> pathlib.Path | None:
+    """A checkpoint file, the latest checkpoint of a directory, or None.
+
+    A directory without checkpoints — including a directory that does not
+    exist yet — resolves to None (fresh start): this is what lets a
+    resumed sweep treat never-started cells uniformly.  An explicitly
+    named checkpoint *file* (``*.npz``) that is missing raises instead of
+    silently restarting from scratch.
+    """
+    if resume_from is None:
+        return None
+    resume_from = pathlib.Path(resume_from)
+    if resume_from.is_dir():
+        return latest_checkpoint(resume_from)
+    if resume_from.exists():
+        return resume_from
+    if resume_from.suffix == ".npz":
+        raise FileNotFoundError(f"resume checkpoint not found: {resume_from}")
+    return None
 
 
 class CheckpointCallback(Callback):

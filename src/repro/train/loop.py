@@ -8,11 +8,11 @@ the checkpoint state.  Each trainer keeps its own ``fit`` iteration, so
 the hook order differs by trainer:
 
 * ``Trainer``: ``on_step_end`` after every batch; after an epoch's last
-  batch, ``on_epoch_end(EpochRecord)``, then ``should_stop`` once.
+  batch, ``on_epoch_end(EpochRecord)``.
 * ``RLTrainer``, every environment step: ``on_epoch_end(EpisodeRecord)``
-  if the step ended an episode, then ``on_step_end``, then ``should_stop``.
+  if the step ended an episode, then ``on_step_end``.
 * ``GANTrainer``, every step: ``on_epoch_end(GanStepRecord)`` on logged
-  steps, then ``on_step_end``, then ``should_stop``.
+  steps, then ``on_step_end``.
 
 Every hook is looked up on its object at each call (``controller.on_backward``,
 ``optimizer.step``, the trainer's ``loss_fn``), so a wrapper installed with
@@ -132,9 +132,6 @@ class TrainLoop:
     def _step_end(self, step: int) -> None:
         for callback in self.callbacks:
             callback.on_step_end(step)
-
-    def _should_stop(self) -> bool:
-        return any(callback.should_stop() for callback in self.callbacks)
 
     def state_dict(self) -> dict:
         """Complete, serializable training state (resume-exact)."""

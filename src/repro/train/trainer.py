@@ -9,23 +9,22 @@ active weights move.
 
 Checkpointing: :meth:`Trainer.state_dict` captures the *complete* training
 state — model parameters, optimizer moments, scheduler position, controller
-state (masks, coverage counters, engine RNG), epoch history, data-order and
-dropout RNG bit-generator states, and, mid-epoch, the partial epoch's
+state (masks, coverage counters, engine RNG), epoch history, the
+data-order RNG bit-generator state, and, mid-epoch, the partial epoch's
 progress (batches consumed plus running loss/accuracy accumulators).  A
 trainer built from the same config and restored via
 :meth:`load_state_dict` continues *bitwise identically* to the
 uninterrupted run: ``fit`` resumes at ``len(history)`` epochs, and a
 partial epoch replays its already-trained batches through the data
-pipeline (advancing the shuffle/augmentation RNG exactly as the original
-epoch did) without recomputing them.  See :mod:`repro.train.checkpoint`
-for the on-disk format.
+pipeline (advancing the shuffle RNG exactly as the original epoch did)
+without recomputing them.  See :mod:`repro.train.checkpoint` for the
+on-disk format.
 """
 
 from __future__ import annotations
 
 import copy
 import time
-import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,21 +59,6 @@ def evaluate_classifier(model: Module, loader: DataLoader) -> float:
     return correct / max(total, 1)
 
 
-def _named_module_rngs(model: Module) -> list[tuple[str, np.random.Generator]]:
-    """``(key, generator)`` pairs for every Generator held by a module.
-
-    Covers stochastic layers such as :class:`~repro.nn.Dropout` whose
-    draws are part of the training trajectory and therefore part of the
-    resume-exact state.
-    """
-    pairs = []
-    for name, module in model.named_modules():
-        for attr, value in sorted(vars(module).items()):
-            if isinstance(value, np.random.Generator):
-                pairs.append((f"{name}:{attr}" if name else attr, value))
-    return pairs
-
-
 class Trainer(TrainLoop):
     """Epoch-based trainer for classification models.
 
@@ -95,7 +79,7 @@ class Trainer(TrainLoop):
         Evaluate every N epochs (always evaluates on the final epoch).
     sparse_backend:
         Optional execution backend for the controller's masked layers:
-        ``"auto"``, ``"csr"`` or ``"dense"`` (see
+        ``"auto"``, ``"csr"``, ``"bsr"`` or ``"dense"`` (see
         :mod:`repro.sparse.kernels`).  Installed at the start of ``fit``;
         non-dense modes also bind the optimizer for sparse coordinate
         updates.  ``None`` (default) leaves the model untouched.
@@ -149,7 +133,6 @@ class Trainer(TrainLoop):
         # Partial-epoch state restored by load_state_dict, consumed by the
         # next _train_epoch call.
         self._pending_resume: dict | None = None
-        self._restored = False
 
     def _open_worker_pool(self):
         if self.n_workers < 2:
@@ -180,37 +163,12 @@ class Trainer(TrainLoop):
         """
         self._start_fit()
         self._worker_pool = self._open_worker_pool()
-        self._warn_if_worker_resume_inexact()
         try:
             return self._fit(epochs)
         finally:
             if self._worker_pool is not None:
                 self._worker_pool.close()
                 self._worker_pool = None
-
-    def _warn_if_worker_resume_inexact(self) -> None:
-        """Checkpoint/resume + worker pool + stochastic layers: be loud.
-
-        Gradient workers hold their own replicas of every module RNG
-        (dropout streams), re-derived at fork time; those streams are not
-        part of the checkpoint, so a resumed pooled run with stochastic
-        layers is *not* bitwise-identical to the uninterrupted one.
-        Deterministic models (no module RNG draws in forward) are exact.
-        """
-        if self._worker_pool is None or not _named_module_rngs(self.model):
-            return
-        from repro.train.checkpoint import CheckpointCallback
-
-        checkpointing = any(
-            isinstance(callback, CheckpointCallback) for callback in self.callbacks
-        )
-        if checkpointing or self._restored:
-            warnings.warn(
-                "checkpoint/resume with n_workers >= 2 is not bitwise-exact "
-                "for models with stochastic layers (worker-side RNG streams "
-                "are not checkpointed); see docs/checkpointing.md",
-                stacklevel=3,
-            )
 
     def _fit(self, epochs: int) -> History:
         start_epoch = len(self.history.epochs)
@@ -242,8 +200,6 @@ class Trainer(TrainLoop):
                     mask_update_ms=self._mask_update_ms(updates_before),
                 )
             )
-            if self._should_stop():
-                break
         return self.history
 
     # ------------------------------------------------------------------
@@ -253,10 +209,10 @@ class Trainer(TrainLoop):
         self._pending_resume = None
         if resume is not None and resume.get("epoch") == epoch:
             # Rewind the data pipeline to the start of the interrupted
-            # epoch: the shuffle order and per-batch augmentation draws are
-            # regenerated identically, and the already-trained batches are
-            # replayed through the loader (advancing its RNG exactly as the
-            # original epoch did) without touching the model.
+            # epoch: the shuffle order is regenerated identically, and the
+            # already-trained batches are replayed through the loader
+            # (advancing its RNG exactly as the original epoch did) without
+            # touching the model.
             self.train_loader.rng.bit_generator.state = copy.deepcopy(
                 resume["loader_rng_epoch_start"]
             )
@@ -351,7 +307,7 @@ class Trainer(TrainLoop):
         }
 
     def _loop_state(self) -> dict:
-        """Data-order and dropout RNG states, plus the partial epoch mid-epoch.
+        """The data-order RNG state, plus the partial epoch mid-epoch.
 
         Safe to checkpoint at any point: from a step-granular callback
         mid-epoch the partial epoch's progress is included so the epoch can
@@ -361,24 +317,17 @@ class Trainer(TrainLoop):
         return {
             "rng": {
                 "train_loader": copy.deepcopy(self.train_loader.rng.bit_generator.state),
-                "modules": {
-                    key: copy.deepcopy(rng.bit_generator.state)
-                    for key, rng in _named_module_rngs(self.model)
-                },
             },
             "epoch_progress": None if progress is None else _copy_progress(progress),
         }
 
     def _load_loop_state(self, state: dict) -> None:
+        # Checkpoints written while modules held generators also carry an
+        # ``rng.modules`` map of their states; it is ignored.
         rng_state = state.get("rng", {})
         loader_state = rng_state.get("train_loader")
         if loader_state is not None:
             self.train_loader.rng.bit_generator.state = copy.deepcopy(loader_state)
-        module_states = rng_state.get("modules", {})
-        for key, rng in _named_module_rngs(self.model):
-            if key in module_states:
-                rng.bit_generator.state = copy.deepcopy(module_states[key])
-        self._restored = True
         progress = state.get("epoch_progress")
         self._pending_resume = None if progress is None else _copy_progress(progress)
 

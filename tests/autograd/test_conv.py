@@ -8,7 +8,7 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor, gradcheck
-from repro.autograd.conv import avg_pool2d, conv2d, conv_output_size, max_pool2d, pad2d
+from repro.autograd.conv import conv2d, max_pool2d
 from repro.optim import SGD
 from repro.sparse import MaskedModel, install_training_backends
 
@@ -20,13 +20,6 @@ def t64(array):
 
 
 class TestOutputSizes:
-    @pytest.mark.parametrize(
-        "size,kernel,stride,padding,expected",
-        [(8, 3, 1, 1, 8), (8, 3, 2, 1, 4), (7, 3, 1, 0, 5), (4, 2, 2, 0, 2), (5, 5, 1, 2, 5)],
-    )
-    def test_conv_output_size(self, size, kernel, stride, padding, expected):
-        assert conv_output_size(size, kernel, stride, padding) == expected
-
     def test_conv2d_shape(self):
         x = Tensor(np.zeros((2, 3, 8, 8), dtype=np.float32))
         w = Tensor(np.zeros((5, 3, 3, 3), dtype=np.float32))
@@ -81,18 +74,6 @@ class TestKnownValues:
         out = max_pool2d(Tensor(x), 2)
         assert out.data[0, 0, 0, 0] == pytest.approx(4.0)
 
-    def test_avg_pool_values(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
-        out = avg_pool2d(Tensor(x), 2)
-        assert out.data[0, 0, 0, 0] == pytest.approx(2.5)
-
-    def test_pad2d_values(self):
-        x = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
-        out = pad2d(x, 1)
-        assert out.shape == (1, 1, 4, 4)
-        assert out.data[0, 0, 0, 0] == 0.0
-        assert out.data[0, 0, 1, 1] == 1.0
-
 
 class TestGradients:
     def test_conv2d_gradcheck(self):
@@ -120,14 +101,6 @@ class TestGradients:
     def test_max_pool_overlapping_gradcheck(self):
         values = RNG.permutation(36).astype(np.float64).reshape(1, 1, 6, 6)
         gradcheck(lambda x: max_pool2d(x, 3, stride=1), [t64(values)], atol=1e-4, rtol=1e-4)
-
-    def test_avg_pool_gradcheck(self):
-        x = t64(RNG.standard_normal((2, 2, 4, 4)))
-        gradcheck(lambda v: avg_pool2d(v, 2), [x], atol=1e-4, rtol=1e-4)
-
-    def test_pad2d_gradcheck(self):
-        x = t64(RNG.standard_normal((1, 2, 3, 3)))
-        gradcheck(lambda v: pad2d(v, 2), [x], atol=1e-6, rtol=1e-6)
 
     def test_max_pool_routes_gradient_to_argmax(self):
         x = Tensor(

@@ -105,28 +105,6 @@ class TestElementwiseGradients:
     def test_relu(self):
         gradcheck(ops.relu, [t64(away_from_kinks((6,)))], atol=1e-5, rtol=1e-5)
 
-    def test_leaky_relu(self):
-        gradcheck(
-            lambda x: ops.leaky_relu(x, 0.1),
-            [t64(away_from_kinks((6,)))],
-            atol=1e-5, rtol=1e-5,
-        )
-
-    def test_clip(self):
-        values = away_from_kinks((6,)) * 2.0
-        values = values[np.abs(np.abs(values) - 1.0) > 0.2]  # away from clip edges
-        gradcheck(lambda x: ops.clip(x, -1.0, 1.0), [t64(values)], atol=1e-5, rtol=1e-5)
-
-    def test_maximum(self):
-        a = t64(RNG.standard_normal((5,)))
-        b = t64(RNG.standard_normal((5,)) + 3.0)  # no ties
-        gradcheck(ops.maximum, [a, b], atol=1e-5, rtol=1e-5)
-
-    def test_minimum(self):
-        a = t64(RNG.standard_normal((5,)))
-        b = t64(RNG.standard_normal((5,)) + 3.0)
-        gradcheck(ops.minimum, [a, b], atol=1e-5, rtol=1e-5)
-
     def test_where(self):
         cond = np.array([True, False, True, False])
         a = t64(RNG.standard_normal((4,)))
@@ -222,16 +200,6 @@ class TestShapeGradients:
         a = t64(RNG.standard_normal((6, 3)))
         idx = np.array([0, 2, 2, 5])
         gradcheck(lambda x: ops.getitem(x, idx), [a], atol=1e-6, rtol=1e-6)
-
-    def test_cat(self):
-        a = t64(RNG.standard_normal((2, 3)))
-        b = t64(RNG.standard_normal((4, 3)))
-        gradcheck(lambda x, y: ops.cat([x, y], axis=0), [a, b], atol=1e-6, rtol=1e-6)
-
-    def test_stack(self):
-        a = t64(RNG.standard_normal((3,)))
-        b = t64(RNG.standard_normal((3,)))
-        gradcheck(lambda x, y: ops.stack([x, y], axis=0), [a, b], atol=1e-6, rtol=1e-6)
 
 
 class TestSoftmaxGradients:

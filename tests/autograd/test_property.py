@@ -86,13 +86,6 @@ class TestShapeInvariants:
         )
         assert np.allclose(grad, 1.0)
 
-    @given(value=small_arrays(shape=(4, 2)))
-    @settings(max_examples=30, deadline=None)
-    def test_cat_split_consistency(self, value):
-        # Concatenating a tensor with itself doubles its gradient.
-        grad = grad_of(lambda x: ops.cat([x, x], axis=0), value)
-        assert np.allclose(grad, 2.0)
-
     @given(value=small_arrays(shape=(3, 5)))
     @settings(max_examples=20, deadline=None)
     def test_softmax_gradient_rows_sum_to_zero(self, value):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, no_grad, is_grad_enabled, zeros, ones, randn
+from repro.autograd import Tensor, no_grad, is_grad_enabled
 from repro.autograd import ops
 
 
@@ -24,12 +24,6 @@ class TestConstruction:
 
     def test_requires_grad_default_false(self):
         assert not Tensor([1.0]).requires_grad
-
-    def test_zeros_ones_randn(self):
-        assert zeros(2, 3).shape == (2, 3)
-        assert np.all(ones(4).data == 1.0)
-        r = randn(5, rng=np.random.default_rng(0))
-        assert r.shape == (5,)
 
     def test_repr_contains_shape(self):
         assert "shape=(2,)" in repr(Tensor([1.0, 2.0]))

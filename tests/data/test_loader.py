@@ -1,4 +1,4 @@
-"""DataLoader: batching, shuffling, transforms."""
+"""DataLoader: batching and shuffling."""
 
 import numpy as np
 import pytest
@@ -20,14 +20,8 @@ class TestBatching:
         sizes = [len(y) for _, y in loader]
         assert sizes == [4, 4, 2]
 
-    def test_drop_last(self):
-        loader = DataLoader(make_dataset(10), batch_size=4, drop_last=True)
-        sizes = [len(y) for _, y in loader]
-        assert sizes == [4, 4]
-
     def test_len(self):
         assert len(DataLoader(make_dataset(10), batch_size=4)) == 3
-        assert len(DataLoader(make_dataset(10), batch_size=4, drop_last=True)) == 2
         assert len(DataLoader(make_dataset(8), batch_size=4)) == 2
 
     def test_yields_tensors_and_arrays(self):
@@ -78,22 +72,3 @@ class TestShuffle:
         first = next(iter(loader))[1].copy()
         second = next(iter(loader))[1]
         assert not np.array_equal(first, second)
-
-
-class TestTransforms:
-    def test_transform_applied(self):
-        loader = DataLoader(
-            make_dataset(4), batch_size=4,
-            transform=lambda batch, rng: batch * 2.0,
-        )
-        x, _ = next(iter(loader))
-        assert np.allclose(x.data.reshape(-1), np.arange(4) * 2.0)
-
-    def test_transform_receives_rng(self):
-        seen = []
-        loader = DataLoader(
-            make_dataset(4), batch_size=4,
-            transform=lambda batch, rng: (seen.append(rng), batch)[1],
-        )
-        next(iter(loader))
-        assert isinstance(seen[0], np.random.Generator)

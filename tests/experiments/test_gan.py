@@ -208,8 +208,11 @@ class TestGanResumeBitwise:
 
 
     def test_mismatched_callback_list_warns(self):
-        from repro.train import EarlyStopping
-        from repro.train.callbacks import LambdaCallback
+        from repro.train import Callback
+
+        class Stateful(Callback):
+            def state_dict(self) -> dict:
+                return {"seen": 0}
 
         def trainer(callbacks):
             generator = MLP(4, (12, 12), 2, seed=0)
@@ -223,11 +226,11 @@ class TestGanResumeBitwise:
                 latent_rng=np.random.default_rng(5),
             )
 
-        state = trainer([EarlyStopping(patience=2)]).state_dict()
+        state = trainer([Stateful()]).state_dict()
         with pytest.warns(UserWarning, match="not restored"):
             trainer([]).load_state_dict(state)
         with pytest.warns(UserWarning, match="not restored"):
-            trainer([LambdaCallback(lambda record: None)]).load_state_dict(state)
+            trainer([Callback()]).load_state_dict(state)
 
 
 def run_gan_cell(cell, **kwargs):

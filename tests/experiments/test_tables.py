@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import format_float, format_mean_std, format_table
+from repro.experiments import format_float, format_table
 
 
 class TestFormatters:
@@ -10,9 +10,6 @@ class TestFormatters:
         assert format_float(1.23456) == "1.23"
         assert format_float(1.23456, digits=3) == "1.235"
         assert format_float(None) == "-"
-
-    def test_format_mean_std(self):
-        assert format_mean_std(93.84, 0.09) == "93.84 ± 0.09"
 
 
 class TestTable:

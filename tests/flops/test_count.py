@@ -91,7 +91,7 @@ class TestSparseMultipliers:
         masks = {}
         for layer in profile.layers:
             mask = np.zeros(layer.weight_shape, dtype=bool)
-            mask.reshape(-1)[: layer.weight_size // 2] = True
+            mask.reshape(-1)[: mask.size // 2] = True
             masks[layer.name] = mask
         _, multiplier = sparse_inference_flops(profile, masks)
         assert multiplier == pytest.approx(0.5, abs=0.05)

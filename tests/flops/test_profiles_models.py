@@ -50,6 +50,6 @@ class TestArchitectureProfiles:
     def test_by_name_lookup(self):
         model = vgg19(num_classes=10, width_mult=0.1, input_size=8, seed=0)
         profile = profile_model(model, (3, 8, 8))
-        lookup = profile.by_name()
+        lookup = {layer.name: layer for layer in profile.layers}
         assert "features.0.weight" in lookup
         assert lookup["features.0.weight"].kind == "conv"

@@ -62,7 +62,8 @@ class TestCostProfiles:
 
 class TestTopologyBehaviour:
     def test_dynamic_masks_move_static_masks_do_not(self, data):
-        from repro.sparse.analysis import mask_jaccard
+        def mask_jaccard(a, b):
+            return (a & b).sum() / (a | b).sum()
 
         moving = run_image_classification(
             "rigl", factory, data, sparsity=0.9, seed=5, **KWARGS

@@ -77,19 +77,6 @@ class TestIgnoredImportantAnalysis:
             # Weights grown this round must not count as "stayed inactive".
             assert not (snaps[-1].inactive & grown).any()
 
-    def test_layers_above_counts(self):
-        model, masked, engine = make_engine()
-        analysis = IgnoredImportantAnalysis(masked)
-        rng = np.random.default_rng(3)
-        for step in (10, 20, 30, 40):
-            set_gradients(masked, rng)
-            analysis.observe_update(engine, step)
-            drift_weights(masked, rng)
-        analysis.finalize()
-        total_layers = len(analysis.ignored_fraction_by_layer())
-        assert 0 <= analysis.layers_above(0.0) <= total_layers
-        assert analysis.layers_above(1.1) == 0
-
     def test_greedy_missed_weights_dominate_with_churn(self):
         """With random gradients each round (maximal rank churn), the greedy
         snapshot at round q cannot anticipate later growth: the ignored

@@ -7,7 +7,6 @@ from repro.autograd import Tensor
 from repro.models import (
     MLP,
     VGG_CONFIGS,
-    resnet20,
     resnet50,
     resnet50_mini,
     vgg11,
@@ -39,10 +38,6 @@ class TestMLP:
         b = MLP(12, (8,), 3, seed=5)
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa.data, pb.data)
-
-    def test_dropout_inserted(self):
-        model = MLP(12, (8, 8), 3, dropout=0.5, seed=0)
-        assert any(isinstance(m, nn.Dropout) for m in model.modules())
 
 
 class TestVGG:
@@ -103,11 +98,6 @@ class TestResNet:
     def test_resnet50_mini_block_count(self):
         model = resnet50_mini(num_classes=10, width_mult=0.125, seed=0)
         assert count_convs(model) == 1 + 4 * 3 + 4
-
-    def test_resnet20_uses_basic_blocks(self):
-        model = resnet20(num_classes=10, width_mult=0.25, seed=0)
-        # 3 stages × 3 blocks × 2 convs + stem + 2 projection shortcuts
-        assert count_convs(model) == 1 + 9 * 2 + 2
 
     def test_forward_shape(self):
         model = resnet50_mini(num_classes=6, width_mult=0.125, seed=0)

@@ -55,10 +55,6 @@ class TestCrossEntropy:
         loss = nn.cross_entropy(logits, np.array([1]))
         assert np.isfinite(loss.item())
 
-    def test_module_wrapper(self):
-        loss = nn.CrossEntropyLoss()(Tensor(np.zeros((2, 3), dtype=np.float32)), np.array([0, 1]))
-        assert loss.item() == pytest.approx(np.log(3), rel=1e-5)
-
 
 class TestBCEWithLogits:
     def test_matches_manual(self):
@@ -89,18 +85,3 @@ class TestBCEWithLogits:
             Tensor(np.zeros(4, dtype=np.float32)), Tensor(np.array([0, 1, 0, 1], dtype=np.float32))
         )
         assert loss.item() == pytest.approx(np.log(2), rel=1e-5)
-
-
-class TestMSE:
-    def test_value(self):
-        loss = nn.mse_loss(Tensor(np.array([1.0, 2.0])), Tensor(np.array([0.0, 0.0])))
-        assert loss.item() == pytest.approx(2.5)
-
-    def test_zero_at_equality(self):
-        x = Tensor(RNG.standard_normal(5).astype(np.float32))
-        assert nn.mse_loss(x, x.copy()).item() == pytest.approx(0.0, abs=1e-7)
-
-    def test_gradcheck(self):
-        a = Tensor(RNG.standard_normal((3, 2)), requires_grad=True)
-        b = Tensor(RNG.standard_normal((3, 2)))
-        gradcheck(lambda x: nn.mse_loss(x, b), [a], atol=1e-5, rtol=1e-5)

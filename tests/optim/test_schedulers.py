@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.optim import SGD, CosineAnnealingLR, MultiStepLR, StepLR, WarmupWrapper
+from repro.optim import SGD, CosineAnnealingLR
 
 
 def make_opt(lr=1.0):
@@ -52,36 +52,3 @@ class TestCosine:
     def test_invalid_t_max(self):
         with pytest.raises(ValueError):
             CosineAnnealingLR(make_opt(), t_max=0)
-
-
-class TestStep:
-    def test_step_lr(self):
-        opt = make_opt(1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [opt.lr]
-        for _ in range(4):
-            sched.step()
-            lrs.append(opt.lr)
-        assert lrs == pytest.approx([1.0, 1.0, 0.1, 0.1, 0.01])
-
-    def test_multistep_lr(self):
-        opt = make_opt(1.0)
-        sched = MultiStepLR(opt, milestones=[2, 4], gamma=0.5)
-        lrs = [opt.lr]
-        for _ in range(4):
-            sched.step()
-            lrs.append(opt.lr)
-        assert lrs == pytest.approx([1.0, 1.0, 0.5, 0.5, 0.25])
-
-
-class TestWarmup:
-    def test_linear_warmup_then_cosine(self):
-        opt = make_opt(1.0)
-        inner = CosineAnnealingLR(opt, t_max=10)
-        sched = WarmupWrapper(opt, inner, warmup_epochs=4)
-        assert opt.lr == pytest.approx(0.25)
-        sched.step()
-        assert opt.lr == pytest.approx(0.5)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr < 1.0

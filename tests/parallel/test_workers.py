@@ -129,26 +129,6 @@ class TestGradientWorkerPool:
         assert serial == pytest.approx(parallel, rel=1e-5)
         assert serial[-1] < serial[0]  # actually learning, not frozen
 
-    def test_dropout_streams_differ_per_worker(self):
-        # Give both workers *identical* shard inputs: if their dropout
-        # generators still marched in lock-step (fork inherits identical
-        # states), the two gradient rows would be byte-identical.
-        from repro.nn.module import Sequential
-
-        model = Sequential(
-            nn.Linear(6, 16, rng=np.random.default_rng(0)),
-            nn.Dropout(0.5, rng=np.random.default_rng(1)),
-            nn.Linear(16, 3, rng=np.random.default_rng(2)),
-        )
-        rng = np.random.default_rng(3)
-        row_x = rng.standard_normal((4, 6)).astype(np.float32)
-        x = np.concatenate([row_x, row_x])  # shard 0 == shard 1
-        y = np.concatenate([[0, 1, 2, 0]] * 2)
-        with GradientWorkerPool(model, nn.cross_entropy, n_workers=2) as pool:
-            pool.step(Tensor(x), y)
-            rows = pool._grad_shm.array.copy()
-        assert not np.array_equal(rows[0], rows[1])
-
     def test_unused_parameter_keeps_grad_none(self):
         from repro.nn.module import Module, Parameter
 

@@ -1,5 +1,7 @@
 """Drop-and-grow engine edge cases and rarely-hit paths."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,7 @@ class TestExtremeDensities:
     def test_extremely_sparse_keeps_at_least_one_per_layer(self):
         model, masked, engine = make(
             sparsity=0.98,
-            schedule=SCHEDULE.with_overrides(drop_fraction=0.9, drop_schedule="constant"),
+            schedule=dataclasses.replace(SCHEDULE, drop_fraction=0.9, drop_schedule="constant"),
         )
         set_gradients(masked, np.random.default_rng(0))
         for step in (10, 20, 30):

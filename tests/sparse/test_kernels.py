@@ -19,7 +19,7 @@ from repro.sparse import (
     remove_training_backends,
     select_backend,
 )
-from repro.sparse.kernels import CsrMatmul, resolve_mode
+from repro.sparse.kernels import CsrMatmul, _staged, resolve_mode
 
 RNG = np.random.default_rng(0)
 
@@ -305,16 +305,14 @@ class TestIncrementalRebuild:
         }
         changed = masked.targets[0]
         untouched = masked.targets[1]
-        before = {
-            name: k.matmul.structure_version for name, k in kernels.items()
-        }
+        before = {name: k.matmul.csr for name, k in kernels.items()}
         # Flip one weight of one layer on (mask edit via the public setter).
         new_mask = changed.mask.copy()
         new_mask.reshape(-1)[changed.inactive_indices[0]] = True
         changed.mask = new_mask
         model(x)
-        assert kernels[changed.name].matmul.structure_version != before[changed.name]
-        assert kernels[untouched.name].matmul.structure_version == before[untouched.name]
+        assert kernels[changed.name].matmul.csr is not before[changed.name]
+        assert kernels[untouched.name].matmul.csr is before[untouched.name]
 
     def test_csr_values_track_weight_updates(self):
         model, masked = mlp_setup()
@@ -327,6 +325,16 @@ class TestIncrementalRebuild:
         assert not np.allclose(second, first)
 
 
+def xwt(matmul, x2d):
+    """``x @ W.T`` as the CSR Linear kernel stages and computes it."""
+    return matmul.wx(_staged(x2d, matmul.shape2d[1])).T
+
+
+def gw(matmul, g2d):
+    """``g @ W`` as the CSR Linear kernel's input gradient computes it."""
+    return matmul.wtg(_staged(g2d, matmul.shape2d[0])).T
+
+
 class TestCsrMatmul:
     def test_matches_dense_products(self):
         w = RNG.standard_normal((12, 20)).astype(np.float32)
@@ -336,8 +344,8 @@ class TestCsrMatmul:
         matmul.sync(w.reshape(-1), np.flatnonzero(mask.reshape(-1)), version=0)
         x = RNG.standard_normal((7, 20)).astype(np.float32)
         g = RNG.standard_normal((7, 12)).astype(np.float32)
-        np.testing.assert_allclose(matmul.matmul_xwt(x), x @ w.T, atol=1e-5)
-        np.testing.assert_allclose(matmul.matmul_gw(g), g @ w, atol=1e-5)
+        np.testing.assert_allclose(xwt(matmul, x), x @ w.T, atol=1e-5)
+        np.testing.assert_allclose(gw(matmul, g), g @ w, atol=1e-5)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize(
@@ -360,8 +368,8 @@ class TestCsrMatmul:
         w_csr = sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=shape)
         w_t_csr = sp.csr_matrix((csr_t.data, csr_t.indices, csr_t.indptr), shape=shape[::-1])
         for got, want in (
-            (matmul.matmul_xwt(x), x @ w_t_csr),
-            (matmul.matmul_gw(g), g @ w_csr),
+            (xwt(matmul, x), x @ w_t_csr),
+            (gw(matmul, g), g @ w_csr),
         ):
             np.testing.assert_array_equal(got, want)
             assert got.flags.f_contiguous == want.flags.f_contiguous
@@ -373,18 +381,18 @@ class TestCsrMatmul:
         for shape in ((3, 7), (3, 9), (8,)):
             bad = np.ones(shape, np.float32)
             with pytest.raises(ValueError, match="dimension mismatch"):
-                matmul.matmul_xwt(bad)
+                xwt(matmul, bad)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            matmul.matmul_gw(np.ones((3, 8), np.float32))
+            gw(matmul, np.ones((3, 8), np.float32))
 
     def test_outputs_are_fresh_per_call(self):
         w = RNG.standard_normal((6, 8)).astype(np.float32)
         matmul = CsrMatmul(w.shape)
         matmul.sync(w.reshape(-1), np.arange(w.size), version=0)
         x = RNG.standard_normal((3, 8)).astype(np.float32)
-        first = matmul.matmul_xwt(x)
+        first = xwt(matmul, x)
         snapshot = first.copy()
-        matmul.matmul_xwt(2 * x)
+        xwt(matmul, 2 * x)
         np.testing.assert_array_equal(first, snapshot)
 
     def test_empty_mask(self):
@@ -392,7 +400,7 @@ class TestCsrMatmul:
         matmul = CsrMatmul(w.shape)
         matmul.sync(w.reshape(-1), np.flatnonzero(w.reshape(-1)), version=0)
         x = RNG.standard_normal((3, 6)).astype(np.float32)
-        np.testing.assert_allclose(matmul.matmul_xwt(x), np.zeros((3, 4)))
+        np.testing.assert_allclose(xwt(matmul, x), np.zeros((3, 4)))
 
 
 class TestCachedIndexProperty:

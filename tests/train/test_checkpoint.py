@@ -9,13 +9,30 @@ from repro.data.loader import DataLoader
 from repro.nn.losses import cross_entropy
 from repro.optim import SGD, CosineAnnealingLR
 from repro.train import (
+    Callback,
     CheckpointCallback,
     Trainer,
     latest_checkpoint,
     load_training_checkpoint,
     save_training_checkpoint,
 )
-from repro.train.checkpoint import FORMAT_VERSION
+from repro.train.checkpoint import FORMAT_VERSION, resolve_resume_path
+
+
+class _EpochCounter(Callback):
+    """A stateful callback: its count is part of the checkpoint."""
+
+    def __init__(self):
+        self.epochs = 0
+
+    def on_epoch_end(self, record) -> None:
+        self.epochs += 1
+
+    def state_dict(self) -> dict:
+        return {"epochs": self.epochs}
+
+    def load_state_dict(self, state: dict) -> None:
+        self.epochs = int(state["epochs"])
 
 
 def _make_trainer(tiny_data, tiny_mlp_factory, callbacks=(), seed=0):
@@ -166,33 +183,40 @@ class TestTrainerStateDict:
         for p_ref, p_res in zip(reference.model.parameters(), resumed.model.parameters()):
             np.testing.assert_array_equal(p_ref.data, p_res.data)
 
-    def test_mid_epoch_resume_with_dropout_transform_and_prefetch(
-        self, tiny_data, tmp_path
+    def test_checkpoint_with_module_rng_map_still_resumes(
+        self, tiny_data, tiny_mlp_factory, tmp_path
     ):
-        """Every RNG stream the trainer owns must survive a mid-epoch
-        restore: data shuffling, per-batch augmentation draws, and module
-        (dropout) generators — with the prefetching loader in the mix."""
+        """Checkpoints from releases whose modules held generators carry an
+        ``rng.modules`` map; loading ignores it and resumes bitwise."""
+        reference = _make_trainer(tiny_data, tiny_mlp_factory)
+        reference.fit(2)
+        state = reference.state_dict()
+        assert "modules" not in state["rng"]
+        state["rng"]["modules"] = {
+            "body.2:rng": np.random.default_rng(7).bit_generator.state
+        }
+        path = tmp_path / "old.npz"
+        save_training_checkpoint(path, state)
+        reference.fit(3)
+
+        resumed = _make_trainer(tiny_data, tiny_mlp_factory)
+        resumed.load_state_dict(load_training_checkpoint(path))
+        resumed.fit(3)
+        assert resumed.history.series("train_loss") == reference.history.series("train_loss")
+        for p_ref, p_res in zip(reference.model.parameters(), resumed.model.parameters()):
+            np.testing.assert_array_equal(p_ref.data, p_res.data)
+
+    def test_mid_epoch_resume_with_shuffled_loader(self, tiny_data, tmp_path):
+        """The data-order stream survives a restore inside epoch 1: the
+        shuffled loader replays the interrupted epoch's order, and training
+        continues from the step checkpoint bitwise."""
         from repro.models import MLP
 
-        def jitter(batch, rng):
-            return batch + rng.normal(scale=0.01, size=batch.shape).astype(
-                batch.dtype
-            )
-
         def build(callbacks=()):
-            model = MLP(
-                in_features=3 * 8 * 8, hidden=(32,), num_classes=4,
-                dropout=0.3, seed=0,
-            )
-            for _, module in model.named_modules():
-                rng = getattr(module, "rng", None)
-                if isinstance(rng, np.random.Generator):
-                    rng.bit_generator.state = np.random.default_rng(
-                        7
-                    ).bit_generator.state
+            model = MLP(in_features=3 * 8 * 8, hidden=(32,), num_classes=4, seed=0)
             train_loader = DataLoader(
                 tiny_data.train, batch_size=32, shuffle=True,
-                transform=jitter, rng=np.random.default_rng(1), prefetch=1,
+                rng=np.random.default_rng(1),
             )
             optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
             return Trainer(
@@ -213,6 +237,7 @@ class TestTrainerStateDict:
         resumed.load_state_dict(
             load_training_checkpoint(tmp_path / f"ckpt-{mid_epoch_step:010d}.npz")
         )
+        assert resumed._pending_resume["epoch"] == 1
         resumed.fit(3)
         assert resumed.history.series("train_loss") == (
             reference.history.series("train_loss")
@@ -226,23 +251,18 @@ class TestTrainerStateDict:
             np.testing.assert_array_equal(p_ref.data, p_res.data)
 
 
-
 class TestReviewGuards:
     def test_missing_explicit_resume_file_raises(self, tiny_data, tiny_mlp_factory, tmp_path):
-        from repro.experiments.runner import _resolve_resume_path
-
-        assert _resolve_resume_path(None) is None
-        assert _resolve_resume_path(tmp_path / "not-yet-a-dir") is None  # dir-to-be
+        assert resolve_resume_path(None) is None
+        assert resolve_resume_path(tmp_path / "not-yet-a-dir") is None  # dir-to-be
         with pytest.raises(FileNotFoundError, match="ckpt-0000000012"):
-            _resolve_resume_path(tmp_path / "ckpt-0000000012.npz")
+            resolve_resume_path(tmp_path / "ckpt-0000000012.npz")
 
     def test_callback_mismatch_warns_instead_of_silently_dropping(
         self, tiny_data, tiny_mlp_factory, tmp_path
     ):
-        from repro.train import EarlyStopping
-
         reference = _make_trainer(
-            tiny_data, tiny_mlp_factory, callbacks=[EarlyStopping(patience=2)]
+            tiny_data, tiny_mlp_factory, callbacks=[_EpochCounter()]
         )
         reference.fit(2)
         state = reference.state_dict()
@@ -250,33 +270,8 @@ class TestReviewGuards:
         with pytest.warns(UserWarning, match="not restored"):
             _make_trainer(tiny_data, tiny_mlp_factory).load_state_dict(state)
 
-        from repro.train.callbacks import LambdaCallback
-
         mismatched = _make_trainer(
-            tiny_data, tiny_mlp_factory, callbacks=[LambdaCallback(lambda r: None)]
+            tiny_data, tiny_mlp_factory, callbacks=[Callback()]
         )
         with pytest.warns(UserWarning, match="not restored"):
             mismatched.load_state_dict(state)
-
-    def test_worker_pool_with_dropout_checkpointing_warns(self, tiny_data, tmp_path):
-        from repro.models import MLP
-        from repro.parallel import fork_available
-
-        if not fork_available():
-            pytest.skip("fork not available")
-        model = MLP(
-            in_features=3 * 8 * 8, hidden=(32,), num_classes=4,
-            dropout=0.2, seed=0,
-        )
-        train_loader = DataLoader(
-            tiny_data.train, batch_size=32, shuffle=True,
-            rng=np.random.default_rng(1),
-        )
-        optimizer = SGD(model.parameters(), lr=0.05)
-        trainer = Trainer(
-            model, optimizer, cross_entropy, train_loader,
-            callbacks=[CheckpointCallback(tmp_path, every_n_epochs=1)],
-            n_workers=2,
-        )
-        with pytest.warns(UserWarning, match="not bitwise-exact"):
-            trainer.fit(1)

@@ -25,7 +25,7 @@ from repro.data.loader import DataLoader
 from repro.experiments.gan import MIXTURES, GANTrainer
 from repro.models import MLP
 from repro.nn.losses import cross_entropy
-from repro.optim import SGD, Adam, StepLR
+from repro.optim import SGD, Adam, CosineAnnealingLR
 from repro.rl.agent import DQNAgent
 from repro.rl.envs import make_env
 from repro.rl.replay import ReplayBuffer
@@ -94,26 +94,19 @@ def _log_optimizer_steps(optimizer, log: list, tag: str = ""):
 
 
 class Recorder(Callback):
-    """Logs every callback event; asks to stop once ``stop_at`` is reached."""
+    """Logs every callback event."""
 
-    def __init__(self, stop_at: int | None = None):
+    def __init__(self):
         self.events: list = []
-        self.stop_at = stop_at
-        self.step = 0
 
     def bind(self, trainer) -> None:
         self.events.append("bind")
 
     def on_step_end(self, step: int) -> None:
-        self.step = step
         self.events.append(("step", step))
 
     def on_epoch_end(self, record) -> None:
         self.events.append(("record", record.epoch))
-
-    def should_stop(self) -> bool:
-        self.events.append("should_stop")
-        return self.stop_at is not None and self.step >= self.stop_at
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +126,7 @@ def make_trainer(callbacks=(), controller=None, scheduler=False, log=None):
         optimizer,
         cross_entropy,
         loader,
-        scheduler=StepLR(optimizer, step_size=1) if scheduler else None,
+        scheduler=CosineAnnealingLR(optimizer, t_max=4) if scheduler else None,
         controller=controller,
         callbacks=callbacks,
     )
@@ -154,7 +147,7 @@ def make_rl_trainer(callbacks=(), controller=None, scheduler=False, log=None):
         buffer,
         optimizer,
         controller=controller,
-        scheduler=StepLR(optimizer, step_size=1) if scheduler else None,
+        scheduler=CosineAnnealingLR(optimizer, t_max=4) if scheduler else None,
         callbacks=callbacks,
         batch_size=8,
         warmup_steps=16,
@@ -192,28 +185,19 @@ def make_gan_trainer(callbacks=(), g_controller=None, d_controller=None, balance
 # hook order
 # ----------------------------------------------------------------------
 class TestHookOrder:
-    def test_trainer_step_end_precedes_epoch_end_and_stop_is_per_epoch(self):
+    def test_trainer_step_end_precedes_epoch_end(self):
         recorder = Recorder()
         make_trainer([recorder]).fit(2)
         expected = ["bind"]
         for epoch in range(2):
             expected += [("step", 5 * epoch + batch) for batch in range(1, 6)]
-            expected += [("record", epoch), "should_stop"]
+            expected.append(("record", epoch))
         assert recorder.events == expected
 
-    def test_trainer_stops_at_the_epoch_where_should_stop_flips(self):
-        recorder = Recorder(stop_at=3)
-        trainer = make_trainer([recorder])
-        trainer.fit(4)
-        assert len(trainer.history) == 1
-        assert recorder.events == [
-            "bind", *[("step", s) for s in range(1, 6)], ("record", 0), "should_stop"
-        ]
-
     def test_rl_episode_record_precedes_step_end(self):
-        recorder = Recorder(stop_at=70)
+        recorder = Recorder()
         trainer = make_rl_trainer([recorder])
-        trainer.fit(200)
+        trainer.fit(70)
         assert trainer.global_step == 70
         ends = {record.global_step: record.episode for record in trainer.history}
         assert ends, "expected at least one finished episode"
@@ -221,20 +205,20 @@ class TestHookOrder:
         for step in range(1, 71):
             if step in ends:
                 expected.append(("record", ends[step]))
-            expected += [("step", step), "should_stop"]
+            expected.append(("step", step))
         assert recorder.events == expected
 
     def test_gan_log_record_precedes_step_end(self):
-        recorder = Recorder(stop_at=25)
+        recorder = Recorder()
         trainer = make_gan_trainer([recorder])
-        trainer.fit(100)
+        trainer.fit(25)
         assert trainer.global_step == 25
         assert [record.step for record in trainer.history] == [10, 20]
         expected = ["bind"]
         for step in range(1, 26):
             if step % 10 == 0:
                 expected.append(("record", step))
-            expected += [("step", step), "should_stop"]
+            expected.append(("step", step))
         assert recorder.events == expected
 
 

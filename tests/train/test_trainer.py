@@ -1,4 +1,4 @@
-"""Trainer: loop semantics, sparse hooks, history, callbacks."""
+"""Trainer: loop semantics, sparse hooks, history."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.data import DataLoader
 from repro.models import MLP
 from repro.optim import SGD, CosineAnnealingLR
 from repro.sparse import DynamicSparseEngine, GradientGrowth, MaskedModel, TrainingSchedule
-from repro.train import EarlyStopping, LambdaCallback, Trainer, evaluate_classifier
+from repro.train import Trainer, evaluate_classifier
 
 
 def build(tiny_data, seed=0, controller=None, lr=0.1, **trainer_kwargs):
@@ -133,23 +133,6 @@ class TestSparseIntegration:
         record = history.epochs[-1]
         assert record.sparsity == pytest.approx(0.7, abs=0.02)
         assert 0.0 < record.exploration_rate <= 1.0
-
-
-class TestCallbacks:
-    def test_lambda_callback_called_per_epoch(self, tiny_data):
-        seen = []
-        model, _, trainer = build(
-            tiny_data, callbacks=[LambdaCallback(lambda r: seen.append(r.epoch))]
-        )
-        trainer.fit(3)
-        assert seen == [0, 1, 2]
-
-    def test_early_stopping(self, tiny_data):
-        stopper = EarlyStopping(patience=1)
-        stopper.best = 2.0  # impossible to beat → stops after patience epochs
-        model, _, trainer = build(tiny_data, callbacks=[stopper])
-        history = trainer.fit(10)
-        assert len(history) < 10
 
 
 class TestHistory:
